@@ -42,7 +42,8 @@ from .explain import (
     render_heatmap,
     score_features,
 )
-from .model import ModelConfig, ModelParams, init_params, load_model, predict, save_model
+from .model import ModelConfig, ModelParams, init_params, load_model, save_model
+from .model import predict, predict_batch
 from .training import (
     HyperParams,
     Metrics,
@@ -89,6 +90,7 @@ __all__ = [
     "oracle_label",
     "pair_synergy",
     "predict",
+    "predict_batch",
     "render_heatmap",
     "save_corpus",
     "save_model",

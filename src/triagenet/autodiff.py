@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -84,14 +84,8 @@ class Tensor:
     def __add__(self, other: "Tensor") -> "Tensor":
         return add(self, other)
 
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return sub(self, other)
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return mul(self, other)
-
     def __matmul__(self, other: "Tensor") -> "Tensor":
-        return dot(self, other)
+        return matmul(self, other)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"
@@ -147,17 +141,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data - b.data, parents=(a, b))
-
-    def grad_fn(g: np.ndarray) -> None:
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(-g, b.shape))
-
-    out.grad_fn = grad_fn
-    return out
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data * b.data, parents=(a, b))
 
@@ -208,28 +191,28 @@ def tanh(x: Tensor) -> Tensor:
 # -- linear algebra ------------------------------------------------------
 
 
-def dot(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix/vector product for the 1-D and 2-D operand combinations."""
-    if a.data.ndim not in (1, 2) or b.data.ndim not in (1, 2):
-        raise ShapeError(f"dot supports 1-D/2-D operands, got {a.shape} @ {b.shape}")
-    if a.data.shape[-1] != b.data.shape[0]:
-        raise ShapeError(f"dot inner dimensions differ: {a.shape} @ {b.shape}")
-    out = Tensor(a.data @ b.data, parents=(a, b))
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product over the last two axes, batched like numpy's ``@``.
+
+    ``a`` is a matrix or a batch of them. ``b`` is a vector, a matrix
+    shared by the whole batch, or a batch of matrices.
+    """
+    A, Bd = a.data, b.data
+    if A.ndim < 2 or Bd.ndim < 1:
+        raise ShapeError(f"matmul needs a matrix or batch on the left, got {a.shape} @ {b.shape}")
+    if A.shape[-1] != Bd.shape[0 if Bd.ndim == 1 else -2]:
+        raise ShapeError(f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
+    out = Tensor(A @ Bd, parents=(a, b))
 
     def grad_fn(g: np.ndarray) -> None:
-        ad, bd = a.data, b.data
-        if ad.ndim == 1 and bd.ndim == 1:
-            _accumulate(a, g * bd)
-            _accumulate(b, g * ad)
-        elif ad.ndim == 2 and bd.ndim == 1:
-            _accumulate(a, np.outer(g, bd))
-            _accumulate(b, ad.T @ g)
-        elif ad.ndim == 1 and bd.ndim == 2:
-            _accumulate(a, bd @ g)
-            _accumulate(b, np.outer(ad, g))
+        if Bd.ndim <= 2:  # shared: one product over all batch rows, a vector as a column
+            Bm = Bd.reshape(Bd.shape[0], -1)
+            g2 = g.reshape(-1, Bm.shape[1])
+            _accumulate(a, (g2 @ Bm.T).reshape(A.shape))
+            _accumulate(b, (A.reshape(-1, A.shape[-1]).T @ g2).reshape(Bd.shape))
         else:
-            _accumulate(a, g @ bd.T)
-            _accumulate(b, ad.T @ g)
+            _accumulate(a, _unbroadcast(g @ np.swapaxes(Bd, -1, -2), A.shape))
+            _accumulate(b, _unbroadcast(np.swapaxes(A, -1, -2) @ g, Bd.shape))
 
     out.grad_fn = grad_fn
     return out
@@ -256,113 +239,57 @@ def tsum(x: Tensor) -> Tensor:
     return out
 
 
-def add_n(ts: Sequence[Tensor]) -> Tensor:
-    """Sum a list of same-shaped tensors in fixed left-to-right order."""
-    if not ts:
-        raise ShapeError("add_n needs at least one tensor")
-    acc = ts[0].data.copy()
-    for t in ts[1:]:
-        if t.shape != ts[0].shape:
-            raise ShapeError(f"add_n shapes differ: {t.shape} vs {ts[0].shape}")
-        acc += t.data
-    out = Tensor(acc, parents=tuple(ts))
-
-    def grad_fn(g: np.ndarray) -> None:
-        for t in ts:
-            _accumulate(t, g)
-
-    out.grad_fn = grad_fn
-    return out
-
-
-def concat(vs: Sequence[Tensor]) -> Tensor:
-    """Concatenate 1-D tensors."""
-    for v in vs:
-        if v.data.ndim != 1:
-            raise ShapeError(f"concat needs 1-D tensors, got shape {v.shape}")
-    out = Tensor(np.concatenate([v.data for v in vs]), parents=tuple(vs))
-    sizes = [v.data.size for v in vs]
+def concat(ts: Sequence[Tensor]) -> Tensor:
+    """Concatenate along the last axis."""
+    out = Tensor(np.concatenate([t.data for t in ts], axis=-1), parents=tuple(ts))
+    sizes = [t.shape[-1] for t in ts]
 
     def grad_fn(g: np.ndarray) -> None:
         start = 0
-        for v, n in zip(vs, sizes):
-            _accumulate(v, g[start : start + n])
+        for t, n in zip(ts, sizes):
+            _accumulate(t, g[..., start : start + n])
             start += n
 
     out.grad_fn = grad_fn
     return out
 
 
-def take_rows(x: Tensor, n: int) -> Tensor:
-    """First ``n`` rows of a 2-D tensor; gradient zero-pads the rest."""
-    if x.data.ndim != 2:
-        raise ShapeError(f"take_rows needs a 2-D tensor, got shape {x.shape}")
-    if not 0 < n <= x.shape[0]:
-        raise ShapeError(f"cannot take {n} rows from shape {x.shape}")
-    out = Tensor(x.data[:n], parents=(x,))
-
-    def grad_fn(g: np.ndarray) -> None:
-        full = np.zeros_like(x.data)
-        full[:n] = g
-        _accumulate(x, full)
-
-    out.grad_fn = grad_fn
-    return out
-
-
 def unfold(x: Tensor, m: int) -> Tensor:
-    """Stack the ``m``-row sliding windows of an L x k matrix as rows.
+    """Stack the ``m``-row sliding windows of each L x k matrix as rows.
 
-    Output is (L - m + 1) x (m * k); window ``i`` is rows i..i+m-1
-    flattened.
+    ``x`` is (..., L, k); the output is (..., L - m + 1, m * k), and
+    window ``i`` is rows i..i+m-1 flattened.
     """
-    if x.data.ndim != 2:
-        raise ShapeError(f"unfold needs a 2-D tensor, got shape {x.shape}")
-    L, k = x.shape
+    if x.data.ndim < 2:
+        raise ShapeError(f"unfold needs a matrix or batch of them, got shape {x.shape}")
+    L, k = x.shape[-2:]
     if m < 1:
         raise ShapeError(f"window width must be positive, got {m}")
     if m > L:
         raise WindowTooLargeError(f"window {m} exceeds sequence length {L}")
     T = L - m + 1
-    windows = np.lib.stride_tricks.sliding_window_view(x.data, (m, k))
-    out = Tensor(windows.reshape(T, m * k).copy(), parents=(x,))
+    out = Tensor(
+        np.concatenate([x.data[..., j : j + T, :] for j in range(m)], axis=-1), parents=(x,)
+    )
 
     def grad_fn(g: np.ndarray) -> None:
-        gw = g.reshape(T, m, k)
         gx = np.zeros_like(x.data)
         for j in range(m):
-            gx[j : j + T] += gw[:, j, :]
+            gx[..., j : j + T, :] += g[..., j * k : (j + 1) * k]
         _accumulate(x, gx)
 
     out.grad_fn = grad_fn
     return out
 
 
-def conv_valid(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Valid 1-D convolution of full-width filter ``w`` over ``x``, plus relu.
-
-    ``x`` is L x k, ``w`` is m x k, ``b`` is a scalar; output ``i`` is
-    relu(sum(w * x[i:i+m]) + b), length L - m + 1.
-    """
-    if x.data.ndim != 2 or w.data.ndim != 2:
-        raise ShapeError(f"conv_valid needs 2-D input and filter, got {x.shape}, {w.shape}")
-    if x.shape[1] != w.shape[1]:
-        raise ShapeError(f"filter columns {w.shape[1]} != input columns {x.shape[1]}")
-    if b.data.size != 1:
-        raise ShapeError(f"bias must be a scalar, got shape {b.shape}")
-    m = w.shape[0]
-    windows = unfold(x, m)
-    flat = reshape(w, (m * x.shape[1],))
-    return relu(add(dot(windows, flat), b))
-
-
 def lookup(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Gather rows of an embedding table; gradient scatter-adds back."""
+    """Gather rows of an embedding table for an id array of any shape.
+
+    The gradient scatter-adds back into the table with one ``np.add.at``.
+    """
     ids = np.asarray(ids)
     if table.data.ndim != 2:
         raise ShapeError(f"lookup table must be 2-D, got shape {table.shape}")
-    if ids.ndim != 1:
-        raise ShapeError(f"ids must be 1-D, got shape {ids.shape}")
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
         raise IndexError(f"ids out of range for table with {table.shape[0]} rows")
     out = Tensor(table.data[ids], parents=(table,))
@@ -377,66 +304,72 @@ def lookup(table: Tensor, ids: np.ndarray) -> Tensor:
 
 
 def max_rows(x: Tensor) -> Tensor:
-    """Column-wise max over the rows of a 2-D tensor.
+    """Column-wise max over the rows of each matrix in ``x`` (..., T, F).
 
     Gradient flows to the first maximal row of each column.
     """
-    if x.data.ndim != 2:
-        raise ShapeError(f"max_rows needs a 2-D tensor, got shape {x.shape}")
-    idx = np.argmax(x.data, axis=0)
-    out = Tensor(x.data[idx, np.arange(x.shape[1])], parents=(x,))
+    if x.data.ndim < 2:
+        raise ShapeError(f"max_rows needs a matrix or batch of them, got shape {x.shape}")
+    idx = np.expand_dims(np.argmax(x.data, axis=-2), -2)
+    out = Tensor(x.data.max(axis=-2), parents=(x,))
 
     def grad_fn(g: np.ndarray) -> None:
         gx = np.zeros_like(x.data)
-        gx[idx, np.arange(x.shape[1])] = g
+        np.put_along_axis(gx, idx, g[..., None, :], axis=-2)
         _accumulate(x, gx)
 
     out.grad_fn = grad_fn
     return out
 
-
 # -- probabilistic ops ---------------------------------------------------
 
 
-def softmax(v: Tensor) -> Tensor:
-    """Numerically stable softmax of a 1-D tensor."""
-    if v.data.ndim != 1 or v.data.size == 0:
-        raise ShapeError(f"softmax needs a nonempty 1-D tensor, got shape {v.shape}")
-    shifted = v.data - v.data.max()
-    e = np.exp(shifted)
-    y = e / e.sum()
+def softmax(v: Tensor, valid: np.ndarray | None = None) -> Tensor:
+    """Numerically stable softmax over the last axis.
+
+    Where the boolean array ``valid`` (broadcast against ``v``) is False
+    the logit counts as -inf: that weight is exactly 0 and the others
+    still sum to one. Each row needs at least one valid entry.
+    """
+    if v.data.ndim < 1 or v.shape[-1] == 0:
+        raise ShapeError(f"softmax needs a nonempty last axis, got shape {v.shape}")
+    x = v.data if valid is None else np.where(valid, v.data, -np.inf)
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    y = e / e.sum(axis=-1, keepdims=True)
     out = Tensor(y, parents=(v,))
 
     def grad_fn(g: np.ndarray) -> None:
-        _accumulate(v, y * (g - float(g @ y)))
+        _accumulate(v, y * (g - (g * y).sum(axis=-1, keepdims=True)))
 
     out.grad_fn = grad_fn
     return out
 
 
-def cross_entropy(probs: Tensor, label: int, clamp: float = 1e-12) -> Tensor:
-    """Negative log-likelihood of ``label`` under a probability vector.
+def mean_nll(probs: Tensor, labels: np.ndarray, clamp: float = 1e-12) -> Tensor:
+    """Mean negative log-likelihood of ``labels`` under rows of probabilities.
 
-    The picked probability is clamped below at ``clamp`` so the loss
-    stays finite.
+    Each picked probability is clamped below at ``clamp`` so the loss
+    stays finite; a clamped entry passes no gradient.
     """
-    if probs.data.ndim != 1:
-        raise ShapeError(f"cross_entropy needs a 1-D tensor, got shape {probs.shape}")
-    if not 0 <= label < probs.data.size:
-        raise IndexError(f"label {label} out of range for {probs.data.size} classes")
-    p = float(probs.data[label])
+    labels = np.asarray(labels)
+    if probs.data.ndim != 2 or labels.shape != probs.shape[:1] or labels.size == 0:
+        raise ShapeError(f"mean_nll needs (B, C) probabilities and B labels, "
+                         f"got {probs.shape} and {labels.shape}")
+    if labels.min() < 0 or labels.max() >= probs.shape[1]:
+        raise IndexError(f"labels out of range for {probs.shape[1]} classes")
+    rows = np.arange(labels.size)
+    p = probs.data[rows, labels]
     # np.maximum propagates NaN, so a poisoned forward pass stays visible
-    out = Tensor(-np.log(np.maximum(p, clamp)), parents=(probs,))
+    out = Tensor(np.mean(-np.log(np.maximum(p, clamp))), parents=(probs,))
 
     def grad_fn(g: np.ndarray) -> None:
+        share = float(g) * (1.0 / labels.size)
         gp = np.zeros_like(probs.data)
-        if p > clamp:
-            gp[label] = -float(g) / p
+        gp[rows, labels] = np.where(p > clamp, -share / np.maximum(p, clamp), 0.0)
         _accumulate(probs, gp)
 
     out.grad_fn = grad_fn
     return out
-
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout: zero entries with probability ``p``, rescale rest."""

@@ -47,7 +47,7 @@ from .explain import (
     render_score_table,
     score_features,
 )
-from .model import ModelConfig, init_params, load_model, predict, save_model
+from .model import ModelConfig, init_params, load_model, predict_batch, save_model
 from .training import (
     EmptyRetainedError,
     HyperParams,
@@ -164,10 +164,7 @@ def generator_spec(config) -> GeneratorSpec:
 
 
 def model_config(config, vocab_size: int) -> ModelConfig:
-    section = dict(config["model"])
-    section["widths"] = tuple(section["widths"])
-    section["mlp_layers"] = tuple(section["mlp_layers"])
-    return ModelConfig(vocab_size=vocab_size, **section)
+    return ModelConfig.from_dict({**config["model"], "vocab_size": vocab_size})
 
 
 def hyper_params(config) -> HyperParams:
@@ -467,10 +464,10 @@ def cmd_explain(args) -> int:
     if bad:
         raise ConfigError(f"case ids out of range for {len(corpus.records)} records: {bad}")
 
+    records = [corpus.records[i] for i in ids]
+    preds = predict_batch(params, [encode(rec, vocab, params.config.max_len) for rec in records])
     sections = []
-    for i in ids:
-        rec = corpus.records[i]
-        pred = predict(params, encode(rec, vocab, params.config.max_len))
+    for i, rec, pred in zip(ids, records, preds):
         shown = rec.tokens[: pred.attention.n_tokens]
         caption = (
             f"case {i}: true={rec.label} predicted={LABELS[pred.predicted]}"

@@ -1,4 +1,4 @@
-"""Synthetic triage corpus generation, tokenization, vocabulary, and splits.
+"""Synthetic triage corpus generation, vocabulary, and splits.
 
 The generator plants ground truth: urgent cases carry either one
 red-flag token or one adjacent token pair whose members are harmless on
@@ -17,7 +17,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import string
 from dataclasses import asdict, dataclass, field
 from typing import Iterable, Sequence
 
@@ -303,22 +302,7 @@ def generate_corpus(spec: GeneratorSpec, n: int, seed: int) -> Corpus:
     return Corpus(records=records, spec_hash=spec.hash(), seed=seed)
 
 
-# -- tokenization and vocabulary ------------------------------------------
-
-_PUNCT = string.punctuation
-
-
-def tokenize(text: str) -> list[str]:
-    """Lowercase, split on whitespace, strip edge punctuation.
-
-    Interior punctuation survives, so "37,4" stays one token.
-    """
-    out = []
-    for word in text.lower().split():
-        word = word.strip(_PUNCT)
-        if word:
-            out.append(word)
-    return out
+# -- vocabulary --------------------------------------------------------------
 
 
 class Vocabulary:

@@ -8,12 +8,11 @@ decaying step size, deterministic in the seed.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
+from .artifact import ChecksumError, read_artifact, write_artifact
 from .corpus import PAD_ID, Corpus, Vocabulary
 
 FORMAT_NAME = "triagenet-embedding"
@@ -22,10 +21,6 @@ FORMAT_VERSION = 1
 
 class ConfigError(ValueError):
     """A configuration value is out of range or inconsistent."""
-
-
-class ChecksumError(IOError):
-    """Stored checksum does not match the file contents."""
 
 
 @dataclass
@@ -39,9 +34,6 @@ class EmbeddingTable:
     @property
     def dim(self) -> int:
         return self.vectors.shape[1]
-
-    def lookup(self, ids: np.ndarray) -> np.ndarray:
-        return self.vectors[np.asarray(ids)]
 
 
 def init_table(vocab_size: int, dim: int, seed: int) -> EmbeddingTable:
@@ -144,7 +136,6 @@ def train_skipgram(
 
 def save_table(table: EmbeddingTable, path) -> None:
     """One JSON header line, then row-major little-endian float64."""
-    blob = np.ascontiguousarray(table.vectors, dtype="<f8").tobytes()
     header = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
@@ -152,25 +143,14 @@ def save_table(table: EmbeddingTable, path) -> None:
         "dim": table.dim,
         "seed": table.seed,
         "corpus_hash": table.corpus_hash,
-        "checksum": hashlib.sha256(blob).hexdigest(),
     }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        fh.write(blob)
+    write_artifact(path, header, np.ascontiguousarray(table.vectors, dtype="<f8").tobytes())
 
 
 def load_table(path) -> EmbeddingTable:
-    with open(path, "rb") as fh:
-        header_line = fh.readline()
-        blob = fh.read()
-    try:
-        header = json.loads(header_line)
-    except json.JSONDecodeError as e:
-        raise ChecksumError(f"unreadable header: {e}") from e
-    if header.get("format") != FORMAT_NAME or header.get("version") != FORMAT_VERSION:
-        raise ChecksumError(f"not a {FORMAT_NAME} v{FORMAT_VERSION} file")
-    if hashlib.sha256(blob).hexdigest() != header["checksum"]:
-        raise ChecksumError("embedding blob checksum mismatch")
+    header, blob = read_artifact(
+        path, FORMAT_NAME, FORMAT_VERSION, ("vocab_size", "dim", "seed", "corpus_hash")
+    )
     expected = header["vocab_size"] * header["dim"] * 8
     if len(blob) != expected:
         raise ChecksumError(f"blob holds {len(blob)} bytes, header implies {expected}")

@@ -22,7 +22,7 @@ import numpy as np
 
 from .corpus import LABELS, CaseRecord, Vocabulary, encode
 from .embedding import ConfigError
-from .model import AttentionRecord, ModelParams, predict
+from .model import AttentionRecord, ModelParams, predict_batch
 from .training import Metrics, derive_seed, evaluate
 
 DROP_KINDS = ("random", "frequency", "attention")
@@ -123,10 +123,9 @@ def score_features(
     max_sum: dict[str, float] = defaultdict(float)
     count: dict[str, int] = defaultdict(int)
 
-    for rec in records:
-        if rec.label != class_name:
-            continue
-        pred = predict(params, encode(rec, vocab, cfg.max_len))
+    records = [rec for rec in records if rec.label == class_name]
+    preds = predict_batch(params, [encode(rec, vocab, cfg.max_len) for rec in records])
+    for rec, pred in zip(records, preds):
         weights = _valid_positions(pred.attention, gram_size)
         if weights.size == 0:
             continue

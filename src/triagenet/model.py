@@ -8,28 +8,31 @@ replaces the pooling with a per-column max. Pooled vectors from all
 widths, concatenated with a small demographics vector, feed a relu MLP
 with a softmax head.
 
-Attention never attends to window positions that contain only padding:
+Attention never attends to window positions that start in padding:
 those logits are masked out, so their weights are exactly zero and the
 remaining weights still sum to one.
+
+One forward pass serves training and inference. It takes a batch of
+documents as a (B, max_len) id array and builds one graph for it.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
+from .artifact import ChecksumError, read_artifact, write_artifact
 from .autodiff import Tensor
 from .corpus import PAD_ID, EncodedCase
-from .embedding import ChecksumError, ConfigError, EmbeddingTable
+from .embedding import ConfigError, EmbeddingTable
 
 FORMAT_NAME = "triagenet-model"
 FORMAT_VERSION = 1
 DEMOGRAPHICS_DIM = 3
 ARCHITECTURES = ("acnn", "kimcnn")
+PREDICT_CHUNK = 64  # cases per inference forward pass; bounds peak memory
 
 
 @dataclass(frozen=True)
@@ -217,25 +220,38 @@ def init_params(
     )
 
 
-def doc_length(ids: np.ndarray) -> int:
-    """Number of leading non-padding positions."""
-    nz = np.flatnonzero(np.asarray(ids) != PAD_ID)
-    if nz.size == 0:
+def doc_lengths(ids: np.ndarray) -> np.ndarray:
+    """Number of leading non-padding positions in each row of ``ids``."""
+    real = np.asarray(ids) != PAD_ID
+    if not real.any(axis=1).all():
         raise ad.ShapeError("document contains no real tokens")
-    return int(nz[-1]) + 1
+    return real.shape[1] - np.argmax(real[:, ::-1], axis=1)
 
 
 def ngram_encode(params: ModelParams, emb: Tensor, m: int) -> Tensor:
-    """Feature map for one width: relu conv of every m-token window."""
+    """Feature maps for one width: relu conv of every m-token window.
+
+    ``emb`` is (B, L, k); the result is (B, L - m + 1, filters).
+    """
     windows = ad.unfold(emb, m)
-    return ad.relu(ad.add(ad.dot(windows, params.conv_w[m]), params.conv_b[m]))
+    return ad.relu(ad.add(ad.matmul(windows, params.conv_w[m]), params.conv_b[m]))
 
 
-def attend(params: ModelParams, feats: Tensor, m: int) -> tuple[Tensor, Tensor]:
-    """Additive attention over feature-map rows: returns (pooled, weights)."""
-    u = ad.tanh(ad.add(ad.dot(feats, params.attn_w[m]), params.attn_b[m]))
-    alpha = ad.softmax(ad.dot(u, params.attn_u[m]))
-    return ad.dot(alpha, feats), alpha
+def attend(
+    params: ModelParams, feats: Tensor, lengths: np.ndarray, m: int
+) -> tuple[Tensor, Tensor]:
+    """Additive attention over feature-map rows: returns (pooled, weights).
+
+    ``feats`` is (B, T, filters). Windows starting at or past a
+    document's length get weight exactly 0; pooled is (B, filters) and
+    weights are (B, T).
+    """
+    B, T, f = feats.shape
+    u = ad.tanh(ad.add(ad.matmul(feats, params.attn_w[m]), params.attn_b[m]))
+    valid = np.arange(T) < np.asarray(lengths)[:, None]
+    alpha = ad.softmax(ad.matmul(u, params.attn_u[m]), valid)
+    pooled = ad.matmul(ad.reshape(alpha, (B, 1, T)), feats)
+    return ad.reshape(pooled, (B, f)), alpha
 
 
 def forward_graph(
@@ -244,67 +260,79 @@ def forward_graph(
     demographics: np.ndarray,
     train_mode: bool = False,
     dropout_rng: np.random.Generator | None = None,
-) -> tuple[Tensor, dict[int, tuple[Tensor, int]]]:
-    """Differentiable forward pass for one document.
+) -> tuple[Tensor, dict[int, Tensor], np.ndarray]:
+    """Differentiable forward pass for a batch of documents.
 
-    Returns the class-probability tensor and, for acnn, each width's
-    attention tensor with its count of unmasked window positions.
+    ``ids`` is (B, max_len) and ``demographics`` (B, 3). Returns the
+    (B, n_classes) probability tensor; for acnn, each width's (B, T)
+    attention tensor over the first T window positions; and each
+    document's length in tokens.
+
+    The batch is cut to the longest document plus the widest window (at
+    most max_len columns). That keeps every window a full-length pass
+    scores, and at least one all-padding window for each document that
+    has one, so both poolings give the full-length result; the windows
+    past the cut would get zero attention.
     """
     cfg = params.config
     ids = np.asarray(ids)
-    if ids.shape != (cfg.max_len,):
-        raise ad.ShapeError(f"ids must have shape ({cfg.max_len},), got {ids.shape}")
-    n_tokens = doc_length(ids)
+    if ids.ndim != 2 or ids.shape[1] != cfg.max_len:
+        raise ad.ShapeError(f"ids must have shape (B, {cfg.max_len}), got {ids.shape}")
+    lengths = doc_lengths(ids)
     if train_mode and cfg.dropout > 0.0 and dropout_rng is None:
         raise ConfigError("training forward with dropout needs a generator")
 
-    emb = ad.lookup(params.embedding, ids)
+    cut = min(cfg.max_len, int(lengths.max()) + max(cfg.widths))
+    emb = ad.lookup(params.embedding, ids[:, :cut])
     pooled: list[Tensor] = []
-    attention: dict[int, tuple[Tensor, int]] = {}
+    attention: dict[int, Tensor] = {}
     for m in cfg.widths:
         feats = ngram_encode(params, emb, m)
         if cfg.arch == "kimcnn":
             pooled.append(ad.max_rows(feats))
             continue
-        n_valid = min(feats.shape[0], n_tokens)
-        valid = feats if n_valid == feats.shape[0] else ad.take_rows(feats, n_valid)
-        s, alpha = attend(params, valid, m)
+        s, attention[m] = attend(params, feats, lengths, m)
         pooled.append(s)
-        attention[m] = (alpha, n_valid)
 
     h = ad.concat(pooled + [Tensor(demographics)])
     for w, b in params.mlp[:-1]:
-        h = ad.relu(ad.add(ad.dot(h, w), b))
+        h = ad.relu(ad.add(ad.matmul(h, w), b))
         if train_mode and cfg.dropout > 0.0:
             h = ad.dropout(h, cfg.dropout, dropout_rng)
     w_out, b_out = params.mlp[-1]
-    probs = ad.softmax(ad.add(ad.dot(h, w_out), b_out))
-    return probs, attention
+    probs = ad.softmax(ad.add(ad.matmul(h, w_out), b_out))
+    return probs, attention, lengths
 
 
-def attention_record(
-    params: ModelParams, attention: dict[int, tuple[Tensor, int]], n_tokens: int
-) -> AttentionRecord:
-    """Zero-pad each width's weights out to its full feature-map length."""
-    alphas = {}
-    for m, (alpha, n_valid) in attention.items():
-        full = np.zeros(params.config.max_len - m + 1)
-        full[:n_valid] = alpha.data
-        alphas[m] = full
-    return AttentionRecord(alphas=alphas, n_tokens=n_tokens)
+def predict_batch(params: ModelParams, cases: list[EncodedCase]) -> list[Prediction]:
+    """Inference-mode forward over ``cases``, PREDICT_CHUNK cases at a time.
+
+    Each width's attention is zero-padded out to max_len - m + 1
+    positions, so a prediction does not depend on its batch mates'
+    lengths beyond float rounding.
+    """
+    cfg = params.config
+    preds: list[Prediction] = []
+    for start in range(0, len(cases), PREDICT_CHUNK):
+        chunk = cases[start : start + PREDICT_CHUNK]
+        probs, attention, lengths = forward_graph(
+            params, np.array([c.ids for c in chunk]), np.array([c.demographics for c in chunk])
+        )
+        alphas = {}
+        for m, alpha in attention.items():
+            alphas[m] = np.zeros((len(chunk), cfg.max_len - m + 1))
+            alphas[m][:, : alpha.shape[1]] = alpha.data
+        for i, p in enumerate(probs.data):
+            record = None
+            if cfg.arch == "acnn":
+                record = AttentionRecord({m: a[i] for m, a in alphas.items()}, int(lengths[i]))
+            preds.append(Prediction(probs=p, predicted=int(np.argmax(p)), attention=record))
+    return preds
 
 
 def predict(params: ModelParams, case: EncodedCase) -> Prediction:
-    """Inference-mode forward: probabilities, argmax label, attention."""
-    probs, attention = forward_graph(params, case.ids, case.demographics)
-    record = None
-    if params.config.arch == "acnn":
-        record = attention_record(params, attention, doc_length(case.ids))
-    return Prediction(
-        probs=probs.data.copy(),
-        predicted=int(np.argmax(probs.data)),
-        attention=record,
-    )
+    """Inference-mode forward for one case: probabilities, label, attention."""
+    return predict_batch(params, [case])[0]
 
 
 # -- persistence -------------------------------------------------------------
@@ -321,26 +349,14 @@ def save_model(params: ModelParams, path) -> None:
         "seed": params.seed,
         "corpus_hash": params.corpus_hash,
         "params": [[name, list(t.data.shape)] for name, t in named],
-        "checksum": hashlib.sha256(blob).hexdigest(),
     }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-        fh.write(blob)
+    write_artifact(path, header, blob)
 
 
 def load_model(path) -> ModelParams:
-    with open(path, "rb") as fh:
-        header_line = fh.readline()
-        blob = fh.read()
-    try:
-        header = json.loads(header_line)
-    except json.JSONDecodeError as e:
-        raise ChecksumError(f"unreadable header: {e}") from e
-    if header.get("format") != FORMAT_NAME or header.get("version") != FORMAT_VERSION:
-        raise ChecksumError(f"not a {FORMAT_NAME} v{FORMAT_VERSION} file")
-    if hashlib.sha256(blob).hexdigest() != header["checksum"]:
-        raise ChecksumError("model blob checksum mismatch")
-
+    header, blob = read_artifact(
+        path, FORMAT_NAME, FORMAT_VERSION, ("config", "seed", "corpus_hash", "params")
+    )
     config = ModelConfig.from_dict(header["config"])
     params = init_params(config, seed=0)
     params.seed = header["seed"]

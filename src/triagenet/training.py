@@ -13,7 +13,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import LABELS, EncodedCase
 from .embedding import ConfigError
-from .model import ModelParams, Prediction, forward_graph, init_params, predict
+from .model import ModelParams, Prediction, forward_graph, init_params, predict_batch
 
 
 class TrainingDivergedError(RuntimeError):
@@ -111,16 +111,6 @@ class TrainHistory:
     epochs: list[EpochStats] = field(default_factory=list)
 
 
-def _case_loss(
-    params: ModelParams,
-    case: EncodedCase,
-    train_mode: bool,
-    rng: np.random.Generator | None,
-) -> Tensor:
-    probs, _ = forward_graph(params, case.ids, case.demographics, train_mode, rng)
-    return ad.cross_entropy(probs, case.label)
-
-
 def train(
     params: ModelParams,
     train_set: list[EncodedCase],
@@ -132,7 +122,8 @@ def train(
 
     The root seed splits into independent shuffle and dropout streams.
     Raises TrainingDivergedError the moment a batch loss stops being
-    finite.
+    finite. The validation set runs forward once per epoch; its loss
+    and macro-F1 come from the same probabilities.
     """
     hyper.validate()
     if not train_set or not val_set:
@@ -142,14 +133,21 @@ def train(
     tensors = [t for _, t in params.parameters()]
     state = AdamState(tensors)
     history = TrainHistory()
+    val_labels = [c.label for c in val_set]
 
     for epoch in range(hyper.epochs):
         order = shuffle_rng.permutation(len(train_set))
         total_loss = 0.0
         for start in range(0, len(order), hyper.batch_size):
             batch = [train_set[i] for i in order[start : start + hyper.batch_size]]
-            losses = [_case_loss(params, c, True, dropout_rng) for c in batch]
-            batch_loss = ad.scale(ad.add_n(losses), 1.0 / len(losses))
+            probs, _, _ = forward_graph(
+                params,
+                np.array([c.ids for c in batch]),
+                np.array([c.demographics for c in batch]),
+                True,
+                dropout_rng,
+            )
+            batch_loss = ad.mean_nll(probs, [c.label for c in batch])
             value = batch_loss.item()
             if not np.isfinite(value):
                 raise TrainingDivergedError(
@@ -160,15 +158,13 @@ def train(
             adam_step(tensors, state, hyper)
             total_loss += value * len(batch)
 
-        val_loss = float(
-            np.mean([_case_loss(params, c, False, None).item() for c in val_set])
-        )
-        val_metrics = evaluate(params, val_set)
+        preds = predict_batch(params, val_set)
+        val_probs = Tensor(np.array([p.probs for p in preds]))
         history.epochs.append(
             EpochStats(
                 train_loss=total_loss / len(train_set),
-                val_loss=val_loss,
-                val_macro_f1=val_metrics.macro_f1,
+                val_loss=ad.mean_nll(val_probs, val_labels).item(),
+                val_macro_f1=metrics_from(val_labels, [p.predicted for p in preds]).macro_f1,
             )
         )
     return history
@@ -253,10 +249,6 @@ def metrics_from(
     )
 
 
-def predict_all(params: ModelParams, cases: list[EncodedCase]) -> list[Prediction]:
-    return [predict(params, c) for c in cases]
-
-
 def confidence_filter(
     predictions: list[Prediction], threshold: float
 ) -> tuple[list[int], float]:
@@ -282,7 +274,7 @@ def evaluate(
     """Inference metrics over a dataset, optionally confidence-filtered."""
     if not cases:
         raise ConfigError("evaluation set must be nonempty")
-    preds = predict_all(params, cases)
+    preds = predict_batch(params, cases)
     if threshold is None:
         return metrics_from([c.label for c in cases], [p.predicted for p in preds])
     kept, discarded = confidence_filter(preds, threshold)

@@ -6,7 +6,7 @@ and one max-pooling baseline — then checks gradient fidelity, attention
 well-formedness, trainability, baseline parity, planted red-flag
 recovery, pair synergy, drop-experiment ordering, confidence filtering,
 pipeline determinism, and scoring-oracle equivalence. Expected wall
-time for the module is three to four minutes on one CPU.
+time for the module is about half a minute on a 2-core machine.
 """
 
 import dataclasses
@@ -130,13 +130,12 @@ def test_criterion_01_gradient_fidelity():
     )
     params = init_params(config, seed=17)
     cases = encode_corpus(corpus.records[:2], vocab, config.max_len)
+    ids = np.array([c.ids for c in cases])
+    demographics = np.array([c.demographics for c in cases])
 
     def loss():
-        per_case = []
-        for c in cases:
-            probs, _ = forward_graph(params, c.ids, c.demographics)
-            per_case.append(ad.cross_entropy(probs, c.label))
-        return ad.scale(ad.add_n(per_case), 1.0 / len(per_case))
+        probs, _, _ = forward_graph(params, ids, demographics)
+        return ad.mean_nll(probs, [c.label for c in cases])
 
     tensors = [t for _, t in params.parameters()]
     report = ad.grad_check(loss, tensors, eps=1e-5)

@@ -4,6 +4,8 @@ Expected values are hand-derived or come from a test-local central
 difference oracle that is independent of the library's own grad_check.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,22 +17,20 @@ from triagenet.autodiff import (
     ShapeError,
     Tensor,
     WindowTooLargeError,
-    add_n,
     concat,
-    conv_valid,
-    cross_entropy,
-    dot,
     dropout,
     grad_check,
     lookup,
+    matmul,
     max_rows,
+    mean_nll,
     relu,
     softmax,
-    take_rows,
     tanh,
     tsum,
     unfold,
 )
+from triagenet.model import ngram_encode
 
 
 def central_difference(f, arrays, eps=1e-5):
@@ -52,55 +52,66 @@ def central_difference(f, arrays, eps=1e-5):
     return grads
 
 
+def conv_valid(x, w, b, m):
+    """Valid convolution plus relu as the model builds it: unfold, matmul, add, relu.
+
+    ``x`` is (B, L, k), ``w`` holds the filters flattened to (m * k, f)
+    and ``b`` is (f,).
+    """
+    return ngram_encode(SimpleNamespace(conv_w={m: w}, conv_b={m: b}), x, m)
+
+
 class TestConvValid:
     def test_hand_computed_relu_affine(self):
-        # filter [[2]], bias -3 over column [1, 2, 3]: relu(2x - 3) = [0, 1, 3]
-        x = Tensor([[1.0], [2.0], [3.0]])
-        w = Tensor([[2.0]])
-        b = Tensor(-3.0)
-        out = conv_valid(x, w, b)
-        np.testing.assert_array_equal(out.data, [0.0, 1.0, 3.0])
+        # filter [[2]], bias -3 over columns [1, 2, 3] and [0, 3, 1]: relu(2x - 3)
+        x = Tensor([[[1.0], [2.0], [3.0]], [[0.0], [3.0], [1.0]]])
+        out = conv_valid(x, Tensor([[2.0]]), Tensor([-3.0]), 1)
+        np.testing.assert_array_equal(out.data[..., 0], [[0.0, 1.0, 3.0], [0.0, 3.0, 0.0]])
 
     def test_output_length(self):
-        x = Tensor(np.ones((4, 3)))
-        w = Tensor(np.ones((2, 3)))
-        out = conv_valid(x, w, Tensor(0.0))
-        assert out.shape == (3,)
+        x = Tensor(np.ones((2, 4, 3)))
+        out = conv_valid(x, Tensor(np.ones((6, 5))), Tensor(np.zeros(5)), 2)
+        assert out.shape == (2, 3, 5)
 
     def test_zero_input_zero_filter(self):
-        out = conv_valid(Tensor(np.zeros((5, 2))), Tensor(np.zeros((3, 2))), Tensor(0.0))
-        np.testing.assert_array_equal(out.data, np.zeros(3))
+        out = conv_valid(
+            Tensor(np.zeros((2, 5, 2))), Tensor(np.zeros((6, 1))), Tensor(np.zeros(1)), 3
+        )
+        np.testing.assert_array_equal(out.data, np.zeros((2, 3, 1)))
 
     def test_column_mismatch_raises(self):
+        # a 2 x 2 filter flattened to 4 rows cannot slide over 3 columns
         with pytest.raises(ShapeError):
-            conv_valid(Tensor(np.ones((4, 3))), Tensor(np.ones((2, 2))), Tensor(0.0))
+            conv_valid(Tensor(np.ones((1, 4, 3))), Tensor(np.ones((4, 1))), Tensor(np.zeros(1)), 2)
 
     def test_window_too_large_raises(self):
         with pytest.raises(WindowTooLargeError):
-            conv_valid(Tensor(np.ones((2, 3))), Tensor(np.ones((5, 3))), Tensor(0.0))
+            conv_valid(
+                Tensor(np.ones((1, 2, 3))), Tensor(np.ones((15, 1))), Tensor(np.zeros(1)), 5
+            )
 
     @given(
+        B=st.integers(min_value=1, max_value=4),
         L=st.integers(min_value=1, max_value=12),
         k=st.integers(min_value=1, max_value=6),
         data=st.data(),
     )
     @settings(max_examples=60, deadline=None)
-    def test_length_property(self, L, k, data):
+    def test_length_property(self, B, L, k, data):
         m = data.draw(st.integers(min_value=1, max_value=L))
-        x = Tensor(np.ones((L, k)))
-        w = Tensor(np.ones((m, k)))
-        out = conv_valid(x, w, Tensor(0.0))
-        assert out.shape == (L - m + 1,)
+        x = Tensor(np.ones((B, L, k)))
+        out = conv_valid(x, Tensor(np.ones((m * k, 2))), Tensor(np.zeros(2)), m)
+        assert out.shape == (B, L - m + 1, 2)
 
 
 class TestUnfold:
     def test_windows_content(self):
-        x = Tensor(np.arange(8.0).reshape(4, 2))
+        x = Tensor(np.arange(16.0).reshape(2, 4, 2))
         out = unfold(x, 2)
         expected = np.array(
             [[0.0, 1.0, 2.0, 3.0], [2.0, 3.0, 4.0, 5.0], [4.0, 5.0, 6.0, 7.0]]
         )
-        np.testing.assert_array_equal(out.data, expected)
+        np.testing.assert_array_equal(out.data, [expected, expected + 8.0])
 
     def test_gradient_overlap_accumulates(self):
         x = Tensor(np.arange(6.0).reshape(3, 2))
@@ -145,22 +156,39 @@ class TestSoftmax:
         np.testing.assert_allclose(out.data, shifted.data, atol=1e-12)
 
 
+    def test_masked_entries_get_exactly_zero(self):
+        v = Tensor([[1.0, 2.0, 3.0], [0.5, -0.5, 9.0]])
+        valid = np.array([[True, True, False], [True, False, False]])
+        out = softmax(v, valid)
+        np.testing.assert_array_equal(out.data[~valid], 0.0)
+        np.testing.assert_allclose(out.data[0, :2], softmax(Tensor([1.0, 2.0])).data, atol=1e-15)
+        np.testing.assert_array_equal(out.data[1], [1.0, 0.0, 0.0])
+        tsum(ad.mul(out, Tensor(np.arange(6.0).reshape(2, 3)))).backward()
+        np.testing.assert_array_equal(v.grad[~valid], 0.0)
+
+
 class TestCrossEntropy:
     def test_certain_correct_is_zero(self):
-        assert cross_entropy(Tensor([1.0, 0.0, 0.0]), 0).item() == 0.0
+        assert mean_nll(Tensor([[1.0, 0.0, 0.0]]), [0]).item() == 0.0
 
     def test_even_split(self):
-        loss = cross_entropy(Tensor([0.5, 0.5]), 1)
+        loss = mean_nll(Tensor([[0.5, 0.5]]), [1])
         assert abs(loss.item() - np.log(2.0)) < 1e-15
+        # the batch loss is the mean over rows
+        loss = mean_nll(Tensor([[0.5, 0.5], [1.0, 0.0]]), [1, 0])
+        assert abs(loss.item() - np.log(2.0) / 2) < 1e-15
 
     def test_zero_probability_clamped(self):
-        loss = cross_entropy(Tensor([0.0, 1.0]), 0)
+        probs = Tensor([[0.0, 1.0]])
+        loss = mean_nll(probs, [0])
         assert np.isfinite(loss.item())
         assert abs(loss.item() - (-np.log(1e-12))) < 1e-9
+        loss.backward()
+        np.testing.assert_array_equal(probs.grad, [[0.0, 0.0]])
 
     def test_label_out_of_range(self):
         with pytest.raises(IndexError):
-            cross_entropy(Tensor([0.5, 0.5]), 2)
+            mean_nll(Tensor([[0.5, 0.5]]), [2])
 
 
 class TestBackward:
@@ -187,13 +215,13 @@ class TestBackward:
         x1 = Tensor(rng.normal(size=3))
         x2 = Tensor(rng.normal(size=3))
 
-        joint = tsum(dot(w, x1)) + tsum(dot(w, x2))
+        joint = tsum(matmul(w, x1)) + tsum(matmul(w, x2))
         joint.backward()
         joint_grad = w.grad.copy()
 
         w.zero_grad()
-        tsum(dot(w, x1)).backward()
-        tsum(dot(w, x2)).backward()  # accumulates onto the first
+        tsum(matmul(w, x1)).backward()
+        tsum(matmul(w, x2)).backward()  # accumulates onto the first
         np.testing.assert_allclose(w.grad, joint_grad, atol=1e-12)
 
     def test_non_scalar_raises(self):
@@ -215,11 +243,11 @@ class TestBackward:
         b1 = Tensor(rng.normal(size=4))
         w2 = Tensor(rng.normal(size=(4, 2)))
         b2 = Tensor(rng.normal(size=2))
-        x = np.array([0.3, -1.2, 0.8])
+        x = np.array([[0.3, -1.2, 0.8], [-0.4, 0.9, 1.1]])
 
         def forward():
-            h = relu(dot(Tensor(x), w1) + b1)
-            return tsum(tanh(dot(h, w2) + b2))
+            h = relu(matmul(Tensor(x), w1) + b1)
+            return tsum(tanh(matmul(h, w2) + b2))
 
         loss = forward()
         loss.backward()
@@ -237,7 +265,7 @@ class TestBackward:
             rng = np.random.default_rng(3)
             w = Tensor(rng.normal(size=(4, 4)))
             x = Tensor(rng.normal(size=4))
-            loss = tsum(relu(dot(w, x)))
+            loss = tsum(relu(matmul(w, x)))
             loss.backward()
             return loss.data.tobytes(), w.grad.tobytes()
 
@@ -247,48 +275,55 @@ class TestBackward:
 class TestOps:
     def test_dot_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            dot(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))))
+            matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))))
 
-    def test_take_rows_forward_and_grad(self):
-        x = Tensor(np.arange(6.0).reshape(3, 2))
-        y = take_rows(x, 2)
-        np.testing.assert_array_equal(y.data, [[0.0, 1.0], [2.0, 3.0]])
-        tsum(y).backward()
-        np.testing.assert_array_equal(x.grad, [[1.0, 1.0], [1.0, 1.0], [0.0, 0.0]])
+    def test_matmul_batched_grads_match_central_difference(self):
+        rng = np.random.default_rng(23)
+        x = Tensor(rng.normal(size=(2, 3, 4)))
+        shared = Tensor(rng.normal(size=(4, 2)))
+        vec = Tensor(rng.normal(size=2))
+        batched = Tensor(rng.normal(size=(2, 2, 3)))
+
+        def forward():
+            h = tanh(matmul(x, shared))  # (2, 3, 2): one matrix for the batch
+            return tsum(matmul(batched, h)) + tsum(matmul(h, vec))
+
+        forward().backward()
+        arrays = [x.data, shared.data, vec.data, batched.data]
+        numeric = central_difference(lambda: forward().item(), arrays)
+        for t, n in zip((x, shared, vec, batched), numeric):
+            np.testing.assert_allclose(t.grad, n, atol=1e-8)
 
     def test_concat_roundtrip_grads(self):
-        a = Tensor([1.0, 2.0])
-        b = Tensor([3.0])
+        a = Tensor([[1.0, 2.0], [4.0, 5.0]])
+        b = Tensor([[3.0], [6.0]])
         out = concat([a, b])
-        np.testing.assert_array_equal(out.data, [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(out.data, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
         tsum(ad.mul(out, Tensor([1.0, 10.0, 100.0]))).backward()
-        np.testing.assert_array_equal(a.grad, [1.0, 10.0])
-        np.testing.assert_array_equal(b.grad, [100.0])
-
-    def test_add_n_fixed_order(self):
-        ts = [Tensor([float(i)]) for i in range(5)]
-        out = add_n(ts)
-        np.testing.assert_array_equal(out.data, [10.0])
-        tsum(out).backward()
-        for t in ts:
-            np.testing.assert_array_equal(t.grad, [1.0])
+        np.testing.assert_array_equal(a.grad, [[1.0, 10.0], [1.0, 10.0]])
+        np.testing.assert_array_equal(b.grad, [[100.0], [100.0]])
 
     def test_max_rows_routes_gradient_to_argmax(self):
-        x = Tensor([[1.0, 5.0], [4.0, 2.0], [4.0, 5.0]])
+        first = [[1.0, 5.0], [4.0, 2.0], [4.0, 5.0]]
+        x = Tensor([first, [[0.0, 0.0], [0.0, 0.0], [2.0, -1.0]]])
         y = max_rows(x)
-        np.testing.assert_array_equal(y.data, [4.0, 5.0])
+        np.testing.assert_array_equal(y.data, [[4.0, 5.0], [2.0, 0.0]])
         tsum(y).backward()
         # ties break toward the first maximal row
-        np.testing.assert_array_equal(x.grad, [[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]])
+        np.testing.assert_array_equal(
+            x.grad,
+            [[[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [0.0, 0.0], [1.0, 0.0]]],
+        )
 
     def test_lookup_gathers_and_scatters(self):
         table = Tensor(np.arange(8.0).reshape(4, 2))
-        ids = np.array([0, 0, 3])
+        ids = np.array([[0, 0, 3], [3, 1, 0]])
         out = lookup(table, ids)
-        np.testing.assert_array_equal(out.data, [[0.0, 1.0], [0.0, 1.0], [6.0, 7.0]])
+        np.testing.assert_array_equal(out.data[0], [[0.0, 1.0], [0.0, 1.0], [6.0, 7.0]])
+        np.testing.assert_array_equal(out.data[1], [[6.0, 7.0], [2.0, 3.0], [0.0, 1.0]])
         tsum(out).backward()
         np.testing.assert_array_equal(
-            table.grad, [[2.0, 2.0], [0.0, 0.0], [0.0, 0.0], [1.0, 1.0]]
+            table.grad, [[3.0, 3.0], [1.0, 1.0], [0.0, 0.0], [2.0, 2.0]]
         )
 
     def test_lookup_out_of_range(self):
@@ -339,11 +374,11 @@ class TestGradCheck:
         rng = np.random.default_rng(19)
         w = Tensor(rng.normal(size=(4, 3)))
         b = Tensor(rng.normal(size=3))
-        x = np.array([0.5, -0.25, 1.0, 0.75])
+        x = np.array([[0.5, -0.25, 1.0, 0.75], [-0.5, 0.3, 0.2, 1.5]])
 
         def f():
-            h = relu(dot(Tensor(x), w) + b)
-            return cross_entropy(softmax(h), 1)
+            h = relu(matmul(Tensor(x), w) + b)
+            return mean_nll(softmax(h), [1, 0])
 
         report = grad_check(f, [w, b])
         assert report.max_rel_error < 1e-4

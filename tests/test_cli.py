@@ -46,6 +46,26 @@ def run_pipeline(out, config):
     assert run("evaluate", "--config", config, "--out-dir", out) == 0
 
 
+def with_header(source, target, edit):
+    """Copy an artifact with its JSON header line rewritten by ``edit``."""
+    header, newline, blob = source.read_bytes().partition(b"\n")
+    target.write_bytes(edit(header) + newline + blob)
+    return target
+
+
+def drop_checksum(header):
+    fields = json.loads(header)
+    del fields["checksum"]
+    return json.dumps(fields, sort_keys=True).encode()
+
+
+MALFORMED_HEADERS = {
+    "not-utf8": lambda header: header.replace(b'"format"', b'"\xffformat"'),
+    "not-an-object": lambda header: b"[" + header + b"]",
+    "no-checksum": drop_checksum,
+}
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     out, config = make_workspace(tmp_path_factory.mktemp("cli"), "run")
@@ -216,6 +236,26 @@ class TestErrorPaths:
         assert run("evaluate", "--config", config, "--out-dir", out,
                    "--model", broken) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", MALFORMED_HEADERS.values(), ids=MALFORMED_HEADERS.keys())
+    def test_malformed_model_header_is_validation_error(self, pipeline, tmp_path, capsys, edit):
+        out, config = pipeline
+        broken = with_header(out / "model.bin", tmp_path / "model.bin", edit)
+        assert run("evaluate", "--config", config, "--out-dir", out, "--model", broken) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("edit", MALFORMED_HEADERS.values(), ids=MALFORMED_HEADERS.keys())
+    def test_malformed_embedding_header_is_validation_error(
+        self, pipeline, tmp_path, capsys, edit
+    ):
+        out, config = pipeline
+        broken = with_header(out / "embeddings.bin", tmp_path / "embeddings.bin", edit)
+        assert run("train", "--config", config, "--out-dir", tmp_path,
+                   "--corpus", out / "corpus.jsonl", "--embeddings", broken) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "model.bin").exists()
 
     def test_stale_embeddings_rejected(self, pipeline, tmp_path, capsys):
         _, config = pipeline

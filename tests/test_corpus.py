@@ -29,7 +29,6 @@ from triagenet.corpus import (
     oracle_label,
     save_corpus,
     split,
-    tokenize,
 )
 
 
@@ -144,18 +143,6 @@ class TestGenerator:
             GeneratorSpec(urgent_length=(1, 4, 8)).validate()
         with pytest.raises(SpecValidationError):
             GeneratorSpec.from_dict({"n_red_flagz": 3})
-
-
-class TestTokenize:
-    def test_lowercase_and_interior_punctuation(self):
-        assert tokenize("Fieber 37,4") == ["fieber", "37,4"]
-
-    def test_edge_punctuation_stripped(self):
-        assert tokenize("starke  Brustschmerzen;") == ["starke", "brustschmerzen"]
-
-    def test_empty(self):
-        assert tokenize("") == []
-        assert tokenize("  ...  ") == []
 
 
 class TestVocabulary:

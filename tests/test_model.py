@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triagenet import autodiff as ad
 from triagenet.autodiff import Tensor
@@ -11,14 +13,13 @@ from triagenet.corpus import EncodedCase
 from triagenet.embedding import ChecksumError, ConfigError, init_table
 from triagenet.model import (
     ModelConfig,
-    ModelParams,
     attend,
-    attention_record,
     forward_graph,
     init_params,
     load_model,
     ngram_encode,
     predict,
+    predict_batch,
     save_model,
 )
 
@@ -44,6 +45,45 @@ def make_case(ids, max_len, age=40, gender_male=True):
     padded[: len(ids)] = ids
     demo = np.array([age / 110, 1.0 if gender_male else 0.0, 0.0 if gender_male else 1.0])
     return EncodedCase(ids=padded, demographics=demo, label=0)
+
+
+def forward(params, cases, *args):
+    return forward_graph(
+        params, np.array([c.ids for c in cases]), np.array([c.demographics for c in cases]), *args
+    )
+
+
+def oracle_forward(params, case):
+    """Plain-numpy forward of one document over all max_len positions.
+
+    Returns the class probabilities and, for acnn, each width's weights
+    over every window position, zero where a window starts in padding.
+    """
+    cfg = params.config
+    n_tokens = int(np.flatnonzero(case.ids)[-1]) + 1
+    emb = params.embedding.data[case.ids]
+    pooled, alphas = [], {}
+    for m in cfg.widths:
+        n_windows = cfg.max_len - m + 1
+        windows = np.array([emb[i : i + m].reshape(-1) for i in range(n_windows)])
+        feats = np.maximum(windows @ params.conv_w[m].data + params.conv_b[m].data, 0.0)
+        if cfg.arch == "kimcnn":
+            pooled.append(feats.max(axis=0))
+            continue
+        valid = feats[: min(n_windows, n_tokens)]
+        u = np.tanh(valid @ params.attn_w[m].data + params.attn_b[m].data)
+        logits = u @ params.attn_u[m].data
+        e = np.exp(logits - logits.max())
+        alphas[m] = np.zeros(n_windows)
+        alphas[m][: len(valid)] = e / e.sum()
+        pooled.append(alphas[m][: len(valid)] @ valid)
+    h = np.concatenate(pooled + [case.demographics])
+    for w, b in params.mlp[:-1]:
+        h = np.maximum(h @ w.data + b.data, 0.0)
+    w, b = params.mlp[-1]
+    logits = h @ w.data + b.data
+    e = np.exp(logits - logits.max())
+    return e / e.sum(), alphas
 
 
 class TestInit:
@@ -97,39 +137,41 @@ class TestInit:
 class TestNgramEncode:
     def test_feature_map_shape(self):
         params = init_params(tiny_config(), seed=1)
-        emb = Tensor(np.random.default_rng(0).normal(size=(5, 4)))
+        emb = Tensor(np.random.default_rng(0).normal(size=(2, 5, 4)))
         feats = ngram_encode(params, emb, 2)
-        assert feats.shape == (4, 3)
+        assert feats.shape == (2, 4, 3)
 
     def test_zero_embedding_zero_bias_gives_zeros(self):
         params = init_params(tiny_config(), seed=1)
-        feats = ngram_encode(params, Tensor(np.zeros((5, 4))), 1)
-        np.testing.assert_array_equal(feats.data, np.zeros((5, 3)))
+        feats = ngram_encode(params, Tensor(np.zeros((2, 5, 4))), 1)
+        np.testing.assert_array_equal(feats.data, np.zeros((2, 5, 3)))
 
-    def test_single_filter_equals_conv_valid(self):
+    def test_single_filter_matches_numpy_convolution(self):
         cfg = tiny_config(filters=1)
         params = init_params(cfg, seed=2)
-        emb = Tensor(np.random.default_rng(1).normal(size=(5, 4)))
-        feats = ngram_encode(params, emb, 2)
-        w = Tensor(params.conv_w[2].data[:, 0].reshape(2, 4))
-        direct = ad.conv_valid(emb, w, Tensor(params.conv_b[2].data[0]))
-        np.testing.assert_allclose(feats.data[:, 0], direct.data, atol=1e-15)
+        emb = np.random.default_rng(1).normal(size=(2, 5, 4))
+        feats = ngram_encode(params, Tensor(emb), 2)
+        w = params.conv_w[2].data[:, 0].reshape(2, 4)
+        b = params.conv_b[2].data[0]
+        for doc in range(2):
+            direct = [max(0.0, float(np.sum(w * emb[doc, i : i + 2])) + b) for i in range(4)]
+            np.testing.assert_allclose(feats.data[doc, :, 0], direct, atol=1e-15)
 
 
 class TestAttend:
     def test_single_row_gets_full_weight(self):
         params = init_params(tiny_config(), seed=5)
-        row = np.random.default_rng(2).normal(size=(1, 3))
-        s, alpha = attend(params, Tensor(row), 1)
-        np.testing.assert_allclose(alpha.data, [1.0])
+        row = np.random.default_rng(2).normal(size=(1, 1, 3))
+        s, alpha = attend(params, Tensor(row), np.array([1]), 1)
+        np.testing.assert_allclose(alpha.data, [[1.0]])
         np.testing.assert_allclose(s.data, row[0], atol=1e-15)
 
     def test_identical_rows_uniform(self):
         params = init_params(tiny_config(), seed=5)
-        row = np.random.default_rng(3).normal(size=3)
-        s, alpha = attend(params, Tensor(np.tile(row, (4, 1))), 1)
-        np.testing.assert_allclose(alpha.data, [0.25] * 4, atol=1e-12)
-        np.testing.assert_allclose(s.data, row, atol=1e-12)
+        rows = np.random.default_rng(3).normal(size=(2, 1, 3))
+        s, alpha = attend(params, Tensor(np.tile(rows, (1, 4, 1))), np.array([4, 2]), 1)
+        np.testing.assert_allclose(alpha.data, [[0.25] * 4, [0.5, 0.5, 0.0, 0.0]], atol=1e-12)
+        np.testing.assert_allclose(s.data, rows[:, 0], atol=1e-12)
 
     def test_engineered_log_odds(self):
         # u = tanh(v), logit = u * ln3/tanh(1): rows [0] and [1] give
@@ -139,26 +181,30 @@ class TestAttend:
         params.attn_w[1].data = np.array([[1.0]])
         params.attn_b[1].data = np.array([0.0])
         params.attn_u[1].data = np.array([np.log(3.0) / np.tanh(1.0)])
-        feats = Tensor(np.array([[0.0], [1.0]]))
-        s, alpha = attend(params, feats, 1)
-        np.testing.assert_allclose(alpha.data, [0.25, 0.75], atol=1e-12)
-        np.testing.assert_allclose(s.data, [0.75], atol=1e-12)
+        feats = Tensor(np.array([[[0.0], [1.0]]]))
+        s, alpha = attend(params, feats, np.array([2]), 1)
+        np.testing.assert_allclose(alpha.data, [[0.25, 0.75]], atol=1e-12)
+        np.testing.assert_allclose(s.data, [[0.75]], atol=1e-12)
 
 
 class TestForward:
     def test_probabilities_form_a_simplex(self):
         params = init_params(tiny_config(), seed=7)
-        case = make_case([2, 3, 4], 5)
-        probs, _ = forward_graph(params, case.ids, case.demographics)
-        assert probs.shape == (3,)
+        probs, _, _ = forward(params, [make_case([2, 3, 4], 5), make_case([5], 5)])
+        assert probs.shape == (2, 3)
         assert np.all(probs.data > 0)
-        assert abs(probs.data.sum() - 1.0) < 1e-12
+        np.testing.assert_allclose(probs.data.sum(axis=1), 1.0, atol=1e-12)
 
     def test_padding_windows_get_zero_attention(self):
         params = init_params(tiny_config(), seed=7)
-        case = make_case([2, 3], 5)
-        probs, attention = forward_graph(params, case.ids, case.demographics)
-        record = attention_record(params, attention, 2)
+        cases = [make_case([2, 3], 5), make_case([2, 3, 4, 5, 6], 5), make_case([4], 5)]
+        _, attention, lengths = forward(params, cases)
+        np.testing.assert_array_equal(lengths, [2, 5, 1])
+        for m, alpha in attention.items():
+            starts = np.arange(alpha.shape[1])
+            assert np.all(alpha.data[starts >= lengths[:, None]] == 0.0)
+        record = predict_batch(params, cases)[0].attention
+        assert record.n_tokens == 2
         a1 = record.alphas[1]
         assert a1.shape == (5,)
         np.testing.assert_array_equal(a1[2:], np.zeros(3))
@@ -170,63 +216,104 @@ class TestForward:
     def test_attention_well_formed_on_random_inputs(self):
         params = init_params(tiny_config(), seed=11)
         rng = np.random.default_rng(0)
-        for _ in range(100):
-            n = int(rng.integers(1, 6))
-            ids = rng.integers(2, 12, size=n)
-            case = make_case(ids, 5)
-            _, attention = forward_graph(params, case.ids, case.demographics)
-            for m, (alpha, n_valid) in attention.items():
-                assert alpha.shape == (min(5 - m + 1, n),)
-                assert np.all(alpha.data >= 0)
-                assert abs(alpha.data.sum() - 1.0) < 1e-9
+        lengths = rng.integers(1, 6, size=100)
+        cases = [make_case(rng.integers(2, 12, size=n), 5) for n in lengths]
+        for pred in predict_batch(params, cases):
+            n = pred.attention.n_tokens
+            for m, alpha in pred.attention.alphas.items():
+                assert alpha.shape == (5 - m + 1,)
+                assert np.all(alpha >= 0)
+                assert np.all(alpha[n:] == 0.0)
+                assert abs(alpha.sum() - 1.0) < 1e-9
 
     def test_inference_deterministic(self):
         params = init_params(tiny_config(), seed=7)
-        case = make_case([2, 3, 4, 5], 5)
-        p1, _ = forward_graph(params, case.ids, case.demographics)
-        p2, _ = forward_graph(params, case.ids, case.demographics)
+        cases = [make_case([2, 3, 4, 5], 5), make_case([6, 7], 5)]
+        p1, _, _ = forward(params, cases)
+        p2, _, _ = forward(params, cases)
         assert p1.data.tobytes() == p2.data.tobytes()
 
     def test_empty_document_rejected(self):
         params = init_params(tiny_config(), seed=7)
+        ids = np.array([[2, 3, 0, 0, 0], [0, 0, 0, 0, 0]])
         with pytest.raises(ad.ShapeError):
-            forward_graph(params, np.zeros(5, dtype=np.int64), np.zeros(3))
+            forward_graph(params, ids, np.zeros((2, 3)))
 
     def test_width1_attention_is_permutation_equivariant(self):
         params = init_params(tiny_config(widths=(1,)), seed=13)
         ids = np.array([2, 5, 7, 9, 11])
-        case = make_case(ids, 5)
-        _, att = forward_graph(params, case.ids, case.demographics)
-        base = att[1][0].data
         perm = np.array([3, 0, 4, 1, 2])
-        case_p = make_case(ids[perm], 5)
-        _, att_p = forward_graph(params, case_p.ids, case_p.demographics)
-        np.testing.assert_allclose(att_p[1][0].data, base[perm], atol=1e-12)
+        _, att, _ = forward(params, [make_case(ids, 5), make_case(ids[perm], 5)])
+        np.testing.assert_allclose(att[1].data[1], att[1].data[0][perm], atol=1e-12)
 
     def test_dropout_needs_rng_and_changes_across_draws(self):
         params = init_params(tiny_config(dropout=0.5), seed=7)
-        case = make_case([2, 3, 4], 5)
+        cases = [make_case([2, 3, 4], 5)] * 2
         with pytest.raises(ConfigError):
-            forward_graph(params, case.ids, case.demographics, train_mode=True)
+            forward(params, cases, True)
         rng = np.random.default_rng(0)
-        p1, _ = forward_graph(params, case.ids, case.demographics, True, rng)
-        p2, _ = forward_graph(params, case.ids, case.demographics, True, rng)
+        p1, _, _ = forward(params, cases, True, rng)
+        p2, _, _ = forward(params, cases, True, rng)
         assert p1.data.tobytes() != p2.data.tobytes()
+        # each row draws its own mask
+        assert p1.data[0].tobytes() != p1.data[1].tobytes()
 
     def test_gradients_match_finite_differences(self):
         params = init_params(tiny_config(), seed=17)
-        cases = [make_case([2, 3, 4, 5, 6], 5), make_case([7, 8], 5, age=70, gender_male=False)]
+        cases = [make_case([2, 3, 4, 5, 6], 5), make_case([7], 5, age=70, gender_male=False)]
 
         def loss():
-            per_case = []
-            for c in cases:
-                probs, _ = forward_graph(params, c.ids, c.demographics)
-                per_case.append(ad.cross_entropy(probs, 1))
-            return ad.scale(ad.add_n(per_case), 0.5)
+            probs, _, _ = forward(params, cases)
+            return ad.mean_nll(probs, [1, 1])
 
         report = ad.grad_check(loss, [t for _, t in params.parameters()])
         assert report.max_rel_error < 1e-4
         assert report.checked > 0
+
+    @given(
+        arch=st.sampled_from(["acnn", "kimcnn"]),
+        seed=st.integers(min_value=0, max_value=2**16),
+        full=st.booleans(),
+        short=st.integers(min_value=1, max_value=2),
+        lengths=st.lists(st.integers(min_value=1, max_value=8), max_size=4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_case_numpy_oracle(self, arch, seed, full, short, lengths):
+        # every batch holds a document shorter than the widest window,
+        # half of them a full-length one, next to documents of any length
+        cfg = tiny_config(max_len=8, widths=(1, 2, 3), arch=arch)
+        params = init_params(cfg, seed=seed)
+        rng = np.random.default_rng(seed)
+        for m in cfg.widths:
+            # a nonzero bias lets an all-padding window win the max pool
+            params.conv_b[m].data = rng.normal(size=cfg.filters)
+            params.attn_b[m].data = rng.normal(size=cfg.attention_size)
+        cases = [
+            make_case(rng.integers(1, cfg.vocab_size, size=n), 8, age=int(rng.integers(101)))
+            for n in [cfg.max_len] * full + [short, *lengths]
+        ]
+        probs, attention, _ = forward(params, cases)
+        for i, case in enumerate(cases):
+            want_probs, want_alphas = oracle_forward(params, case)
+            np.testing.assert_allclose(probs.data[i], want_probs, rtol=0, atol=1e-12)
+            assert set(attention) == set(want_alphas)
+            for m, alpha in attention.items():
+                cut = alpha.shape[1]
+                np.testing.assert_allclose(alpha.data[i], want_alphas[m][:cut], rtol=0, atol=1e-12)
+                assert np.all(want_alphas[m][cut:] == 0.0)
+
+    def test_predict_equals_its_batch_row(self):
+        params = init_params(tiny_config(max_len=8, widths=(1, 2, 3)), seed=31)
+        rng = np.random.default_rng(4)
+        cases = [make_case(rng.integers(2, 12, size=n), 8) for n in (8, 1, 3, 2, 6)]
+        batch = predict_batch(params, cases)
+        for case, row in zip(cases, batch):
+            single = predict(params, case)
+            assert single.predicted == row.predicted
+            assert single.attention.n_tokens == row.attention.n_tokens
+            np.testing.assert_allclose(single.probs, row.probs, rtol=0, atol=1e-12)
+            for m, alpha in single.attention.alphas.items():
+                np.testing.assert_allclose(alpha, row.attention.alphas[m], rtol=0, atol=1e-12)
 
 
 class TestKimCNN:
@@ -235,10 +322,10 @@ class TestKimCNN:
         cfg = tiny_config(widths=(2,), max_len=2)
         params = init_params(cfg, seed=19)
         kim = dataclasses.replace(params, config=dataclasses.replace(cfg, arch="kimcnn"))
-        case = make_case([3, 4], 2)
-        p_acnn, att = forward_graph(params, case.ids, case.demographics)
-        p_kim, _ = forward_graph(kim, case.ids, case.demographics)
-        np.testing.assert_allclose(att[2][0].data, [1.0])
+        cases = [make_case([3, 4], 2), make_case([5, 6], 2, age=20)]
+        p_acnn, att, _ = forward(params, cases)
+        p_kim, _, _ = forward(kim, cases)
+        np.testing.assert_allclose(att[2].data, [[1.0], [1.0]])
         np.testing.assert_allclose(p_acnn.data, p_kim.data, atol=1e-15)
 
     def test_prediction_has_no_attention(self):

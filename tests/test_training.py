@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from triagenet import model, training
 from triagenet.autodiff import Tensor
 from triagenet.corpus import (
     GeneratorSpec,
@@ -12,7 +13,7 @@ from triagenet.corpus import (
     split,
 )
 from triagenet.embedding import ConfigError
-from triagenet.model import ModelConfig, Prediction, init_params
+from triagenet.model import ModelConfig, Prediction, init_params, predict_batch
 from triagenet.training import (
     AdamState,
     EmptyRetainedError,
@@ -24,7 +25,6 @@ from triagenet.training import (
     evaluate,
     grid_search,
     metrics_from,
-    predict_all,
     render_metrics_table,
     train,
 )
@@ -176,6 +176,21 @@ class TestTrain:
         assert len(history.epochs) == 3
         assert history.epochs[-1].train_loss < history.epochs[0].train_loss
 
+    def test_each_epoch_runs_every_case_forward_once(self, tiny_task, monkeypatch):
+        config, tr, va, _ = tiny_task
+        rows = []
+        real_forward = model.forward_graph
+
+        def counting(params, ids, *args):
+            rows.append(len(ids))
+            return real_forward(params, ids, *args)
+
+        monkeypatch.setattr(model, "forward_graph", counting)
+        monkeypatch.setattr(training, "forward_graph", counting)
+        history = train(init_params(config, seed=1), tr, va, HyperParams(epochs=2), seed=1)
+        assert len(history.epochs) == 2
+        assert sum(rows) == 2 * (len(tr) + len(va))
+
     def test_zero_lr_leaves_parameters_unchanged(self, tiny_task):
         config, tr, va, _ = tiny_task
         params = init_params(config, seed=2)
@@ -228,7 +243,7 @@ class TestTrain:
         train(params, tr, va, HyperParams(lr=0.01, epochs=2), seed=8)
         unfiltered = evaluate(params, te)
         assert unfiltered.retained_fraction == 1.0
-        top = sorted(float(p.probs.max()) for p in predict_all(params, te))
+        top = sorted(float(p.probs.max()) for p in predict_batch(params, te))
         assert top[0] < top[-1]
         # a cut inside the confidence range keeps some cases, drops others
         filtered = evaluate(params, te, threshold=(top[0] + top[-1]) / 2.0)
