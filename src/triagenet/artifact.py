@@ -23,11 +23,16 @@ def write_artifact(path, header: dict, blob: bytes) -> None:
         fh.write(blob)
 
 
-def read_artifact(path, format_name: str, version: int, required: tuple[str, ...]):
+OPTIONAL_STR = (str, type(None))
+
+
+def read_artifact(path, format_name: str, version: int, required: dict[str, type | tuple]):
     """Return (header, blob) of a checked file of the given format.
 
-    Every malformed header, a missing ``required`` key included, and
-    every checksum mismatch raises ChecksumError.
+    ``required`` maps each header key the format needs to the type (or
+    tuple of types) its value must have. Every malformed header, a
+    missing or wrong-typed ``required`` value included, and every
+    checksum mismatch raises ChecksumError.
     """
     with open(path, "rb") as fh:
         header_line = fh.readline()
@@ -43,6 +48,9 @@ def read_artifact(path, format_name: str, version: int, required: tuple[str, ...
     missing = [key for key in ("checksum", *required) if key not in header]
     if missing:
         raise ChecksumError(f"{format_name} header lacks {missing}")
+    mistyped = [key for key, kind in required.items() if not isinstance(header[key], kind)]
+    if mistyped:
+        raise ChecksumError(f"{format_name} header has values of the wrong type: {mistyped}")
     if hashlib.sha256(blob).hexdigest() != header["checksum"]:
         raise ChecksumError(f"{format_name} blob checksum mismatch")
     return header, blob

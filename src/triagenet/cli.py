@@ -40,6 +40,7 @@ from .corpus import (
 )
 from .embedding import ChecksumError, ConfigError, load_table, save_table, train_skipgram
 from .explain import (
+    _score_grams,
     drop_experiment,
     pair_synergy,
     render_heatmap,
@@ -236,6 +237,11 @@ def _load_trained(args, config):
             f"model expects a vocabulary of {params.config.vocab_size} entries, "
             f"this corpus and config yield {len(vocab)}"
         )
+    if params.vocab_hash and params.vocab_hash != vocab.sha256():
+        raise ConfigError(
+            "model was trained on a different vocabulary than this corpus, seed and "
+            "config yield; pass the --seed and --config it was trained with"
+        )
     if params.corpus_hash and params.corpus_hash != file_sha256(corpus_path):
         print("note: model was trained on a different corpus file", file=sys.stderr)
     return corpus_path, corpus, indices, vocab, model_path, params
@@ -243,6 +249,23 @@ def _load_trained(args, config):
 
 def _encode_split(corpus, indices, vocab, max_len):
     return [encode(corpus.records[i], vocab, max_len) for i in indices]
+
+
+def _report_truncation(records, max_len: int, what: str) -> int:
+    """Note on stderr how many documents truncation shortens; returns that count.
+
+    The note also counts the cases that lose every planted flag, the
+    ground-truth evidence for their label.
+    """
+    cut = [r for r in records if len(r.tokens) > max_len]
+    if cut:
+        lost = sum(1 for r in cut if r.planted_flags and min(r.planted_flags) >= max_len)
+        print(
+            f"note: {len(cut)} of {len(records)} {what} documents are longer than "
+            f"max_len {max_len}; {lost} of them lose every planted flag",
+            file=sys.stderr,
+        )
+    return len(cut)
 
 
 # -- subcommands --------------------------------------------------------------
@@ -299,6 +322,8 @@ def cmd_train(args) -> int:
 
     params = init_params(cfg, seed=derive_seed(config["seed"], "init"), pretrained=pretrained)
     params.corpus_hash = file_sha256(corpus_path)
+    params.vocab_hash = vocab.sha256()
+    _report_truncation([corpus.records[i] for i in (*tr, *va)], cfg.max_len, "train and val")
     train_set = _encode_split(corpus, tr, vocab, cfg.max_len)
     val_set = _encode_split(corpus, va, vocab, cfg.max_len)
     history = train(
@@ -330,11 +355,14 @@ def cmd_evaluate(args) -> int:
     config = resolve_config(args)
     corpus_path, corpus, indices, vocab, model_path, params = _load_trained(args, config)
     by_name = dict(zip(("train", "val", "test"), indices))
-    cases = _encode_split(corpus, by_name[args.split], vocab, params.config.max_len)
+    records = [corpus.records[i] for i in by_name[args.split]]
+    max_len = params.config.max_len
+    cases = [encode(rec, vocab, max_len) for rec in records]
     metrics = evaluate(params, cases, threshold=args.confidence_threshold)
+    truncated = _report_truncation(records, max_len, args.split)
 
     out = _artifact(args, "out", "metrics.json")
-    write_json(metrics.to_dict(), out)
+    write_json({**metrics.to_dict(), "truncated_cases": truncated}, out)
     write_manifest(
         args,
         "evaluate",
@@ -405,8 +433,7 @@ def cmd_pairs(args) -> int:
     corpus_path, corpus, indices, vocab, model_path, params = _load_trained(args, config)
     by_name = dict(zip(("train", "val", "test"), indices))
     records = [corpus.records[i] for i in by_name[args.split]]
-    unigrams = score_features(params, records, vocab, args.class_name, gram_size=1)
-    bigrams = score_features(params, records, vocab, args.class_name, gram_size=2)
+    unigrams, bigrams = _score_grams(params, records, vocab, args.class_name, (1, 2))
     pairs = pair_synergy(unigrams, bigrams)
 
     out = _artifact(args, "out", f"pairs_{args.class_name}.json")

@@ -327,6 +327,10 @@ class Vocabulary:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.id_to_token[2:], fh, ensure_ascii=False)
 
+    def sha256(self) -> str:
+        """Hash of the tokens in id order: equal only for the same id mapping."""
+        return hashlib.sha256(json.dumps(self.id_to_token).encode()).hexdigest()
+
     @classmethod
     def load(cls, path) -> "Vocabulary":
         with open(path, encoding="utf-8") as fh:

@@ -12,11 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifact import ChecksumError, read_artifact, write_artifact
+from .artifact import OPTIONAL_STR, ChecksumError, read_artifact, write_artifact
 from .corpus import PAD_ID, Corpus, Vocabulary
 
 FORMAT_NAME = "triagenet-embedding"
 FORMAT_VERSION = 1
+BLOCK = 4096  # steps whose index rows are built at once; bounds peak memory
 
 
 class ConfigError(ValueError):
@@ -46,8 +47,16 @@ def init_table(vocab_size: int, dim: int, seed: int) -> EmbeddingTable:
     return EmbeddingTable(vectors=vectors, seed=seed)
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -30.0, 30.0)))
+def _window_pairs(sequences: list[np.ndarray], window: int) -> tuple[np.ndarray, np.ndarray]:
+    """(center, context) ids of every window: sequence by sequence, i then j ascending."""
+    flat = np.concatenate(sequences)
+    lengths = np.array([len(s) for s in sequences])
+    end = np.repeat(np.cumsum(lengths), lengths)[:, None]  # one past each token's sequence
+    start = end - np.repeat(lengths, lengths)[:, None]
+    i = np.arange(len(flat))[:, None]
+    j = i + np.r_[-window:0, 1 : window + 1]
+    keep = (j >= start) & (j < end)
+    return flat[np.broadcast_to(i, j.shape)[keep]], flat[j[keep]]
 
 
 def train_skipgram(
@@ -69,66 +78,70 @@ def train_skipgram(
     every step sees the effect of the one before it; batching the pairs
     instead would scale a frequent token's step by its duplicate count
     and diverge on Zipf-skewed corpora.
+
+    Input vectors are rows [0, V) and output vectors rows [V, 2V) of one
+    table. A step gathers its center, context and negative rows at once
+    and gets every update, all from the rows as they were before the
+    step, from one matmul with a matrix holding the scaled gradients in
+    its first row and column. The logistic is tanh(s/2)/2 + 1/2, which
+    cannot overflow. A negative that repeats the context or another
+    negative gets the sum of its updates (``np.subtract.at``).
     """
     if iters < 0 or window < 1 or negatives < 1:
         raise ConfigError("iters must be >= 0, window and negatives >= 1")
     if len(vocab) < negatives + 1:
         raise ConfigError(f"vocabulary of {len(vocab)} cannot supply {negatives} negatives")
     table = init_table(len(vocab), dim, seed)
-    if iters == 0:
-        return table
-
     sequences = [
         np.array([vocab.id_of(t) for t in r.tokens], dtype=np.int64)
         for r in corpus.records
         if r.tokens
     ]
-    centers_list, contexts_list = [], []
-    counts = np.zeros(len(vocab))
-    for seq in sequences:
-        for i, c in enumerate(seq):
-            counts[c] += 1
-            lo, hi = max(0, i - window), min(len(seq), i + window + 1)
-            for j in range(lo, hi):
-                if j != i:
-                    centers_list.append(c)
-                    contexts_list.append(seq[j])
-    if not centers_list:
+    if iters == 0 or not sequences:
         return table
-    centers = np.array(centers_list, dtype=np.int64)
-    contexts = np.array(contexts_list, dtype=np.int64)
+    centers, contexts = _window_pairs(sequences, window)
+    if not len(centers):
+        return table
 
+    counts = np.bincount(np.concatenate(sequences), minlength=len(vocab))
     pool = np.flatnonzero(counts)
     pool = pool[pool != PAD_ID]
     weights = counts[pool] ** 0.75
     cum = np.cumsum(weights / weights.sum())
 
-    w_in = table.vectors
-    w_out = np.zeros_like(w_in)
+    V = len(vocab)
+    W = np.concatenate([table.vectors, np.zeros_like(table.vectors)])
+    G = np.zeros((negatives + 2, negatives + 2))
+    shift = np.r_[-1.0, np.ones(negatives)]  # sigma(s) - label = (tanh(s/2) + shift) / 2
     rng = np.random.default_rng(seed)
     total_steps = iters * len(centers)
     done = 0
     for _ in range(iters):
         order = rng.permutation(len(centers))
         negs = pool[np.searchsorted(cum, rng.random((len(order), negatives)))]
-        for i, pair in enumerate(order):
-            c, o = centers[pair], contexts[pair]
-            step = lr * max(1.0 - done / total_steps, 1e-4)
-            done += 1
+        for start in range(0, len(order), BLOCK):
+            pairs = order[start : start + BLOCK]
+            rows = np.column_stack(
+                [centers[pairs], V + contexts[pairs], V + negs[start : start + BLOCK]]
+            )
+            ranked = np.sort(rows[:, 1:], axis=1)
+            distinct = (ranked[:, 1:] != ranked[:, :-1]).all(axis=1).tolist()
+            for r, unique in zip(rows, distinct):
+                half_step = 0.5 * lr * max(1.0 - done / total_steps, 1e-4)
+                done += 1
+                x = W.take(r, axis=0)  # center, context, negatives before this step
+                g = (np.tanh(np.dot(x[1:], x[0]) * 0.5) + shift) * half_step
+                G[0, 1:] = g
+                G[1:, 0] = g
+                d = np.dot(G, x)
+                if unique:
+                    x -= d
+                    W[r] = x
+                else:
+                    np.subtract.at(W, r, d)
 
-            h = w_in[c].copy()  # the center vector before this step
-            v_pos = w_out[o]
-            v_neg = w_out[negs[i]]
-
-            g_pos = float(_sigmoid(h @ v_pos)) - 1.0
-            g_neg = _sigmoid(v_neg @ h)
-
-            w_in[c] -= step * (g_pos * v_pos + g_neg @ v_neg)
-            w_out[o] -= step * g_pos * h
-            np.subtract.at(w_out, negs[i], step * g_neg[:, None] * h)
-
-    w_in[PAD_ID] = 0.0  # padding row never trains
-    return EmbeddingTable(vectors=w_in, seed=seed)
+    W[PAD_ID] = 0.0  # padding row never trains
+    return EmbeddingTable(vectors=W[:V].copy(), seed=seed)
 
 
 # -- persistence -------------------------------------------------------------
@@ -148,13 +161,12 @@ def save_table(table: EmbeddingTable, path) -> None:
 
 
 def load_table(path) -> EmbeddingTable:
-    header, blob = read_artifact(
-        path, FORMAT_NAME, FORMAT_VERSION, ("vocab_size", "dim", "seed", "corpus_hash")
-    )
-    expected = header["vocab_size"] * header["dim"] * 8
-    if len(blob) != expected:
-        raise ChecksumError(f"blob holds {len(blob)} bytes, header implies {expected}")
-    vectors = np.frombuffer(blob, dtype="<f8").reshape(header["vocab_size"], header["dim"])
+    required = {"vocab_size": int, "dim": int, "seed": int, "corpus_hash": OPTIONAL_STR}
+    header, blob = read_artifact(path, FORMAT_NAME, FORMAT_VERSION, required)
+    shape = (header["vocab_size"], header["dim"])
+    if min(shape) < 1 or len(blob) != shape[0] * shape[1] * 8:
+        raise ChecksumError(f"blob holds {len(blob)} bytes, header implies a {shape} table")
+    vectors = np.frombuffer(blob, dtype="<f8").reshape(shape)
     return EmbeddingTable(
         vectors=vectors.astype(np.float64),
         seed=header["seed"],

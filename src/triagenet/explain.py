@@ -110,21 +110,37 @@ def score_features(
     Sorted by score descending, then occurrences descending, then
     feature name.
     """
+    return _score_grams(params, records, vocab, class_name, (gram_size,))[0]
+
+
+def _score_grams(
+    params: ModelParams,
+    records: list[CaseRecord],
+    vocab: Vocabulary,
+    class_name: str,
+    gram_sizes: tuple[int, ...],
+) -> list[list[SymptomScore]]:
+    """``score_features`` for each of ``gram_sizes`` from one inference pass."""
     cfg = params.config
     if class_name not in LABELS:
         raise ConfigError(f"unknown class {class_name!r}")
-    if gram_size not in cfg.widths:
-        raise ConfigError(f"model has no width-{gram_size} window")
+    for gram_size in gram_sizes:
+        if gram_size not in cfg.widths:
+            raise ConfigError(f"model has no width-{gram_size} window")
     if cfg.arch != "acnn":
         raise ConfigError("feature scoring needs attention weights")
 
+    records = [rec for rec in records if rec.label == class_name]
+    preds = predict_batch(params, [encode(rec, vocab, cfg.max_len) for rec in records])
+    return [_rank(records, preds, class_name, gram_size) for gram_size in gram_sizes]
+
+
+def _rank(records, preds, class_name: str, gram_size: int) -> list[SymptomScore]:
+    """One gram size's scores from the class's records and their predictions."""
     f_sum: dict[str, float] = defaultdict(float)
     att_sum: dict[str, float] = defaultdict(float)
     max_sum: dict[str, float] = defaultdict(float)
     count: dict[str, int] = defaultdict(int)
-
-    records = [rec for rec in records if rec.label == class_name]
-    preds = predict_batch(params, [encode(rec, vocab, cfg.max_len) for rec in records])
     for rec, pred in zip(records, preds):
         weights = _valid_positions(pred.attention, gram_size)
         if weights.size == 0:

@@ -18,12 +18,13 @@ documents as a (B, max_len) id array and builds one graph for it.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
-from .artifact import ChecksumError, read_artifact, write_artifact
+from .artifact import OPTIONAL_STR, ChecksumError, read_artifact, write_artifact
 from .autodiff import Tensor
 from .corpus import PAD_ID, EncodedCase
 from .embedding import ConfigError, EmbeddingTable
@@ -51,6 +52,12 @@ class ModelConfig:
     arch: str = "acnn"
 
     def validate(self) -> None:
+        sizes = (self.vocab_size, self.max_len, self.embedding_dim, self.filters,
+                 self.attention_size, self.n_classes, *self.widths, *self.mlp_layers)
+        if not all(isinstance(n, numbers.Integral) for n in sizes):
+            raise ConfigError("model sizes, widths and mlp layers must be integers")
+        if not isinstance(self.dropout, numbers.Real):
+            raise ConfigError("dropout must be a number")
         if self.vocab_size < 2:
             raise ConfigError("vocab_size must cover padding and unknown ids")
         if self.max_len < 1:
@@ -86,6 +93,8 @@ class ModelConfig:
         d = dict(d)
         for key in ("widths", "mlp_layers"):
             if key in d:
+                if not isinstance(d[key], (list, tuple)):
+                    raise ConfigError(f"{key} must be a list")
                 d[key] = tuple(d[key])
         cfg = cls(**d)
         cfg.validate()
@@ -110,6 +119,7 @@ class ModelParams:
     mlp: list[tuple[Tensor, Tensor]]
     seed: int = 0
     corpus_hash: str | None = None
+    vocab_hash: str | None = None  # Vocabulary.sha256() of the ids it was trained on
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         """Every tensor under a stable name; this order defines the file layout."""
@@ -348,29 +358,34 @@ def save_model(params: ModelParams, path) -> None:
         "config": params.config.to_dict(),
         "seed": params.seed,
         "corpus_hash": params.corpus_hash,
+        "vocab_hash": params.vocab_hash,
         "params": [[name, list(t.data.shape)] for name, t in named],
     }
     write_artifact(path, header, blob)
 
 
 def load_model(path) -> ModelParams:
-    header, blob = read_artifact(
-        path, FORMAT_NAME, FORMAT_VERSION, ("config", "seed", "corpus_hash", "params")
-    )
-    config = ModelConfig.from_dict(header["config"])
+    """Read a model file; a header without ``vocab_hash`` loads with None."""
+    required = {"config": dict, "seed": int, "corpus_hash": OPTIONAL_STR, "params": list}
+    header, blob = read_artifact(path, FORMAT_NAME, FORMAT_VERSION, required)
+    try:  # a nested value of the wrong type surfaces here as TypeError or ValueError
+        config = ModelConfig.from_dict(header["config"])
+        stored = {name: tuple(shape) for name, shape in header["params"]}
+    except (TypeError, ValueError) as e:
+        raise ChecksumError(f"malformed {FORMAT_NAME} header: {e}") from e
     params = init_params(config, seed=0)
     params.seed = header["seed"]
     params.corpus_hash = header["corpus_hash"]
+    params.vocab_hash = header.get("vocab_hash")
 
     named = params.parameters()
-    stored = {name: tuple(shape) for name, shape in header["params"]}
-    expected_bytes = sum(int(np.prod(s)) for s in stored.values()) * 8
+    if stored != {name: tensor.data.shape for name, tensor in named}:
+        raise ChecksumError("stored parameter shapes do not match the model config")
+    expected_bytes = params.n_parameters() * 8
     if len(blob) != expected_bytes:
         raise ChecksumError(f"blob holds {len(blob)} bytes, header implies {expected_bytes}")
     offset = 0
     for name, tensor in named:
-        if name not in stored or stored[name] != tensor.data.shape:
-            raise ChecksumError(f"parameter {name} does not match the stored shapes")
         n = tensor.data.size * 8
         tensor.data = (
             np.frombuffer(blob[offset : offset + n], dtype="<f8")

@@ -1,12 +1,15 @@
 """End-to-end tests for the command-line pipeline."""
 
 import json
+import re
 from html.parser import HTMLParser
 
 import pytest
 
+from triagenet import explain
 from triagenet.cli import main
-from triagenet.corpus import file_sha256
+from triagenet.corpus import URGENT, build_vocab, file_sha256, load_corpus, split
+from triagenet.training import derive_seed
 
 CONFIG = {
     "seed": 11,
@@ -66,6 +69,35 @@ MALFORMED_HEADERS = {
 }
 
 
+def edit_config(key, value):
+    def edit(header):
+        fields = json.loads(header)
+        fields["config"][key] = value
+        return json.dumps(fields, sort_keys=True).encode()
+    return edit
+
+
+def edit_field(key, value):
+    def edit(header):
+        return json.dumps({**json.loads(header), key: value}, sort_keys=True).encode()
+    return edit
+
+
+WRONG_TYPED_MODEL_HEADERS = {
+    "max_len-string": edit_config("max_len", "16"),
+    "params-flat": edit_field("params", [1, 2]),
+    "widths-string": edit_config("widths", "12"),
+    "filters-float": edit_config("filters", 6.0),
+}
+
+
+def train_split(out, seed):
+    """The records of the train split ``seed`` cuts from the corpus in ``out``."""
+    corpus = load_corpus(out / "corpus.jsonl")
+    tr, _, _ = split(corpus.records, (0.9, 0.05, 0.05), seed=derive_seed(seed, "split"))
+    return [corpus.records[i] for i in tr]
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     out, config = make_workspace(tmp_path_factory.mktemp("cli"), "run")
@@ -96,6 +128,7 @@ class TestPipeline:
         metrics = json.loads((out / "metrics.json").read_text())
         assert set(metrics["per_class"]) == {"urgent_care", "general_practice", "telecare"}
         assert metrics["retained_fraction"] == 1.0
+        assert metrics["truncated_cases"] == 0
 
     def test_rerun_is_byte_identical(self, pipeline, tmp_path):
         first, _ = pipeline
@@ -136,6 +169,20 @@ class TestScoringCommands:
             assert r["margin"] == pytest.approx(
                 r["pair_score"] - max(r["first_score"], r["second_score"])
             )
+
+    def test_pairs_runs_the_model_once_over_the_class(self, pipeline, monkeypatch):
+        out, config = pipeline
+        rows = []
+
+        def counting_predict_batch(params, cases):
+            rows.append(len(cases))
+            return predict_batch(params, cases)
+
+        predict_batch = explain.predict_batch
+        monkeypatch.setattr(explain, "predict_batch", counting_predict_batch)
+        assert run("pairs", "--config", config, "--out-dir", out) == 0
+        urgent = sum(r.label == URGENT for r in train_split(out, CONFIG["seed"]))
+        assert sum(rows) == urgent
 
     def test_drop_experiment_rows(self, pipeline):
         out, config = pipeline
@@ -256,6 +303,52 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "model.bin").exists()
+
+    @pytest.mark.parametrize(
+        "edit", WRONG_TYPED_MODEL_HEADERS.values(), ids=WRONG_TYPED_MODEL_HEADERS.keys()
+    )
+    def test_wrong_typed_model_header_is_validation_error(
+        self, pipeline, tmp_path, capsys, edit
+    ):
+        out, config = pipeline
+        broken = with_header(out / "model.bin", tmp_path / "model.bin", edit)
+        assert run("evaluate", "--config", config, "--out-dir", tmp_path,
+                   "--corpus", out / "corpus.jsonl", "--model", broken) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_model_refused_against_another_vocabulary(self, pipeline, tmp_path, capsys):
+        out, config = pipeline
+        # split seed 5 yields a train vocabulary of the same size with other ids
+        trained, other = (build_vocab(train_split(out, s)) for s in (CONFIG["seed"], 5))
+        assert len(trained) == len(other) and trained.id_to_token != other.id_to_token
+        assert run("evaluate", "--config", config, "--out-dir", tmp_path, "--seed", 5,
+                   "--corpus", out / "corpus.jsonl", "--model", out / "model.bin") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "different vocabulary" in err
+        assert not (tmp_path / "metrics.json").exists()
+
+    def test_truncation_is_reported(self, pipeline, tmp_path, capsys):
+        out, _ = pipeline
+        config = tmp_path / "short.json"
+        config.write_text(json.dumps({
+            **CONFIG, "model": {**CONFIG["model"], "max_len": 6},
+            "training": {**CONFIG["training"], "epochs": 1},
+        }))
+        args = ("--config", config, "--out-dir", tmp_path, "--corpus", out / "corpus.jsonl")
+        capsys.readouterr()
+        assert run("train", *args) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("note: ") and err.count("\n") == 1
+        assert "train and val documents are longer than max_len 6" in err
+        assert run("evaluate", *args) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("note: ") and err.count("\n") == 1
+        cut, total = map(int, re.match(r"note: (\d+) of (\d+) test documents", err).groups())
+        assert 0 < cut <= total
+        assert json.loads((tmp_path / "metrics.json").read_text())["truncated_cases"] == cut
+        manifest = (tmp_path / "manifest_evaluate.json").read_text()
+        assert "truncated" not in manifest
 
     def test_stale_embeddings_rejected(self, pipeline, tmp_path, capsys):
         _, config = pipeline

@@ -1,9 +1,13 @@
 """Tests for skip-gram embedding training and its file format."""
 
+import json
+import types
+
 import numpy as np
 import pytest
 
-from triagenet.corpus import CaseRecord, Corpus, TELECARE, build_vocab
+from triagenet import embedding
+from triagenet.corpus import PAD_ID, CaseRecord, Corpus, TELECARE, build_vocab
 from triagenet.embedding import (
     ChecksumError,
     ConfigError,
@@ -38,6 +42,135 @@ def paired_corpus(n=300, seed=0):
             pad = [y_noise[j] for j in rng.integers(0, 10, size=3)]
             records.append(CaseRecord(["cc"] + pad, TELECARE, 30, "male"))
     return Corpus(records=records)
+
+
+def nested_pairs(sequences, window):
+    """The pair order of the original nested loop: i ascending, then j."""
+    centers, contexts = [], []
+    for seq in sequences:
+        for i, c in enumerate(seq):
+            for j in range(max(0, i - window), min(len(seq), i + window + 1)):
+                if j != i:
+                    centers.append(c)
+                    contexts.append(seq[j])
+    return np.array(centers, dtype=np.int64), np.array(contexts, dtype=np.int64)
+
+
+def per_pair_oracle(corpus, vocab, dim, iters, window=5, negatives=5, seed=0, lr=0.025):
+    """The original per-pair loop: separate input and output tables, a
+    clipped logistic, one small update per vector. Returns the input
+    table and the number of steps whose output rows repeat."""
+    sequences = [
+        np.array([vocab.id_of(t) for t in r.tokens], dtype=np.int64)
+        for r in corpus.records
+        if r.tokens
+    ]
+    centers, contexts = nested_pairs(sequences, window)
+    counts = np.zeros(len(vocab))
+    for seq in sequences:
+        for c in seq:
+            counts[c] += 1
+    pool = np.flatnonzero(counts)
+    pool = pool[pool != PAD_ID]
+    weights = counts[pool] ** 0.75
+    cum = np.cumsum(weights / weights.sum())
+
+    def sigmoid(x):
+        return 1.0 / (1.0 + np.exp(-np.clip(x, -30.0, 30.0)))
+
+    w_in = init_table(len(vocab), dim, seed).vectors
+    w_out = np.zeros_like(w_in)
+    rng = np.random.default_rng(seed)
+    total_steps = iters * len(centers)
+    done = repeats = 0
+    for _ in range(iters):
+        order = rng.permutation(len(centers))
+        negs = pool[np.searchsorted(cum, rng.random((len(order), negatives)))]
+        for i, pair in enumerate(order):
+            c, o = centers[pair], contexts[pair]
+            step = lr * max(1.0 - done / total_steps, 1e-4)
+            done += 1
+            repeats += len(set(negs[i]) | {o}) < negatives + 1
+
+            h = w_in[c].copy()
+            v_pos = w_out[o]
+            v_neg = w_out[negs[i]]
+            g_pos = float(sigmoid(h @ v_pos)) - 1.0
+            g_neg = sigmoid(v_neg @ h)
+            w_in[c] -= step * (g_pos * v_pos + g_neg @ v_neg)
+            w_out[o] -= step * g_pos * h
+            np.subtract.at(w_out, negs[i], step * g_neg[:, None] * h)
+
+    w_in[PAD_ID] = 0.0
+    return w_in, repeats
+
+
+def counting_subtract_at(monkeypatch):
+    """Make ``embedding`` see a numpy whose ``subtract.at`` counts its calls."""
+    calls = []
+
+    def at(*args):
+        calls.append(1)
+        np.subtract.at(*args)
+
+    class Numpy:
+        subtract = types.SimpleNamespace(at=at)
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    monkeypatch.setattr(embedding, "np", Numpy())
+    return calls
+
+
+def tiny_vocab_corpus(n=40, seed=0):
+    """Six tokens, so five negatives collide with the context and each other."""
+    rng = np.random.default_rng(seed)
+    tokens = ["t0", "t1", "t2", "t3", "t4", "t5"]
+    return Corpus(records=[
+        CaseRecord([tokens[j] for j in rng.integers(0, 6, size=5)], TELECARE, 30, "male")
+        for _ in range(n)
+    ])
+
+
+class TestFusedStep:
+    """The fused step against the original per-pair loop."""
+
+    def test_matches_per_pair_loop_on_paired_corpus(self):
+        corpus = paired_corpus(60)
+        vocab = build_vocab(corpus.records)
+        table = train_skipgram(corpus, vocab, dim=16, iters=3, seed=7)
+        expected, _ = per_pair_oracle(corpus, vocab, dim=16, iters=3, seed=7)
+        np.testing.assert_allclose(table.vectors, expected, rtol=0, atol=1e-12)
+
+    def test_matches_per_pair_loop_when_negatives_collide(self, monkeypatch):
+        corpus = tiny_vocab_corpus()
+        vocab = build_vocab(corpus.records)
+        expected, repeats = per_pair_oracle(corpus, vocab, dim=8, iters=2, seed=3)
+        calls = counting_subtract_at(monkeypatch)
+        table = train_skipgram(corpus, vocab, dim=8, iters=2, seed=3)
+        assert repeats > 0 and len(calls) == repeats
+        np.testing.assert_allclose(table.vectors, expected, rtol=0, atol=1e-12)
+
+    def test_matches_per_pair_loop_across_a_block_boundary(self):
+        corpus = paired_corpus(500, seed=4)
+        vocab = build_vocab(corpus.records)
+        centers, _ = nested_pairs(
+            [np.array([vocab.id_of(t) for t in r.tokens]) for r in corpus.records], 5
+        )
+        assert len(centers) > embedding.BLOCK
+        table = train_skipgram(corpus, vocab, dim=8, iters=2, seed=5)
+        expected, _ = per_pair_oracle(corpus, vocab, dim=8, iters=2, seed=5)
+        np.testing.assert_allclose(table.vectors, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("window", [1, 2, 5])
+    def test_window_pairs_keep_the_nested_loop_order(self, window):
+        rng = np.random.default_rng(window)
+        sequences = [rng.integers(2, 50, size=n) for n in (1, 2, 3, 7, 12, 1, 4)]
+        got = embedding._window_pairs(sequences, window)
+        expected = nested_pairs(sequences, window)
+        for a, b in zip(got, expected):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestTraining:
@@ -115,6 +248,15 @@ class TestPersistence:
         raw = bytearray(path.read_bytes())
         raw[-1] ^= 0xFF
         path.write_bytes(bytes(raw))
+        with pytest.raises(ChecksumError):
+            load_table(path)
+
+    def test_negative_shape_detected(self, tmp_path):
+        path = tmp_path / "emb.bin"
+        save_table(init_table(10, 4, seed=0), path)
+        header, newline, blob = path.read_bytes().partition(b"\n")
+        fields = {**json.loads(header), "vocab_size": -10, "dim": -4}
+        path.write_bytes(json.dumps(fields).encode() + newline + blob)
         with pytest.raises(ChecksumError):
             load_table(path)
 

@@ -1,6 +1,7 @@
 """Tests for the attention CNN model components."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -113,6 +114,16 @@ class TestInit:
     def test_width_exceeding_max_len_rejected(self):
         with pytest.raises(ConfigError):
             init_params(tiny_config(widths=(1, 6)), seed=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("max_len", 5.0), ("filters", "3"), ("widths", 12), ("mlp_layers", ["6"]),
+         ("dropout", "0.1")],
+    )
+    def test_wrong_typed_config_values_rejected(self, field, value):
+        fields = {**tiny_config().to_dict(), field: value}
+        with pytest.raises(ConfigError):
+            ModelConfig.from_dict(fields)
 
     def test_bad_arch_rejected(self):
         with pytest.raises(ConfigError):
@@ -350,6 +361,18 @@ class TestPersistence:
             assert na == nb
             assert ta.data.tobytes() == tb.data.tobytes()
         assert loaded.embedding.frozen_rows == (0,)
+
+    def test_vocab_hash_roundtrip_and_optional(self, tmp_path):
+        params = init_params(tiny_config(), seed=23)
+        params.vocab_hash = "ef" * 32
+        path = tmp_path / "model.bin"
+        save_model(params, path)
+        assert load_model(path).vocab_hash == "ef" * 32
+        header, newline, blob = path.read_bytes().partition(b"\n")
+        fields = json.loads(header)
+        del fields["vocab_hash"]  # as in a file written before the field existed
+        path.write_bytes(json.dumps(fields, sort_keys=True).encode() + newline + blob)
+        assert load_model(path).vocab_hash is None
 
     def test_save_load_save_is_stable(self, tmp_path):
         params = init_params(tiny_config(), seed=23)
