@@ -54,10 +54,6 @@ class Tensor:
         """Reset gradient accumulation."""
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        """Copy of the value with no recorded history."""
-        return Tensor(self.data.copy())
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeError(f"item() needs a single element, got shape {self.shape}")
@@ -78,14 +74,6 @@ class Tensor:
         for node in reversed(_topo_order(self)):
             if node.grad_fn is not None:
                 node.grad_fn(node.grad)
-
-    # -- operator sugar ------------------------------------------------
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"

@@ -16,19 +16,21 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import html
 import json
 import os
 import sys
+import typing
 from pathlib import Path
 
 from . import __version__
 from .autodiff import NoTapeError, ShapeError
+from .config import ConfigError, check, field_types
 from .corpus import (
     LABELS,
     Corpus,
     GeneratorSpec,
-    SpecValidationError,
     Vocabulary,
     build_vocab,
     encode,
@@ -38,15 +40,15 @@ from .corpus import (
     save_corpus,
     split,
 )
-from .embedding import ChecksumError, ConfigError, load_table, save_table, train_skipgram
+from .embedding import ChecksumError, load_table, save_table, train_skipgram
 from .explain import (
-    _score_grams,
     drop_experiment,
     pair_synergy,
     render_heatmap,
     render_pair_table,
     render_score_table,
     score_features,
+    score_grams,
 )
 from .model import ModelConfig, init_params, load_model, predict_batch, save_model
 from .training import (
@@ -89,11 +91,21 @@ DEFAULT_CONFIG = {
     },
 }
 
-_EMBEDDING_KNOBS = ("iters", "window", "negatives", "lr")
+# each section is then checked against the type or function it configures
+_TOP_LEVEL = {"seed": int, "cases": int, "split": tuple[float, float, float], "min_count": int,
+              **dict.fromkeys(("generator", "model", "training", "embedding"), dict)}
+# vocab_size comes from the corpus and n_classes from LABELS, so neither is settable
+_MODEL_SETTINGS = {
+    key: kind for key, kind in field_types(ModelConfig).items()
+    if key not in ("vocab_size", "n_classes")
+}
+_EMBEDDING_SETTINGS = {
+    key: typing.get_type_hints(train_skipgram)[key]
+    for key in DEFAULT_CONFIG["embedding"]
+}
 
 _USER_ERRORS = (
     ConfigError,
-    SpecValidationError,
     ChecksumError,
     ShapeError,
     NoTapeError,
@@ -110,20 +122,17 @@ def _deep_copy(obj):
 
 
 def resolve_config(args) -> dict:
-    """Defaults, then config file, then flags; rejects unknown keys."""
+    """Defaults, then config file, then flags; every value is checked.
+
+    A wrong-typed value, an unknown key, or a generator or training
+    section out of range raises ConfigError.
+    """
     config = _deep_copy(DEFAULT_CONFIG)
     if getattr(args, "config", None):
         with open(args.config, encoding="utf-8") as fh:
-            user = json.load(fh)
-        if not isinstance(user, dict):
-            raise ConfigError("config file must hold a JSON object")
-        unknown = set(user) - set(config)
-        if unknown:
-            raise ConfigError(f"unknown config sections: {sorted(unknown)}")
+            user = check(json.load(fh), _TOP_LEVEL)
         for key, value in user.items():
-            if isinstance(config[key], dict):
-                if not isinstance(value, dict):
-                    raise ConfigError(f"config section {key!r} must be an object")
+            if isinstance(value, dict):
                 config[key].update(value)
             else:
                 config[key] = value
@@ -139,37 +148,11 @@ def resolve_config(args) -> dict:
             for key in path[:-1]:
                 target = target[key]
             target[path[-1]] = value
-    _validate_sections(config)
+    GeneratorSpec.from_dict(config["generator"])
+    check(config["model"], _MODEL_SETTINGS, "model")
+    HyperParams.from_dict(config["training"])
+    check(config["embedding"], _EMBEDDING_SETTINGS, "embedding")
     return config
-
-
-def _validate_sections(config) -> None:
-    for section, cls in (("model", ModelConfig), ("training", HyperParams)):
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(config[section]) - known
-        if unknown:
-            raise ConfigError(f"unknown {section} settings: {sorted(unknown)}")
-    unknown = set(config["embedding"]) - set(_EMBEDDING_KNOBS)
-    if unknown:
-        raise ConfigError(f"unknown embedding settings: {sorted(unknown)}")
-    ratios = config["split"]
-    if not (isinstance(ratios, list) and len(ratios) == 3):
-        raise ConfigError("split must be a list of three ratios")
-    # the generator section is validated by GeneratorSpec.from_dict
-
-
-def generator_spec(config) -> GeneratorSpec:
-    spec = GeneratorSpec.from_dict(config["generator"])
-    spec.validate()
-    return spec
-
-
-def model_config(config, vocab_size: int) -> ModelConfig:
-    return ModelConfig.from_dict({**config["model"], "vocab_size": vocab_size})
-
-
-def hyper_params(config) -> HyperParams:
-    return HyperParams.from_dict(config["training"])
 
 
 # -- artifact plumbing --------------------------------------------------------
@@ -273,7 +256,7 @@ def _report_truncation(records, max_len: int, what: str) -> int:
 
 def cmd_gen_data(args) -> int:
     config = resolve_config(args)
-    spec = generator_spec(config)
+    spec = GeneratorSpec.from_dict(config["generator"])
     corpus = generate_corpus(spec, config["cases"], seed=derive_seed(config["seed"], "data"))
     out = _artifact(args, "out", "corpus.jsonl")
     save_corpus(corpus, out)
@@ -285,13 +268,12 @@ def cmd_gen_data(args) -> int:
 def cmd_pretrain(args) -> int:
     config = resolve_config(args)
     corpus_path, corpus, (tr, _, _), vocab = _load_world(args, config)
-    knobs = config["embedding"]
     table = train_skipgram(
         Corpus(records=[corpus.records[i] for i in tr]),
         vocab,
         dim=config["model"]["embedding_dim"],
         seed=derive_seed(config["seed"], "embedding"),
-        **{k: knobs[k] for k in _EMBEDDING_KNOBS if k in knobs},
+        **config["embedding"],
     )
     table = dataclasses.replace(table, corpus_hash=file_sha256(corpus_path))
     out = _artifact(args, "out", "embeddings.bin")
@@ -310,7 +292,7 @@ def cmd_pretrain(args) -> int:
 def cmd_train(args) -> int:
     config = resolve_config(args)
     corpus_path, corpus, (tr, va, _), vocab = _load_world(args, config)
-    cfg = model_config(config, vocab_size=len(vocab))
+    cfg = ModelConfig.from_dict({**config["model"], "vocab_size": len(vocab)})
 
     pretrained = None
     inputs = {"corpus": corpus_path, **_config_inputs(args)}
@@ -326,9 +308,8 @@ def cmd_train(args) -> int:
     _report_truncation([corpus.records[i] for i in (*tr, *va)], cfg.max_len, "train and val")
     train_set = _encode_split(corpus, tr, vocab, cfg.max_len)
     val_set = _encode_split(corpus, va, vocab, cfg.max_len)
-    history = train(
-        params, train_set, val_set, hyper_params(config), seed=derive_seed(config["seed"], "train")
-    )
+    hyper = HyperParams.from_dict(config["training"])
+    history = train(params, train_set, val_set, hyper, seed=derive_seed(config["seed"], "train"))
 
     model_path = _artifact(args, "model", "model.bin")
     vocab_path = _artifact(args, "vocab", "vocab.json")
@@ -382,14 +363,12 @@ def cmd_grid_search(args) -> int:
     corpus_path, corpus, (tr, va, _), vocab = _load_world(args, config)
     with open(args.grid, encoding="utf-8") as fh:
         grid = json.load(fh)
-    if not isinstance(grid, dict):
-        raise ConfigError("grid file must hold an object of lists")
-    cfg = model_config(config, vocab_size=len(vocab))
+    cfg = ModelConfig.from_dict({**config["model"], "vocab_size": len(vocab)})
     rows = grid_search(
         cfg,
         _encode_split(corpus, tr, vocab, cfg.max_len),
         _encode_split(corpus, va, vocab, cfg.max_len),
-        hyper_params(config),
+        HyperParams.from_dict(config["training"]),
         grid,
         seed=derive_seed(config["seed"], "grid"),
     )
@@ -433,7 +412,7 @@ def cmd_pairs(args) -> int:
     corpus_path, corpus, indices, vocab, model_path, params = _load_trained(args, config)
     by_name = dict(zip(("train", "val", "test"), indices))
     records = [corpus.records[i] for i in by_name[args.split]]
-    unigrams, bigrams = _score_grams(params, records, vocab, args.class_name, (1, 2))
+    unigrams, bigrams = score_grams(params, records, vocab, args.class_name, (1, 2))
     pairs = pair_synergy(unigrams, bigrams)
 
     out = _artifact(args, "out", f"pairs_{args.class_name}.json")
@@ -556,28 +535,32 @@ def _add_model_inputs(sub) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False: a flag a subcommand lacks (train --out) must not
+    # silently match a longer one it has (--out-dir)
     parser = argparse.ArgumentParser(
         prog="triagenet",
         description="Explainable neural triage: synthetic data, training, "
         "attention-based warning-symptom detection.",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"triagenet {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(commands.add_parser, allow_abbrev=False)
 
-    sub = commands.add_parser("gen-data", help="generate a synthetic triage corpus")
+    sub = add_parser("gen-data", help="generate a synthetic triage corpus")
     _add_common(sub)
     sub.add_argument("--cases", type=int, help="number of case records")
     sub.add_argument("--mode", choices=("symptoms", "fulltext"), help="token stream style")
     sub.add_argument("--out", help="corpus output path")
     sub.set_defaults(func=cmd_gen_data)
 
-    sub = commands.add_parser("pretrain-embeddings", help="train skip-gram vectors on the train split")
+    sub = add_parser("pretrain-embeddings", help="train skip-gram vectors on the train split")
     _add_common(sub)
     sub.add_argument("--corpus", help="corpus JSONL path")
     sub.add_argument("--out", help="embeddings output path")
     sub.set_defaults(func=cmd_pretrain)
 
-    sub = commands.add_parser("train", help="train a classifier")
+    sub = add_parser("train", help="train a classifier")
     _add_common(sub)
     sub.add_argument("--corpus", help="corpus JSONL path")
     sub.add_argument("--arch", choices=("acnn", "kimcnn"), help="attention or max pooling")
@@ -586,7 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--vocab", help="vocabulary output path")
     sub.set_defaults(func=cmd_train)
 
-    sub = commands.add_parser("evaluate", help="metrics on a held-out split")
+    sub = add_parser("evaluate", help="metrics on a held-out split")
     _add_common(sub)
     _add_model_inputs(sub)
     sub.add_argument("--split", choices=("train", "val", "test"), default="test")
@@ -598,14 +581,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--out", help="metrics JSON output path")
     sub.set_defaults(func=cmd_evaluate)
 
-    sub = commands.add_parser("grid-search", help="sweep hyperparameter combinations")
+    sub = add_parser("grid-search", help="sweep hyperparameter combinations")
     _add_common(sub)
     sub.add_argument("--corpus", help="corpus JSONL path")
     sub.add_argument("--grid", required=True, help="JSON file mapping knob name to value list")
     sub.add_argument("--out", help="results JSON output path")
     sub.set_defaults(func=cmd_grid_search)
 
-    sub = commands.add_parser("score-symptoms", help="rank n-gram features by attention")
+    sub = add_parser("score-symptoms", help="rank n-gram features by attention")
     _add_common(sub)
     _add_model_inputs(sub)
     sub.add_argument("--class", dest="class_name", choices=LABELS, default="urgent_care")
@@ -615,7 +598,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--out", help="score table JSON output path")
     sub.set_defaults(func=cmd_score_symptoms)
 
-    sub = commands.add_parser("pairs", help="bigrams scoring above both member tokens")
+    sub = add_parser("pairs", help="bigrams scoring above both member tokens")
     _add_common(sub)
     _add_model_inputs(sub)
     sub.add_argument("--class", dest="class_name", choices=LABELS, default="urgent_care")
@@ -624,7 +607,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--out", help="pair table JSON output path")
     sub.set_defaults(func=cmd_pairs)
 
-    sub = commands.add_parser("drop-experiment", help="re-evaluate after deleting ranked tokens")
+    sub = add_parser("drop-experiment", help="re-evaluate after deleting ranked tokens")
     _add_common(sub)
     _add_model_inputs(sub)
     sub.add_argument("--drops", type=int, choices=(1, 2), default=1)
@@ -632,7 +615,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--out", help="results JSON output path")
     sub.set_defaults(func=cmd_drop_experiment)
 
-    sub = commands.add_parser("explain", help="attention heatmaps for chosen cases")
+    sub = add_parser("explain", help="attention heatmaps for chosen cases")
     _add_common(sub)
     _add_model_inputs(sub)
     sub.add_argument("--cases", dest="case_ids", required=True,

@@ -17,10 +17,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from .config import ConfigError, Schema
 
 LABELS = ("urgent_care", "general_practice", "telecare")
 URGENT, GENERAL_PRACTICE, TELECARE = LABELS
@@ -33,9 +35,8 @@ UNK_ID = 1
 GENDERS = ("male", "female")
 MAX_AGE = 110
 
-
-class SpecValidationError(ValueError):
-    """A generator spec, record, or split request is malformed."""
+# a generator spec, record, or split request is malformed
+SpecValidationError = ConfigError
 
 
 @dataclass
@@ -55,8 +56,10 @@ class CaseRecord:
 
 
 @dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(Schema):
     """Knobs for the synthetic corpus generator."""
+
+    section = "generator"
 
     n_red_flags: int = 10
     n_red_pairs: int = 5
@@ -73,11 +76,12 @@ class GeneratorSpec:
     pair_case_rate: float = 0.35
 
     def validate(self) -> None:
+        super().validate()
         for name in ("n_red_flags", "n_red_pairs", "n_moderate", "n_benign", "n_filler"):
             if getattr(self, name) < 1:
                 raise SpecValidationError(f"{name} must be >= 1")
-        if len(self.proportions) != 3 or any(p <= 0 for p in self.proportions):
-            raise SpecValidationError("proportions must be three positive numbers")
+        if any(p <= 0 for p in self.proportions):
+            raise SpecValidationError("proportions must be positive")
         if abs(sum(self.proportions) - 1.0) > 1e-9:
             raise SpecValidationError("proportions must sum to 1")
         for name in ("urgent_length", "gp_length", "tele_length"):
@@ -93,27 +97,6 @@ class GeneratorSpec:
             raise SpecValidationError(f"unknown mode {self.mode!r}")
         if not 0.0 <= self.pair_case_rate <= 1.0:
             raise SpecValidationError("pair_case_rate must be in [0, 1]")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GeneratorSpec":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(d) - known
-        if unknown:
-            raise SpecValidationError(f"unknown generator fields: {sorted(unknown)}")
-        d = dict(d)
-        for key in ("proportions", "urgent_length", "gp_length", "tele_length"):
-            if key in d:
-                d[key] = tuple(d[key])
-        spec = cls(**d)
-        spec.validate()
-        return spec
-
-    def hash(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -154,11 +137,9 @@ def oracle_label(tokens: Sequence[str], lexicon: Lexicon) -> str:
 
 @dataclass
 class Corpus:
-    """Generated or loaded case records plus generation provenance."""
+    """Generated or loaded case records."""
 
     records: list[CaseRecord]
-    spec_hash: str | None = None
-    seed: int | None = None
 
     def __len__(self) -> int:
         return len(self.records)
@@ -299,7 +280,7 @@ def generate_corpus(spec: GeneratorSpec, n: int, seed: int) -> Corpus:
                 )
             )
     rng.shuffle(records)
-    return Corpus(records=records, spec_hash=spec.hash(), seed=seed)
+    return Corpus(records=records)
 
 
 # -- vocabulary --------------------------------------------------------------
@@ -316,9 +297,6 @@ class Vocabulary:
 
     def __len__(self) -> int:
         return len(self.id_to_token)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.token_to_id
 
     def id_of(self, token: str) -> int:
         return self.token_to_id.get(token, UNK_ID)
@@ -337,22 +315,17 @@ class Vocabulary:
             return cls(json.load(fh))
 
 
-def build_vocab(
-    records: Iterable[CaseRecord],
-    min_count: int = 1,
-    stopwords: Iterable[str] = (),
-) -> Vocabulary:
-    """Count tokens, drop stopwords and rare tokens, assign dense ids.
+def build_vocab(records: Iterable[CaseRecord], min_count: int = 1) -> Vocabulary:
+    """Count tokens, drop rare tokens, assign dense ids.
 
     Ids start at 2 and follow (count desc, token asc) order, so equal
     corpora always produce equal vocabularies.
     """
-    stop = set(stopwords)
     counts: dict[str, int] = {}
     for r in records:
         for tok in r.tokens:
             counts[tok] = counts.get(tok, 0) + 1
-    kept = [t for t, c in counts.items() if c >= min_count and t not in stop]
+    kept = [t for t, c in counts.items() if c >= min_count]
     kept.sort(key=lambda t: (-counts[t], t))
     return Vocabulary(kept)
 
@@ -383,11 +356,6 @@ def encode(record: CaseRecord, vocab: Vocabulary, max_len: int) -> EncodedCase:
         ]
     )
     return EncodedCase(ids=ids, demographics=demo, label=LABELS.index(record.label))
-
-
-def decode(ids: np.ndarray, vocab: Vocabulary) -> list[str]:
-    """Inverse of encode up to truncation and unknown tokens; drops padding."""
-    return [vocab.id_to_token[i] for i in ids if i != PAD_ID]
 
 
 def encode_corpus(

@@ -13,15 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .artifact import OPTIONAL_STR, ChecksumError, read_artifact, write_artifact
+from .config import ConfigError
 from .corpus import PAD_ID, Corpus, Vocabulary
 
 FORMAT_NAME = "triagenet-embedding"
 FORMAT_VERSION = 1
 BLOCK = 4096  # steps whose index rows are built at once; bounds peak memory
-
-
-class ConfigError(ValueError):
-    """A configuration value is out of range or inconsistent."""
 
 
 @dataclass

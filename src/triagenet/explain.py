@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ConfigError
 from .corpus import LABELS, CaseRecord, Vocabulary, encode
-from .embedding import ConfigError
 from .model import AttentionRecord, ModelParams, predict_batch
 from .training import Metrics, derive_seed, evaluate
 
@@ -110,10 +110,10 @@ def score_features(
     Sorted by score descending, then occurrences descending, then
     feature name.
     """
-    return _score_grams(params, records, vocab, class_name, (gram_size,))[0]
+    return score_grams(params, records, vocab, class_name, (gram_size,))[0]
 
 
-def _score_grams(
+def score_grams(
     params: ModelParams,
     records: list[CaseRecord],
     vocab: Vocabulary,

@@ -18,16 +18,16 @@ documents as a (B, max_len) id array and builds one graph for it.
 
 from __future__ import annotations
 
-import numbers
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .artifact import OPTIONAL_STR, ChecksumError, read_artifact, write_artifact
 from .autodiff import Tensor
-from .corpus import PAD_ID, EncodedCase
-from .embedding import ConfigError, EmbeddingTable
+from .config import ConfigError, Schema
+from .corpus import LABELS, PAD_ID, EncodedCase
+from .embedding import EmbeddingTable
 
 FORMAT_NAME = "triagenet-model"
 FORMAT_VERSION = 1
@@ -37,8 +37,14 @@ PREDICT_CHUNK = 64  # cases per inference forward pass; bounds peak memory
 
 
 @dataclass(frozen=True)
-class ModelConfig:
-    """Architecture shape knobs; defaults follow the full-scale setup."""
+class ModelConfig(Schema):
+    """Architecture shape knobs; defaults follow the full-scale setup.
+
+    ``vocab_size`` comes from the corpus and ``n_classes`` is always
+    ``len(LABELS)``; model files record both.
+    """
+
+    section = "model"
 
     vocab_size: int
     max_len: int
@@ -52,12 +58,7 @@ class ModelConfig:
     arch: str = "acnn"
 
     def validate(self) -> None:
-        sizes = (self.vocab_size, self.max_len, self.embedding_dim, self.filters,
-                 self.attention_size, self.n_classes, *self.widths, *self.mlp_layers)
-        if not all(isinstance(n, numbers.Integral) for n in sizes):
-            raise ConfigError("model sizes, widths and mlp layers must be integers")
-        if not isinstance(self.dropout, numbers.Real):
-            raise ConfigError("dropout must be a number")
+        super().validate()
         if self.vocab_size < 2:
             raise ConfigError("vocab_size must cover padding and unknown ids")
         if self.max_len < 1:
@@ -76,29 +77,10 @@ class ModelConfig:
             raise ConfigError("mlp layer sizes must be >= 1")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("dropout must be in [0, 1)")
-        if self.n_classes < 2:
-            raise ConfigError("n_classes must be >= 2")
+        if self.n_classes != len(LABELS):
+            raise ConfigError(f"n_classes must be {len(LABELS)}, one per label")
         if self.arch not in ARCHITECTURES:
             raise ConfigError(f"arch must be one of {ARCHITECTURES}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown model config fields: {sorted(unknown)}")
-        d = dict(d)
-        for key in ("widths", "mlp_layers"):
-            if key in d:
-                if not isinstance(d[key], (list, tuple)):
-                    raise ConfigError(f"{key} must be a list")
-                d[key] = tuple(d[key])
-        cfg = cls(**d)
-        cfg.validate()
-        return cfg
 
     @property
     def mlp_input_dim(self) -> int:
@@ -355,7 +337,7 @@ def save_model(params: ModelParams, path) -> None:
     header = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
-        "config": params.config.to_dict(),
+        "config": asdict(params.config),
         "seed": params.seed,
         "corpus_hash": params.corpus_hash,
         "vocab_hash": params.vocab_hash,

@@ -5,15 +5,21 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .config import ConfigError, Schema
 from .corpus import LABELS, EncodedCase
-from .embedding import ConfigError
-from .model import ModelParams, Prediction, forward_graph, init_params, predict_batch
+from .model import ModelConfig, ModelParams, Prediction, forward_graph, init_params, predict_batch
+
+# Adam's fixed knobs: decoupled weight decay, moment decay rates, denominator guard
+WEIGHT_DECAY = 1e-4
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 
 class TrainingDivergedError(RuntimeError):
@@ -31,37 +37,19 @@ def derive_seed(root: int, label: str) -> int:
 
 
 @dataclass(frozen=True)
-class HyperParams:
+class HyperParams(Schema):
     """Optimization knobs."""
+
+    section = "training"
 
     lr: float = 0.001
     epochs: int = 5
     batch_size: int = 64
-    weight_decay: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def validate(self) -> None:
+        super().validate()
         if self.lr < 0 or self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("lr must be >= 0, epochs and batch_size >= 1")
-        if self.weight_decay < 0 or self.eps <= 0:
-            raise ConfigError("weight_decay must be >= 0 and eps > 0")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ConfigError("betas must be in [0, 1)")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "HyperParams":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown hyperparameter fields: {sorted(unknown)}")
-        hp = cls(**d)
-        hp.validate()
-        return hp
 
 
 class AdamState:
@@ -74,7 +62,7 @@ class AdamState:
 
 
 def adam_step(params: list[Tensor], state: AdamState, hyper: HyperParams) -> None:
-    """Bias-corrected Adam update with decoupled weight decay.
+    """Bias-corrected Adam update with decoupled weight decay ``WEIGHT_DECAY``.
 
     The decay term joins the update directly rather than entering the
     moment estimates. Rows listed in a tensor's ``frozen_rows`` (the
@@ -88,11 +76,11 @@ def adam_step(params: list[Tensor], state: AdamState, hyper: HyperParams) -> Non
             g = g.copy()
             for r in p.frozen_rows:
                 g[r] = 0.0
-        state.m[i] = hyper.beta1 * state.m[i] + (1 - hyper.beta1) * g
-        state.v[i] = hyper.beta2 * state.v[i] + (1 - hyper.beta2) * g * g
-        m_hat = state.m[i] / (1 - hyper.beta1**t)
-        v_hat = state.v[i] / (1 - hyper.beta2**t)
-        update = m_hat / (np.sqrt(v_hat) + hyper.eps) + hyper.weight_decay * p.data
+        state.m[i] = BETA1 * state.m[i] + (1 - BETA1) * g
+        state.v[i] = BETA2 * state.v[i] + (1 - BETA2) * g * g
+        m_hat = state.m[i] / (1 - BETA1**t)
+        v_hat = state.v[i] / (1 - BETA2**t)
+        update = m_hat / (np.sqrt(v_hat) + EPS) + WEIGHT_DECAY * p.data
         if p.frozen_rows:
             for r in p.frozen_rows:
                 update[r] = 0.0
@@ -305,7 +293,7 @@ def render_metrics_table(rows: list[tuple[str, Metrics]], class_names=LABELS) ->
 
 
 def grid_search(
-    config,
+    config: ModelConfig,
     train_set: list[EncodedCase],
     val_set: list[EncodedCase],
     base_hyper: HyperParams,
@@ -314,27 +302,28 @@ def grid_search(
 ) -> list[dict]:
     """Exhaustive sweep; returns one row per combination, best first.
 
-    Grid keys name HyperParams fields, plus "dropout" which lands on
-    the model config. Every combination trains from a fresh init with
-    the same seed.
+    ``grid`` maps HyperParams fields, and "dropout" of the model config,
+    to nonempty lists of values. Every combination is checked before the
+    first one trains, and each trains from a fresh init with the same
+    seed.
     """
-    if not grid:
-        raise ConfigError("grid must name at least one hyperparameter")
-    hyper_fields = set(HyperParams.__dataclass_fields__)
-    for key in grid:
-        if key != "dropout" and key not in hyper_fields:
-            raise ConfigError(f"unknown grid key {key!r}")
-
-    results = []
+    if not (isinstance(grid, dict) and grid
+            and all(isinstance(values, list) and values for values in grid.values())):
+        raise ConfigError("grid must be an object of nonempty value lists")
     keys = sorted(grid)
+    runs = []
     for values in itertools.product(*(grid[k] for k in keys)):
         combo = dict(zip(keys, values))
-        cfg = config
-        if "dropout" in combo:
-            cfg = replace(cfg, dropout=combo["dropout"])
-        hyper = HyperParams.from_dict(
-            {**base_hyper.to_dict(), **{k: v for k, v in combo.items() if k != "dropout"}}
-        )
+        hyper = {k: v for k, v in combo.items() if k != "dropout"}
+        model = {k: v for k, v in combo.items() if k == "dropout"}
+        runs.append((
+            combo,
+            ModelConfig.from_dict({**asdict(config), **model}),
+            HyperParams.from_dict({**asdict(base_hyper), **hyper}),
+        ))
+
+    results = []
+    for combo, cfg, hyper in runs:
         params = init_params(cfg, seed=derive_seed(seed, "init"))
         history = train(params, train_set, val_set, hyper, seed=seed)
         results.append(

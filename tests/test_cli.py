@@ -91,6 +91,28 @@ WRONG_TYPED_MODEL_HEADERS = {
 }
 
 
+# command, config file, grid file (or None), and what the one error line must say
+MALFORMED_CONFIGS = {
+    "cases-string": ("gen-data", {"cases": "30"}, None, "cases must"),
+    "n_red_flags-string": ("gen-data", {"generator": {"n_red_flags": "3"}}, None, "flags must"),
+    "proportions-number": ("gen-data", {"generator": {"proportions": 5}}, None, "proportions must"),
+    "min_count-string": ("pretrain-embeddings", {"min_count": "1"}, None, "min_count must"),
+    "iters-string": ("pretrain-embeddings", {"embedding": {"iters": "1"}}, None, "iters must"),
+    "split-string-ratio": ("pretrain-embeddings", {"split": [0.9, "a", 0.05]}, None, "split[1]"),
+    "window-float": ("pretrain-embeddings", {"embedding": {"window": 2.5}}, None, "window must"),
+    "epochs-string": ("train", {"training": {"epochs": "2"}}, None, "epochs must"),
+    "epochs-float": ("train", {"training": {"epochs": 1.5}}, None, "epochs must"),
+    "max_len-bool": ("train", {"model": {"max_len": True}}, None, "max_len must"),
+    "vocab_size-set": ("train", {"model": {"vocab_size": 5}}, None, "['vocab_size']"),
+    "n_classes-2": ("train", {"model": {"n_classes": 2}}, None, "['n_classes']"),
+    "n_classes-4": ("train", {"model": {"n_classes": 4}}, None, "['n_classes']"),
+    "grid-not-lists": ("grid-search", CONFIG, {"lr": 0.01}, "grid must"),
+    "grid-string-lr": ("grid-search", CONFIG, {"lr": ["x"]}, "lr must"),
+    "grid-float-batch": ("grid-search", CONFIG, {"batch_size": [1.5]}, "batch_size must"),
+    "grid-empty-list": ("grid-search", CONFIG, {"lr": []}, "grid must"),
+}
+
+
 def train_split(out, seed):
     """The records of the train split ``seed`` cuts from the corpus in ``out``."""
     corpus = load_corpus(out / "corpus.jsonl")
@@ -253,6 +275,12 @@ class TestErrorPaths:
             run("gen-data", "--nonsense", "1")
         assert e.value.code == 2
 
+    def test_abbreviated_flag_is_usage_error(self, tmp_path):
+        # train has no --out; it must not be read as --out-dir
+        with pytest.raises(SystemExit) as e:
+            run("train", "--out", tmp_path / "model.bin")
+        assert e.value.code == 2
+
     def test_missing_required_flag_is_usage_error(self, pipeline):
         out, config = pipeline
         with pytest.raises(SystemExit) as e:
@@ -274,6 +302,28 @@ class TestErrorPaths:
         config.write_text(json.dumps({"modle": {}}))
         assert run("gen-data", "--config", config, "--out-dir", tmp_path) == 1
         assert "unknown config sections" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, settings, grid, says", MALFORMED_CONFIGS.values(), ids=MALFORMED_CONFIGS.keys()
+    )
+    def test_malformed_config_value_is_validation_error(
+        self, pipeline, tmp_path, capsys, command, settings, grid, says
+    ):
+        out, _ = pipeline
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(settings))
+        args = [command, "--config", config, "--out-dir", tmp_path]
+        if command != "gen-data":
+            args += ["--corpus", out / "corpus.jsonl"]
+        if grid is not None:
+            (tmp_path / "grid.json").write_text(json.dumps(grid))
+            args += ["--grid", tmp_path / "grid.json"]
+        capsys.readouterr()
+        assert run(*args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert says in err
+        assert not (tmp_path / "model.bin").exists()
 
     def test_corrupt_model_is_validation_error(self, pipeline, tmp_path, capsys):
         out, config = pipeline

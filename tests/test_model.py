@@ -121,7 +121,7 @@ class TestInit:
          ("dropout", "0.1")],
     )
     def test_wrong_typed_config_values_rejected(self, field, value):
-        fields = {**tiny_config().to_dict(), field: value}
+        fields = {**dataclasses.asdict(tiny_config()), field: value}
         with pytest.raises(ConfigError):
             ModelConfig.from_dict(fields)
 

@@ -50,18 +50,19 @@ def tiny_task():
 
 
 class TestAdam:
-    def test_zero_gradient_zero_decay_is_noop(self):
-        w = Tensor(np.array([1.0, -2.0]))
-        before = w.data.tobytes()
+    def test_zero_gradient_applies_only_decay(self):
+        before = np.array([1.0, -2.0])
+        w = Tensor(before.copy())
         w.grad = np.zeros(2)
-        adam_step([w], AdamState([w]), HyperParams(weight_decay=0.0))
-        assert w.data.tobytes() == before
+        hyper = HyperParams(lr=0.1)
+        adam_step([w], AdamState([w]), hyper)
+        np.testing.assert_array_equal(w.data, before - hyper.lr * (training.WEIGHT_DECAY * before))
 
     def test_quadratic_converges(self):
         # f(theta) = theta^2 from theta=1, lr=0.1: near zero in 200 steps
         theta = Tensor(np.array([1.0]))
         state = AdamState([theta])
-        hyper = HyperParams(lr=0.1, weight_decay=0.0)
+        hyper = HyperParams(lr=0.1)
         for _ in range(200):
             theta.grad = 2.0 * theta.data
             adam_step([theta], state, hyper)
@@ -277,3 +278,20 @@ class TestGridSearch:
         config, tr, va, _ = tiny_task
         with pytest.raises(ConfigError):
             grid_search(config, tr, va, HyperParams(), {"momentum": [0.9]}, seed=0)
+
+    def test_every_combination_checked_before_training(self, tiny_task, monkeypatch):
+        config, tr, va, _ = tiny_task
+        monkeypatch.setattr(training, "train", lambda *args, **kwargs: pytest.fail("trained"))
+        with pytest.raises(ConfigError, match="lr must be a number"):
+            grid_search(config, tr, va, HyperParams(), {"lr": [0.01, "x"]}, seed=0)
+        with pytest.raises(ConfigError, match="dropout must be a number"):
+            grid_search(config, tr, va, HyperParams(), {"dropout": [0.1, "x"]}, seed=0)
+        with pytest.raises(ConfigError, match="dropout must be in"):
+            grid_search(config, tr, va, HyperParams(), {"dropout": [1.5]}, seed=0)
+
+    @pytest.mark.parametrize("grid", [{}, {"lr": 0.01}, {"lr": []}, [["lr", [0.01]]]],
+                             ids=["empty", "not-a-list", "empty-list", "not-an-object"])
+    def test_grid_must_map_names_to_nonempty_lists(self, tiny_task, grid):
+        config, tr, va, _ = tiny_task
+        with pytest.raises(ConfigError, match="nonempty value lists"):
+            grid_search(config, tr, va, HyperParams(), grid, seed=0)
