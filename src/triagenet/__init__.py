@@ -18,6 +18,7 @@ from .corpus import (
     URGENT,
     CaseRecord,
     Corpus,
+    DataContract,
     EncodedCase,
     GeneratorSpec,
     Vocabulary,
@@ -62,6 +63,7 @@ __all__ = [
     "URGENT",
     "CaseRecord",
     "Corpus",
+    "DataContract",
     "DropStrategy",
     "EmbeddingTable",
     "EncodedCase",

@@ -23,9 +23,6 @@ def write_artifact(path, header: dict, blob: bytes) -> None:
         fh.write(blob)
 
 
-OPTIONAL_STR = (str, type(None))
-
-
 def read_artifact(path, format_name: str, version: int, required: dict[str, type | tuple]):
     """Return (header, blob) of a checked file of the given format.
 

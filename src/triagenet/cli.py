@@ -30,10 +30,11 @@ from .config import ConfigError, check, field_types
 from .corpus import (
     LABELS,
     Corpus,
+    DataContract,
     GeneratorSpec,
     Vocabulary,
     build_vocab,
-    encode,
+    encode_corpus,
     file_sha256,
     generate_corpus,
     load_corpus,
@@ -90,6 +91,8 @@ DEFAULT_CONFIG = {
         "lr": 0.025,
     },
 }
+
+SPLITS = ("train", "val", "test")
 
 # each section is then checked against the type or function it configures
 _TOP_LEVEL = {"seed": int, "cases": int, "split": tuple[float, float, float], "min_count": int,
@@ -199,39 +202,44 @@ def _config_inputs(args) -> dict:
 # -- shared pipeline steps ----------------------------------------------------
 
 
-def _load_world(args, config):
-    """Corpus, its stratified index split, and the train-split vocabulary."""
+def _load_corpus(args):
     corpus_path = _artifact(args, "corpus", "corpus.jsonl")
-    corpus = load_corpus(corpus_path)
-    tr, va, te = split(
-        corpus.records, tuple(config["split"]), seed=derive_seed(config["seed"], "split")
-    )
-    vocab = build_vocab((corpus.records[i] for i in tr), min_count=config["min_count"])
-    return corpus_path, corpus, (tr, va, te), vocab
+    return corpus_path, load_corpus(corpus_path)
 
 
-def _load_trained(args, config):
-    """Everything evaluate/score/drop/explain need: model plus data world."""
-    corpus_path, corpus, indices, vocab = _load_world(args, config)
+def _by_split(corpus, ratios, seed) -> dict:
+    """Each split's name mapped to its records."""
+    indices = split(corpus.records, ratios, seed=seed)
+    return {name: [corpus.records[i] for i in idx] for name, idx in zip(SPLITS, indices)}
+
+
+def _load_world(args, config):
+    """Corpus path, records by split, train-split vocabulary, and the data record of all three.
+
+    Only the commands that train decide the split and vocabulary; the record fixes them after.
+    """
+    corpus_path, corpus = _load_corpus(args)
+    ratios, seed = tuple(config["split"]), derive_seed(config["seed"], "split")
+    splits = _by_split(corpus, ratios, seed)
+    vocab = build_vocab(splits["train"], min_count=config["min_count"])
+    data = DataContract(file_sha256(corpus_path), ratios, seed, tuple(vocab.id_to_token[2:]))
+    return corpus_path, splits, vocab, data
+
+
+def _load_trained(args):
+    """Corpus path, corpus, records by split, vocabulary, model path and model.
+
+    The split and vocabulary come from the model's data record; another corpus file is refused.
+    """
+    corpus_path, corpus = _load_corpus(args)
     model_path = _artifact(args, "model", "model.bin")
     params = load_model(model_path)
-    if params.config.vocab_size != len(vocab):
-        raise ConfigError(
-            f"model expects a vocabulary of {params.config.vocab_size} entries, "
-            f"this corpus and config yield {len(vocab)}"
-        )
-    if params.vocab_hash and params.vocab_hash != vocab.sha256():
-        raise ConfigError(
-            "model was trained on a different vocabulary than this corpus, seed and "
-            "config yield; pass the --seed and --config it was trained with"
-        )
-    if params.corpus_hash and params.corpus_hash != file_sha256(corpus_path):
-        print("note: model was trained on a different corpus file", file=sys.stderr)
-    return corpus_path, corpus, indices, vocab, model_path, params
-
-
-def _encode_split(corpus, indices, vocab, max_len):
-    return [encode(corpus.records[i], vocab, max_len) for i in indices]
+    data = params.data
+    if data is None or data.corpus_sha256 != file_sha256(corpus_path):
+        raise ConfigError(f"{model_path} records no training data" if data is None else
+                          f"model was trained on a different corpus file than {corpus_path}")
+    splits = _by_split(corpus, data.split, data.split_seed)
+    return corpus_path, corpus, splits, Vocabulary(data.tokens), model_path, params
 
 
 def _report_truncation(records, max_len: int, what: str) -> int:
@@ -267,15 +275,15 @@ def cmd_gen_data(args) -> int:
 
 def cmd_pretrain(args) -> int:
     config = resolve_config(args)
-    corpus_path, corpus, (tr, _, _), vocab = _load_world(args, config)
+    corpus_path, splits, vocab, data = _load_world(args, config)
     table = train_skipgram(
-        Corpus(records=[corpus.records[i] for i in tr]),
+        Corpus(records=splits["train"]),
         vocab,
         dim=config["model"]["embedding_dim"],
         seed=derive_seed(config["seed"], "embedding"),
         **config["embedding"],
     )
-    table = dataclasses.replace(table, corpus_hash=file_sha256(corpus_path))
+    table = dataclasses.replace(table, data=data)
     out = _artifact(args, "out", "embeddings.bin")
     save_table(table, out)
     write_manifest(
@@ -291,23 +299,23 @@ def cmd_pretrain(args) -> int:
 
 def cmd_train(args) -> int:
     config = resolve_config(args)
-    corpus_path, corpus, (tr, va, _), vocab = _load_world(args, config)
+    corpus_path, splits, vocab, data = _load_world(args, config)
     cfg = ModelConfig.from_dict({**config["model"], "vocab_size": len(vocab)})
 
     pretrained = None
     inputs = {"corpus": corpus_path, **_config_inputs(args)}
     if args.embeddings:
         pretrained = load_table(args.embeddings)
-        if pretrained.corpus_hash and pretrained.corpus_hash != file_sha256(corpus_path):
-            raise ConfigError("embeddings were pretrained on a different corpus file")
+        if pretrained.data != data:
+            raise ConfigError("embeddings were pretrained on a different corpus, split or "
+                              "vocabulary; pretrain them with this run's --seed and --config")
         inputs["embeddings"] = Path(args.embeddings)
 
     params = init_params(cfg, seed=derive_seed(config["seed"], "init"), pretrained=pretrained)
-    params.corpus_hash = file_sha256(corpus_path)
-    params.vocab_hash = vocab.sha256()
-    _report_truncation([corpus.records[i] for i in (*tr, *va)], cfg.max_len, "train and val")
-    train_set = _encode_split(corpus, tr, vocab, cfg.max_len)
-    val_set = _encode_split(corpus, va, vocab, cfg.max_len)
+    params.data = data
+    _report_truncation(splits["train"] + splits["val"], cfg.max_len, "train and val")
+    train_set = encode_corpus(splits["train"], vocab, cfg.max_len)
+    val_set = encode_corpus(splits["val"], vocab, cfg.max_len)
     hyper = HyperParams.from_dict(config["training"])
     history = train(params, train_set, val_set, hyper, seed=derive_seed(config["seed"], "train"))
 
@@ -334,16 +342,15 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     config = resolve_config(args)
-    corpus_path, corpus, indices, vocab, model_path, params = _load_trained(args, config)
-    by_name = dict(zip(("train", "val", "test"), indices))
-    records = [corpus.records[i] for i in by_name[args.split]]
+    corpus_path, _, splits, vocab, model_path, params = _load_trained(args)
+    records = splits[args.split]
     max_len = params.config.max_len
-    cases = [encode(rec, vocab, max_len) for rec in records]
+    cases = encode_corpus(records, vocab, max_len)
     metrics = evaluate(params, cases, threshold=args.confidence_threshold)
     truncated = _report_truncation(records, max_len, args.split)
 
     out = _artifact(args, "out", "metrics.json")
-    write_json({**metrics.to_dict(), "truncated_cases": truncated}, out)
+    write_json({**dataclasses.asdict(metrics), "truncated_cases": truncated}, out)
     write_manifest(
         args,
         "evaluate",
@@ -360,14 +367,14 @@ def cmd_evaluate(args) -> int:
 
 def cmd_grid_search(args) -> int:
     config = resolve_config(args)
-    corpus_path, corpus, (tr, va, _), vocab = _load_world(args, config)
+    corpus_path, splits, vocab, _ = _load_world(args, config)
     with open(args.grid, encoding="utf-8") as fh:
         grid = json.load(fh)
     cfg = ModelConfig.from_dict({**config["model"], "vocab_size": len(vocab)})
     rows = grid_search(
         cfg,
-        _encode_split(corpus, tr, vocab, cfg.max_len),
-        _encode_split(corpus, va, vocab, cfg.max_len),
+        encode_corpus(splits["train"], vocab, cfg.max_len),
+        encode_corpus(splits["val"], vocab, cfg.max_len),
         HyperParams.from_dict(config["training"]),
         grid,
         seed=derive_seed(config["seed"], "grid"),
@@ -388,10 +395,8 @@ def cmd_grid_search(args) -> int:
 
 def cmd_score_symptoms(args) -> int:
     config = resolve_config(args)
-    corpus_path, corpus, indices, vocab, model_path, params = _load_trained(args, config)
-    by_name = dict(zip(("train", "val", "test"), indices))
-    records = [corpus.records[i] for i in by_name[args.split]]
-    scores = score_features(params, records, vocab, args.class_name, gram_size=args.gram)
+    corpus_path, _, splits, vocab, model_path, params = _load_trained(args)
+    scores = score_features(params, splits[args.split], vocab, args.class_name, gram_size=args.gram)
 
     out = _artifact(args, "out", f"scores_{args.class_name}_{args.gram}gram.json")
     write_json([s.to_dict() for s in scores], out)
@@ -409,14 +414,12 @@ def cmd_score_symptoms(args) -> int:
 
 def cmd_pairs(args) -> int:
     config = resolve_config(args)
-    corpus_path, corpus, indices, vocab, model_path, params = _load_trained(args, config)
-    by_name = dict(zip(("train", "val", "test"), indices))
-    records = [corpus.records[i] for i in by_name[args.split]]
-    unigrams, bigrams = score_grams(params, records, vocab, args.class_name, (1, 2))
+    corpus_path, _, splits, vocab, model_path, params = _load_trained(args)
+    unigrams, bigrams = score_grams(params, splits[args.split], vocab, args.class_name, (1, 2))
     pairs = pair_synergy(unigrams, bigrams)
 
     out = _artifact(args, "out", f"pairs_{args.class_name}.json")
-    write_json([p.to_dict() for p in pairs], out)
+    write_json([vars(p) for p in pairs], out)  # flat rows; asdict would deep-copy each value
     write_manifest(
         args,
         "pairs",
@@ -431,18 +434,18 @@ def cmd_pairs(args) -> int:
 
 def cmd_drop_experiment(args) -> int:
     config = resolve_config(args)
-    corpus_path, corpus, (tr, _, te), vocab, model_path, params = _load_trained(args, config)
+    corpus_path, _, splits, vocab, model_path, params = _load_trained(args)
     rows = drop_experiment(
         params,
-        [corpus.records[i] for i in tr],
-        [corpus.records[i] for i in te],
+        splits["train"],
+        splits["test"],
         vocab,
         max_drops=args.drops,
         class_name=args.class_name,
         seed=derive_seed(config["seed"], "drop"),
     )
     out = _artifact(args, "out", "drop_experiment.json")
-    write_json([r.to_dict() for r in rows], out)
+    write_json([dataclasses.asdict(r) for r in rows], out)
     write_manifest(
         args,
         "drop-experiment",
@@ -457,7 +460,7 @@ def cmd_drop_experiment(args) -> int:
 
 def cmd_explain(args) -> int:
     config = resolve_config(args)
-    corpus_path, corpus, _, vocab, model_path, params = _load_trained(args, config)
+    corpus_path, corpus, _, vocab, model_path, params = _load_trained(args)
     if params.config.arch != "acnn":
         raise ConfigError("explain needs a model with attention pooling")
     try:
@@ -471,7 +474,7 @@ def cmd_explain(args) -> int:
         raise ConfigError(f"case ids out of range for {len(corpus.records)} records: {bad}")
 
     records = [corpus.records[i] for i in ids]
-    preds = predict_batch(params, [encode(rec, vocab, params.config.max_len) for rec in records])
+    preds = predict_batch(params, encode_corpus(records, vocab, params.config.max_len))
     sections = []
     for i, rec, pred in zip(ids, records, preds):
         shown = rec.tokens[: pred.attention.n_tokens]
@@ -572,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = add_parser("evaluate", help="metrics on a held-out split")
     _add_common(sub)
     _add_model_inputs(sub)
-    sub.add_argument("--split", choices=("train", "val", "test"), default="test")
+    sub.add_argument("--split", choices=SPLITS, default="test")
     sub.add_argument(
         "--confidence-threshold",
         type=float,
@@ -593,7 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_inputs(sub)
     sub.add_argument("--class", dest="class_name", choices=LABELS, default="urgent_care")
     sub.add_argument("--gram", type=int, choices=(1, 2), default=1)
-    sub.add_argument("--split", choices=("train", "val", "test"), default="train")
+    sub.add_argument("--split", choices=SPLITS, default="train")
     sub.add_argument("--top", type=int, default=20, help="rows to print (file holds all)")
     sub.add_argument("--out", help="score table JSON output path")
     sub.set_defaults(func=cmd_score_symptoms)
@@ -602,7 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sub)
     _add_model_inputs(sub)
     sub.add_argument("--class", dest="class_name", choices=LABELS, default="urgent_care")
-    sub.add_argument("--split", choices=("train", "val", "test"), default="train")
+    sub.add_argument("--split", choices=SPLITS, default="train")
     sub.add_argument("--top", type=int, default=20)
     sub.add_argument("--out", help="pair table JSON output path")
     sub.set_defaults(func=cmd_pairs)

@@ -3,7 +3,8 @@
 Every value is checked against the annotation of the field or parameter
 it sets. An integer setting refuses a bool and a float; a float setting
 takes an int; a tuple setting takes a JSON list of the right length
-whose items pass the same check, and comes back as a tuple.
+whose items pass the same check, and comes back as a tuple; a list
+setting takes a JSON list of any length whose items pass it.
 """
 
 from __future__ import annotations
@@ -15,44 +16,57 @@ import typing
 from types import MappingProxyType
 
 _EXPECTED = {int: "an integer", float: "a number", str: "a string", dict: "an object"}
-_ACCEPTED = {int: numbers.Integral, float: numbers.Real}
+# the concrete type first: isinstance stops there before the slower ABC check
+_ACCEPTED = {int: (int, numbers.Integral), float: (float, numbers.Real)}
 
 
 class ConfigError(ValueError):
     """A configuration value is of the wrong type, out of range, or inconsistent."""
 
 
+@functools.cache  # typing's introspection costs more than the check itself
+def _shape(kind) -> tuple:
+    """An annotation's sequence type (None for a scalar), its item kinds, and
+    ``{X}`` for a list or ``tuple[X, ...]``, whose items must all be X (else empty)."""
+    origin, items = typing.get_origin(kind), typing.get_args(kind)
+    same = origin is list or (origin is tuple and items[-1] is Ellipsis)
+    return origin, items, frozenset(items[:1] if same else ())
+
+
 def _check_value(name: str, value, kind):
-    if typing.get_origin(kind) is tuple:
-        items = typing.get_args(kind)
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"{name} must be a list, got {value!r}")
-        if items[-1] is Ellipsis:
-            items = (items[0],) * len(value)
-        elif len(value) != len(items):
-            raise ConfigError(f"{name} must be a list of {len(items)} values, got {value!r}")
-        return tuple(
-            _check_value(f"{name}[{i}]", v, k) for i, (v, k) in enumerate(zip(value, items))
-        )
-    if isinstance(value, bool) or not isinstance(value, _ACCEPTED.get(kind, kind)):
-        raise ConfigError(f"{name} must be {_EXPECTED[kind]}, got {value!r}")
-    return value
+    origin, items, same = _shape(kind)
+    if origin is None:
+        if isinstance(value, bool) or not isinstance(value, _ACCEPTED.get(kind, kind)):
+            raise ConfigError(f"{name} must be {_EXPECTED[kind]}, got {value!r}")
+        return value
+    if same and type(value) is origin and set(map(type, value)) <= same:
+        return value  # exact classes throughout, the common case: one pass in C
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{name} must be a list, got {value!r}")
+    if same:
+        items = items[:1] * len(value)
+    elif len(value) != len(items):
+        raise ConfigError(f"{name} must be a list of {len(items)} values, got {value!r}")
+    return origin(_check_value(f"{name}[{i}]", v, k) for i, (v, k) in enumerate(zip(value, items)))
 
 
 def check(data, types, section: str = "") -> dict:
-    """``data`` with every value checked against ``types`` and lists made tuples.
+    """``data`` with every value checked against ``types``; sequences become the annotated type.
 
     ``section`` names the config section in messages; "" is the top level.
     Raises ConfigError for a non-object, an unknown key, or a wrong type.
     """
     if not isinstance(data, dict):
         raise ConfigError(f"{section or 'config'} must be a JSON object")
-    unknown = sorted(set(data) - set(types))
-    if unknown:
+    if not data.keys() <= types.keys():
         what = f"{section} settings" if section else "config sections"
-        raise ConfigError(f"unknown {what}: {unknown}")
+        raise ConfigError(f"unknown {what}: {sorted(data.keys() - types.keys())}")
     prefix = f"{section}." if section else ""
-    return {key: _check_value(prefix + key, value, types[key]) for key, value in data.items()}
+    checked = {}
+    for key, value in data.items():
+        kind = types[key]  # a value of exactly the annotated class passes without a call
+        checked[key] = value if type(value) is kind else _check_value(prefix + key, value, kind)
+    return checked
 
 
 @functools.cache  # resolving annotations costs about 0.1 ms a class

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import ConfigError, Schema
+from .config import ConfigError, Schema, check, field_types
 
 LABELS = ("urgent_care", "general_practice", "telecare")
 URGENT, GENERAL_PRACTICE, TELECARE = LABELS
@@ -305,10 +305,6 @@ class Vocabulary:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.id_to_token[2:], fh, ensure_ascii=False)
 
-    def sha256(self) -> str:
-        """Hash of the tokens in id order: equal only for the same id mapping."""
-        return hashlib.sha256(json.dumps(self.id_to_token).encode()).hexdigest()
-
     @classmethod
     def load(cls, path) -> "Vocabulary":
         with open(path, encoding="utf-8") as fh:
@@ -424,40 +420,52 @@ def split(
     return out
 
 
+@dataclass(frozen=True)
+class DataContract(Schema):
+    """What a model or embedding file was trained on: the corpus file, the split
+    that cut it, and the vocabulary ``tokens`` in id order after padding and
+    unknown. Commands that read the file take split and vocabulary from here.
+    """
+
+    section = "data"
+
+    corpus_sha256: str
+    split: tuple[float, float, float]
+    split_seed: int
+    tokens: tuple[str, ...]
+
+
 # -- serialization -----------------------------------------------------------
 
 
 def _validate_record(rec: CaseRecord) -> None:
-    if not rec.tokens or any(not isinstance(t, str) or not t for t in rec.tokens):
+    """The range rules of a record whose field types are already checked."""
+    if not rec.tokens or "" in rec.tokens:
         raise SpecValidationError("record tokens must be a nonempty list of nonempty strings")
     if rec.label not in LABELS:
         raise SpecValidationError(f"unknown label {rec.label!r}")
-    if not isinstance(rec.age, int) or not 0 <= rec.age <= MAX_AGE:
+    if not 0 <= rec.age <= MAX_AGE:
         raise SpecValidationError(f"age must be an integer in [0, {MAX_AGE}]")
     if rec.gender not in GENDERS:
         raise SpecValidationError(f"gender must be one of {GENDERS}")
     for i in rec.planted_flags:
-        if not isinstance(i, int) or not 0 <= i < len(rec.tokens):
+        if not 0 <= i < len(rec.tokens):
             raise SpecValidationError("planted_flags must index into tokens")
 
 
 def save_corpus(corpus: Corpus, path) -> None:
-    """Write one compact JSON object per record."""
+    """Write one compact JSON object per record, each checked as ``load_corpus`` checks it."""
+    types = field_types(CaseRecord)
     with open(path, "w", encoding="utf-8") as fh:
         for rec in corpus.records:
+            obj = check(vars(rec), types, "record")
             _validate_record(rec)
-            obj = {
-                "tokens": rec.tokens,
-                "label": rec.label,
-                "age": rec.age,
-                "gender": rec.gender,
-                "planted_flags": rec.planted_flags,
-            }
             fh.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def load_corpus(path) -> Corpus:
-    """Read a JSONL corpus; ``planted_flags`` is optional per record."""
+    """Read a JSONL corpus, each record type-checked; ``planted_flags`` is optional."""
+    types = field_types(CaseRecord)
     records = []
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
@@ -465,22 +473,14 @@ def load_corpus(path) -> Corpus:
             if not line:
                 continue
             try:
-                obj = json.loads(line)
+                rec = CaseRecord(**check(json.loads(line), types, "record"))
+                _validate_record(rec)
             except json.JSONDecodeError as e:
                 raise SpecValidationError(f"line {line_no}: not valid JSON ({e})") from e
-            if not isinstance(obj, dict):
-                raise SpecValidationError(f"line {line_no}: expected an object")
-            try:
-                rec = CaseRecord(
-                    tokens=list(obj["tokens"]),
-                    label=obj["label"],
-                    age=obj["age"],
-                    gender=obj["gender"],
-                    planted_flags=list(obj.get("planted_flags", [])),
-                )
-            except (KeyError, TypeError) as e:
+            except TypeError as e:  # a required field is absent
                 raise SpecValidationError(f"line {line_no}: missing field ({e})") from e
-            _validate_record(rec)
+            except ConfigError as e:
+                raise SpecValidationError(f"line {line_no}: {e}") from e
             records.append(rec)
     if not records:
         raise SpecValidationError("corpus file holds no records")

@@ -8,16 +8,16 @@ decaying step size, deterministic in the seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .artifact import OPTIONAL_STR, ChecksumError, read_artifact, write_artifact
+from .artifact import ChecksumError, read_artifact, write_artifact
 from .config import ConfigError
-from .corpus import PAD_ID, Corpus, Vocabulary
+from .corpus import PAD_ID, Corpus, DataContract, Vocabulary
 
 FORMAT_NAME = "triagenet-embedding"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 BLOCK = 4096  # steps whose index rows are built at once; bounds peak memory
 
 
@@ -27,7 +27,7 @@ class EmbeddingTable:
 
     vectors: np.ndarray
     seed: int
-    corpus_hash: str | None = None
+    data: DataContract | None = None  # what it was trained on; the CLI always sets it
 
     @property
     def dim(self) -> int:
@@ -152,20 +152,20 @@ def save_table(table: EmbeddingTable, path) -> None:
         "vocab_size": table.vectors.shape[0],
         "dim": table.dim,
         "seed": table.seed,
-        "corpus_hash": table.corpus_hash,
+        "data": None if table.data is None else asdict(table.data),
     }
     write_artifact(path, header, np.ascontiguousarray(table.vectors, dtype="<f8").tobytes())
 
 
 def load_table(path) -> EmbeddingTable:
-    required = {"vocab_size": int, "dim": int, "seed": int, "corpus_hash": OPTIONAL_STR}
+    required = {"vocab_size": int, "dim": int, "seed": int, "data": (dict, type(None))}
     header, blob = read_artifact(path, FORMAT_NAME, FORMAT_VERSION, required)
     shape = (header["vocab_size"], header["dim"])
     if min(shape) < 1 or len(blob) != shape[0] * shape[1] * 8:
         raise ChecksumError(f"blob holds {len(blob)} bytes, header implies a {shape} table")
+    try:
+        data = None if header["data"] is None else DataContract.from_dict(header["data"])
+    except ConfigError as e:
+        raise ChecksumError(f"malformed {FORMAT_NAME} header: {e}") from e
     vectors = np.frombuffer(blob, dtype="<f8").reshape(shape)
-    return EmbeddingTable(
-        vectors=vectors.astype(np.float64),
-        seed=header["seed"],
-        corpus_hash=header["corpus_hash"],
-    )
+    return EmbeddingTable(vectors=vectors.astype(np.float64), seed=header["seed"], data=data)

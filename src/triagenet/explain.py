@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ConfigError
-from .corpus import LABELS, CaseRecord, Vocabulary, encode
+from .corpus import LABELS, CaseRecord, Vocabulary, encode_corpus
 from .model import AttentionRecord, ModelParams, predict_batch
 from .training import Metrics, derive_seed, evaluate
 
@@ -72,16 +72,6 @@ class PairSynergy:
     pair_score: float
     margin: float
 
-    def to_dict(self) -> dict:
-        return {
-            "first": self.first,
-            "second": self.second,
-            "first_score": self.first_score,
-            "second_score": self.second_score,
-            "pair_score": self.pair_score,
-            "margin": self.margin,
-        }
-
 
 def _valid_positions(record: AttentionRecord, gram_size: int) -> np.ndarray:
     """Attention weights at windows made entirely of real tokens."""
@@ -131,7 +121,7 @@ def score_grams(
         raise ConfigError("feature scoring needs attention weights")
 
     records = [rec for rec in records if rec.label == class_name]
-    preds = predict_batch(params, [encode(rec, vocab, cfg.max_len) for rec in records])
+    preds = predict_batch(params, encode_corpus(records, vocab, cfg.max_len))
     return [_rank(records, preds, class_name, gram_size) for gram_size in gram_sizes]
 
 
@@ -285,14 +275,6 @@ class DropRow:
     drops: int
     metrics: Metrics
 
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "kind": self.kind,
-            "drops": self.drops,
-            "metrics": self.metrics.to_dict(),
-        }
-
 
 def drop_experiment(
     params: ModelParams,
@@ -314,8 +296,7 @@ def drop_experiment(
     """
     if max_drops < 1:
         raise ConfigError("max_drops must be >= 1")
-    cfg = params.config
-    encode_all = lambda recs: [encode(r, vocab, cfg.max_len) for r in recs]
+    max_len = params.config.max_len
 
     freq_rank: dict[str, float] = defaultdict(float)
     for rec in train_records:
@@ -332,7 +313,7 @@ def drop_experiment(
             label="Baseline",
             kind="baseline",
             drops=0,
-            metrics=evaluate(params, encode_all(test_records)),
+            metrics=evaluate(params, encode_corpus(test_records, vocab, max_len)),
         )
     ]
     for d in range(1, max_drops + 1):
@@ -345,9 +326,8 @@ def drop_experiment(
             dropped = drop_dataset(test_records, strategy, ranking)
             word = kind.capitalize()
             label = f"{word} Drop" if d == 1 else f"{d} {word} Drops"
-            rows.append(
-                DropRow(label=label, kind=kind, drops=d, metrics=evaluate(params, encode_all(dropped)))
-            )
+            metrics = evaluate(params, encode_corpus(dropped, vocab, max_len))
+            rows.append(DropRow(label=label, kind=kind, drops=d, metrics=metrics))
     return rows
 
 

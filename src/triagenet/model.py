@@ -23,14 +23,14 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .artifact import OPTIONAL_STR, ChecksumError, read_artifact, write_artifact
+from .artifact import ChecksumError, read_artifact, write_artifact
 from .autodiff import Tensor
 from .config import ConfigError, Schema
-from .corpus import LABELS, PAD_ID, EncodedCase
+from .corpus import LABELS, PAD_ID, DataContract, EncodedCase, Vocabulary
 from .embedding import EmbeddingTable
 
 FORMAT_NAME = "triagenet-model"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 DEMOGRAPHICS_DIM = 3
 ARCHITECTURES = ("acnn", "kimcnn")
 PREDICT_CHUNK = 64  # cases per inference forward pass; bounds peak memory
@@ -100,8 +100,7 @@ class ModelParams:
     attn_u: dict[int, Tensor]
     mlp: list[tuple[Tensor, Tensor]]
     seed: int = 0
-    corpus_hash: str | None = None
-    vocab_hash: str | None = None  # Vocabulary.sha256() of the ids it was trained on
+    data: DataContract | None = None  # what it was trained on; the CLI always sets it
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         """Every tensor under a stable name; this order defines the file layout."""
@@ -339,26 +338,27 @@ def save_model(params: ModelParams, path) -> None:
         "version": FORMAT_VERSION,
         "config": asdict(params.config),
         "seed": params.seed,
-        "corpus_hash": params.corpus_hash,
-        "vocab_hash": params.vocab_hash,
+        "data": None if params.data is None else asdict(params.data),
         "params": [[name, list(t.data.shape)] for name, t in named],
     }
     write_artifact(path, header, blob)
 
 
 def load_model(path) -> ModelParams:
-    """Read a model file; a header without ``vocab_hash`` loads with None."""
-    required = {"config": dict, "seed": int, "corpus_hash": OPTIONAL_STR, "params": list}
+    """Read a model file, its data record included (None if it was saved without one)."""
+    required = {"config": dict, "seed": int, "data": (dict, type(None)), "params": list}
     header, blob = read_artifact(path, FORMAT_NAME, FORMAT_VERSION, required)
     try:  # a nested value of the wrong type surfaces here as TypeError or ValueError
         config = ModelConfig.from_dict(header["config"])
+        data = None if header["data"] is None else DataContract.from_dict(header["data"])
         stored = {name: tuple(shape) for name, shape in header["params"]}
+        if data is not None and len(Vocabulary(data.tokens)) != config.vocab_size:
+            raise ChecksumError(f"data record's vocabulary does not fit {config.vocab_size} rows")
     except (TypeError, ValueError) as e:
         raise ChecksumError(f"malformed {FORMAT_NAME} header: {e}") from e
     params = init_params(config, seed=0)
     params.seed = header["seed"]
-    params.corpus_hash = header["corpus_hash"]
-    params.vocab_hash = header.get("vocab_hash")
+    params.data = data
 
     named = params.parameters()
     if stored != {name: tensor.data.shape for name, tensor in named}:

@@ -186,16 +186,6 @@ class Metrics:
     retained_fraction: float = 1.0
     zero_support_classes: list[str] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "per_class": {c: asdict(m) for c, m in self.per_class.items()},
-            "confusion": self.confusion,
-            "accuracy": self.accuracy,
-            "macro_f1": self.macro_f1,
-            "retained_fraction": self.retained_fraction,
-            "zero_support_classes": self.zero_support_classes,
-        }
-
 
 def metrics_from(
     true_labels: list[int],

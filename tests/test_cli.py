@@ -9,6 +9,7 @@ import pytest
 from triagenet import explain
 from triagenet.cli import main
 from triagenet.corpus import URGENT, build_vocab, file_sha256, load_corpus, split
+from triagenet.model import load_model, save_model
 from triagenet.training import derive_seed
 
 CONFIG = {
@@ -83,12 +84,36 @@ def edit_field(key, value):
     return edit
 
 
+def edit_record(key, value):
+    def edit(header):
+        fields = json.loads(header)
+        fields["data"][key] = value
+        return json.dumps(fields, sort_keys=True).encode()
+    return edit
+
+
 WRONG_TYPED_MODEL_HEADERS = {
     "max_len-string": edit_config("max_len", "16"),
     "params-flat": edit_field("params", [1, 2]),
     "widths-string": edit_config("widths", "12"),
     "filters-float": edit_config("filters", 6.0),
+    "data-list": edit_field("data", []),
+    "tokens-string": edit_record("tokens", "abc"),
+    "split_seed-float": edit_record("split_seed", 3.0),
+    "tokens-null": edit_record("tokens", None),
 }
+
+
+def as_version_1(header):
+    """A header as the first file format wrote it: corpus hash, no data record."""
+    fields = json.loads(header)
+    fields["corpus_hash"] = fields.pop("data")["corpus_sha256"]
+    return json.dumps({**fields, "version": 1}, sort_keys=True).encode()
+
+
+# a corpus whose small lexicon lets two split seeds build the same vocabulary
+SMALL_LEXICON = {"cases": 600, "generator": {"n_red_flags": 2, "n_red_pairs": 1, "n_moderate": 3,
+                                             "n_benign": 4, "n_filler": 2}}
 
 
 # command, config file, grid file (or None), and what the one error line must say
@@ -367,17 +392,6 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    def test_model_refused_against_another_vocabulary(self, pipeline, tmp_path, capsys):
-        out, config = pipeline
-        # split seed 5 yields a train vocabulary of the same size with other ids
-        trained, other = (build_vocab(train_split(out, s)) for s in (CONFIG["seed"], 5))
-        assert len(trained) == len(other) and trained.id_to_token != other.id_to_token
-        assert run("evaluate", "--config", config, "--out-dir", tmp_path, "--seed", 5,
-                   "--corpus", out / "corpus.jsonl", "--model", out / "model.bin") == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "different vocabulary" in err
-        assert not (tmp_path / "metrics.json").exists()
-
     def test_truncation_is_reported(self, pipeline, tmp_path, capsys):
         out, _ = pipeline
         config = tmp_path / "short.json"
@@ -413,6 +427,79 @@ class TestErrorPaths:
         assert run("train", "--config", other_config, "--out-dir", out, "--seed", "100",
                    "--embeddings", out / "embeddings.bin") == 1
         assert "different corpus" in capsys.readouterr().err
+
+
+class TestDataRecord:
+    """Commands that read a model take its vocabulary and split from its file."""
+
+    def test_downstream_seed_keeps_the_models_split(self, pipeline, tmp_path):
+        out, config = pipeline
+        # split seed 5 yields a train vocabulary of the same size with other ids
+        trained, other = (build_vocab(train_split(out, s)) for s in (CONFIG["seed"], 5))
+        assert len(trained) == len(other) and trained.id_to_token != other.id_to_token
+        assert run("evaluate", "--config", config, "--out-dir", tmp_path, "--seed", 5,
+                   "--corpus", out / "corpus.jsonl", "--model", out / "model.bin") == 0
+        assert (tmp_path / "metrics.json").read_bytes() == (out / "metrics.json").read_bytes()
+
+    def test_split_seed_with_the_same_vocabulary_scores_held_out_cases(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(SMALL_LEXICON))
+        common = ("--config", config, "--out-dir", tmp_path)
+        assert run("gen-data", *common, "--seed", 1) == 0
+        assert run("train", *common, "--seed", 2) == 0
+        assert run("evaluate", *common, "--seed", 2, "--out", tmp_path / "seed2.json") == 0
+        assert run("evaluate", *common, "--seed", 3, "--out", tmp_path / "seed3.json") == 0
+        assert (tmp_path / "seed3.json").read_bytes() == (tmp_path / "seed2.json").read_bytes()
+
+    def test_edited_corpus_refused(self, pipeline, tmp_path, capsys):
+        out, config = pipeline
+        lines = (out / "corpus.jsonl").read_text().splitlines(keepends=True)
+        record = json.loads(lines[0])
+        record["age"] = (record["age"] + 1) % 100
+        lines[0] = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+        (tmp_path / "corpus.jsonl").write_text("".join(lines))
+        capsys.readouterr()
+        assert run("evaluate", "--config", config, "--out-dir", tmp_path,
+                   "--model", out / "model.bin") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "different corpus file" in err
+        assert not (tmp_path / "metrics.json").exists()
+
+    def test_embeddings_from_another_split_seed_refused(self, pipeline, tmp_path, capsys):
+        out, config = pipeline
+        capsys.readouterr()
+        assert run("train", "--config", config, "--out-dir", tmp_path, "--seed", 5,
+                   "--corpus", out / "corpus.jsonl", "--embeddings", out / "embeddings.bin") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "different corpus, split or vocabulary" in err
+        assert not (tmp_path / "model.bin").exists()
+
+    def test_version_1_files_refused(self, pipeline, tmp_path, capsys):
+        out, config = pipeline
+        model = with_header(out / "model.bin", tmp_path / "model.bin", as_version_1)
+        table = with_header(out / "embeddings.bin", tmp_path / "embeddings.bin", as_version_1)
+        capsys.readouterr()
+        assert run("evaluate", "--config", config, "--out-dir", tmp_path,
+                   "--corpus", out / "corpus.jsonl", "--model", model) == 1
+        assert run("train", "--config", config, "--out-dir", tmp_path,
+                   "--corpus", out / "corpus.jsonl", "--embeddings", table,
+                   "--model", tmp_path / "new.bin") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: not a triagenet-model v2 file",
+                       "error: not a triagenet-embedding v2 file"]
+
+    def test_model_without_data_record_refused(self, pipeline, tmp_path, capsys):
+        out, config = pipeline
+        params = load_model(out / "model.bin")
+        params.data = None
+        save_model(params, tmp_path / "model.bin")
+        capsys.readouterr()
+        assert run("evaluate", "--config", config, "--out-dir", tmp_path,
+                   "--corpus", out / "corpus.jsonl") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "records no training data" in err
 
 
 class TestEnvironment:

@@ -1,5 +1,6 @@
 """Tests for the config schema: one from_dict and one type check for every section."""
 
+import numpy as np
 import pytest
 
 from triagenet.config import ConfigError, check
@@ -62,6 +63,15 @@ class TestCheck:
             check({"widths": [1, "2"]}, types)
         with pytest.raises(ConfigError, match="widths must be a list"):
             check({"widths": 3}, types)
+
+    def test_list_items_checked(self):
+        types = {"flags": list[int]}
+        assert check({"flags": [1, np.int64(2)]}, types) == {"flags": [1, 2]}
+        assert isinstance(check({"flags": (1,)}, types)["flags"], list)
+        with pytest.raises(ConfigError, match=r"flags\[1\] must be an integer, got True"):
+            check({"flags": [1, True]}, types)
+        with pytest.raises(ConfigError, match="flags must be a list, got 'ab'"):
+            check({"flags": "ab"}, types)
 
     def test_section_names_the_key(self):
         with pytest.raises(ConfigError, match="embedding.lr must be a number, got 'x'"):

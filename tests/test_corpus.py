@@ -244,6 +244,29 @@ class TestSerialization:
         loaded = load_corpus(path)
         assert loaded.records[0].planted_flags == []
 
+    @pytest.mark.parametrize(
+        "field, value, says",
+        [
+            ("tokens", "fever", "record.tokens must be a list, got 'fever'"),
+            ("age", True, "record.age must be an integer, got True"),
+            ("planted_flags", [False], r"record.planted_flags\[0\] must be an integer"),
+            ("planted_flags", 5, "record.planted_flags must be a list, got 5"),
+        ],
+        ids=["tokens-string", "age-bool", "flag-bool", "flags-int"],
+    )
+    def test_wrong_typed_field_rejected(self, tmp_path, field, value, says):
+        record = {"tokens": ["fieber", "husten"], "label": "telecare", "age": 30,
+                  "gender": "male", "planted_flags": [0]}
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(record) + "\n" + json.dumps({**record, field: value}) + "\n")
+        with pytest.raises(SpecValidationError, match=f"line 2: {says}"):
+            load_corpus(path)
+
+    def test_wrong_typed_record_not_saved(self, tmp_path):
+        corpus = Corpus([CaseRecord(tokens="fever", label=TELECARE, age=30, gender="male")])
+        with pytest.raises(SpecValidationError, match="record.tokens must be a list"):
+            save_corpus(corpus, tmp_path / "c.jsonl")
+
     def test_malformed_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"tokens": [], "label": "telecare", "age": 1, "gender": "male"}\n')

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from triagenet import embedding
-from triagenet.corpus import PAD_ID, CaseRecord, Corpus, TELECARE, build_vocab
+from triagenet.corpus import PAD_ID, CaseRecord, Corpus, DataContract, TELECARE, build_vocab
 from triagenet.embedding import (
     ChecksumError,
     ConfigError,
@@ -234,13 +234,23 @@ class TestTraining:
 class TestPersistence:
     def test_roundtrip_bitwise(self, tmp_path):
         table = init_table(30, 12, seed=9)
-        table.corpus_hash = "ab" * 32
+        table.data = DataContract("ab" * 32, (0.8, 0.1, 0.1), 2**63 + 5, ("x", "y"))
         path = tmp_path / "emb.bin"
         save_table(table, path)
         loaded = load_table(path)
         assert loaded.vectors.tobytes() == table.vectors.tobytes()
         assert loaded.seed == 9
-        assert loaded.corpus_hash == "ab" * 32
+        assert loaded.data == table.data
+
+    def test_wrong_typed_data_record_detected(self, tmp_path):
+        path = tmp_path / "emb.bin"
+        save_table(init_table(10, 4, seed=0), path)
+        header, newline, blob = path.read_bytes().partition(b"\n")
+        record = {"corpus_sha256": "ab", "split": [1, 0, 0], "split_seed": "3", "tokens": []}
+        fields = {**json.loads(header), "data": record}
+        path.write_bytes(json.dumps(fields).encode() + newline + blob)
+        with pytest.raises(ChecksumError, match="split_seed must be an integer"):
+            load_table(path)
 
     def test_corrupt_blob_detected(self, tmp_path):
         path = tmp_path / "emb.bin"

@@ -1,5 +1,6 @@
 """Tests for feature scoring, drop experiments, and heatmap rendering."""
 
+import dataclasses
 from html.parser import HTMLParser
 
 import numpy as np
@@ -321,11 +322,11 @@ class TestDropExperiment:
     def test_baseline_row_is_plain_evaluate(self, experiment):
         rows, params, vocab, test = experiment
         encoded = [encode(r, vocab, params.config.max_len) for r in test]
-        assert rows[0].metrics.to_dict() == evaluate(params, encoded).to_dict()
+        assert rows[0].metrics == evaluate(params, encoded)
 
     def test_rows_serializable(self, experiment):
         rows, *_ = experiment
-        d = rows[3].to_dict()
+        d = dataclasses.asdict(rows[3])
         assert d["kind"] == "attention" and d["drops"] == 1
         assert "metrics" in d and "accuracy" in d["metrics"]
 

@@ -1,7 +1,6 @@
 """Tests for the attention CNN model components."""
 
 import dataclasses
-import json
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ from hypothesis import strategies as st
 
 from triagenet import autodiff as ad
 from triagenet.autodiff import Tensor
-from triagenet.corpus import EncodedCase
+from triagenet.corpus import DataContract, EncodedCase
 from triagenet.embedding import ChecksumError, ConfigError, init_table
 from triagenet.model import (
     ModelConfig,
@@ -350,29 +349,34 @@ class TestKimCNN:
 class TestPersistence:
     def test_roundtrip_bitwise(self, tmp_path):
         params = init_params(tiny_config(), seed=23)
-        params.corpus_hash = "cd" * 32
         path = tmp_path / "model.bin"
         save_model(params, path)
         loaded = load_model(path)
         assert loaded.config == params.config
         assert loaded.seed == 23
-        assert loaded.corpus_hash == "cd" * 32
         for (na, ta), (nb, tb) in zip(params.parameters(), loaded.parameters()):
             assert na == nb
             assert ta.data.tobytes() == tb.data.tobytes()
         assert loaded.embedding.frozen_rows == (0,)
 
-    def test_vocab_hash_roundtrip_and_optional(self, tmp_path):
+    def test_data_record_roundtrip(self, tmp_path):
         params = init_params(tiny_config(), seed=23)
-        params.vocab_hash = "ef" * 32
         path = tmp_path / "model.bin"
         save_model(params, path)
-        assert load_model(path).vocab_hash == "ef" * 32
-        header, newline, blob = path.read_bytes().partition(b"\n")
-        fields = json.loads(header)
-        del fields["vocab_hash"]  # as in a file written before the field existed
-        path.write_bytes(json.dumps(fields, sort_keys=True).encode() + newline + blob)
-        assert load_model(path).vocab_hash is None
+        assert load_model(path).data is None
+        tokens = tuple(f"t{i}" for i in range(params.config.vocab_size - 2))
+        params.data = DataContract("ef" * 32, (0.9, 0.05, 0.05), 2**64 - 1, tokens)
+        save_model(params, path)
+        assert load_model(path).data == params.data
+
+    @pytest.mark.parametrize("tokens", [("a",), ("a",) * 10], ids=["too-few", "repeated"])
+    def test_data_record_must_fit_the_embedding(self, tmp_path, tokens):
+        params = init_params(tiny_config(vocab_size=12), seed=23)
+        params.data = DataContract("ef" * 32, (0.9, 0.05, 0.05), 7, tokens)
+        path = tmp_path / "model.bin"
+        save_model(params, path)
+        with pytest.raises(ChecksumError):
+            load_model(path)
 
     def test_save_load_save_is_stable(self, tmp_path):
         params = init_params(tiny_config(), seed=23)
