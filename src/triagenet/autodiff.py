@@ -2,9 +2,11 @@
 
 Every op records its parents and a closure that routes the output gradient
 back to them; ``backward`` on a scalar walks the recorded graph once in
-reverse topological order. All arithmetic stays in float64 and all
-reductions run in a fixed order, so identical seeds and inputs reproduce
-forward and backward results bitwise.
+reverse topological order. ``TapeFree`` runs the same forward arithmetic
+on plain arrays and records nothing, for passes that are never
+differentiated. All arithmetic stays in float64 and all reductions run
+in a fixed order, so identical seeds and inputs reproduce forward and
+backward results bitwise.
 """
 
 from __future__ import annotations
@@ -44,8 +46,6 @@ class Tensor:
         self.grad_fn = grad_fn
         self.frozen_rows: tuple[int, ...] = ()
 
-    # -- housekeeping -------------------------------------------------
-
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
@@ -62,9 +62,8 @@ class Tensor:
     def backward(self) -> None:
         """Backpropagate from this scalar through the recorded graph.
 
-        Each recorded node is visited exactly once, parents after
-        children, so gradients over shared subgraphs accumulate
-        correctly.
+        Each node is visited once, parents after children, so gradients
+        over shared subgraphs accumulate correctly.
         """
         if self.grad_fn is None and not self.parents:
             raise NoTapeError("tensor has no recorded computation to differentiate")
@@ -74,9 +73,6 @@ class Tensor:
         for node in reversed(_topo_order(self)):
             if node.grad_fn is not None:
                 node.grad_fn(node.grad)
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape})"
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:
@@ -88,14 +84,10 @@ def _topo_order(root: Tensor) -> list[Tensor]:
         node, ready = stack.pop()
         if ready:
             order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for parent in node.parents:
-            if id(parent) not in seen:
-                stack.append((parent, False))
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((parent, False) for parent in node.parents if id(parent) not in seen)
     return order
 
 
@@ -115,68 +107,134 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
-# -- elementwise ops ----------------------------------------------------
+# -- forward values ------------------------------------------------------
+# Each op's arithmetic and checks live once, over plain arrays (numpy's own
+# for add and tanh): the taped op of the same name and ``TapeFree`` both
+# call it.
+
+
+def _relu(x: np.ndarray) -> np.ndarray:
+    return np.maximum(x, 0.0)
+
+
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    if a.ndim < 2 or b.ndim < 1:
+        raise ShapeError(f"matmul needs a matrix or batch on the left, got {a.shape} @ {b.shape}")
+    if a.shape[-1] != b.shape[0 if b.ndim == 1 else -2]:
+        raise ShapeError(f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
+    return a @ b
+
+
+def _reshape(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    return x.reshape(shape)
+
+
+def _concat(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    return np.concatenate(arrays, axis=-1)
+
+
+def _unfold(x: np.ndarray, m: int) -> np.ndarray:
+    if x.ndim < 2:
+        raise ShapeError(f"unfold needs a matrix or batch of them, got shape {x.shape}")
+    if m < 1:
+        raise ShapeError(f"window width must be positive, got {m}")
+    if m > x.shape[-2]:
+        raise WindowTooLargeError(f"window {m} exceeds sequence length {x.shape[-2]}")
+    T = x.shape[-2] - m + 1
+    return np.concatenate([x[..., j : j + T, :] for j in range(m)], axis=-1)
+
+
+def _lookup(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    if table.ndim != 2:
+        raise ShapeError(f"lookup table must be 2-D, got shape {table.shape}")
+    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
+        raise IndexError(f"ids out of range for table with {table.shape[0]} rows")
+    return table[ids]
+
+
+def _max_rows(x: np.ndarray) -> np.ndarray:
+    if x.ndim < 2:
+        raise ShapeError(f"max_rows needs a matrix or batch of them, got shape {x.shape}")
+    return x.max(axis=-2)
+
+
+def _softmax(x: np.ndarray, valid: np.ndarray | None = None) -> np.ndarray:
+    if x.ndim < 1 or x.shape[-1] == 0:
+        raise ShapeError(f"softmax needs a nonempty last axis, got shape {x.shape}")
+    x = x if valid is None else np.where(valid, x, -np.inf)
+    # the reductions behind .max and .sum, called without their Python wrappers
+    e = np.exp(x - np.maximum.reduce(x, axis=-1, keepdims=True))
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
+
+
+class TapeFree:
+    """The forward ops over plain float64 arrays, recording no tape.
+
+    A pass written over an ops namespace differentiates when given this
+    module and only computes when given this class, with the same bits
+    and checks. ``param`` and ``constant`` say how a parameter tensor
+    and a data array enter the pass.
+    """
+
+    lookup = staticmethod(_lookup)
+    unfold = staticmethod(_unfold)
+    matmul = staticmethod(_matmul)
+    add = staticmethod(np.add)
+    relu = staticmethod(_relu)
+    tanh = staticmethod(np.tanh)
+    softmax = staticmethod(_softmax)
+    reshape = staticmethod(_reshape)
+    concat = staticmethod(_concat)
+    max_rows = staticmethod(_max_rows)
+
+    @staticmethod
+    def param(t: Tensor) -> np.ndarray:
+        return t.data
+
+    @staticmethod
+    def constant(x) -> np.ndarray:
+        return np.asarray(x, dtype=np.float64)
+
+
+# -- taped ops -------------------------------------------------------------
+
+
+def param(t: Tensor) -> Tensor:
+    """A trainable tensor as the taped ops take it: the tensor itself."""
+    return t
+
+
+def constant(x) -> Tensor:
+    """A data array the pass does not differentiate, as a leaf tensor."""
+    return Tensor(x)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data + b.data, parents=(a, b))
-
     def grad_fn(g: np.ndarray) -> None:
         _accumulate(a, _unbroadcast(g, a.shape))
         _accumulate(b, _unbroadcast(g, b.shape))
 
-    out.grad_fn = grad_fn
-    return out
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data * b.data, parents=(a, b))
-
-    def grad_fn(g: np.ndarray) -> None:
-        _accumulate(a, _unbroadcast(g * b.data, a.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.shape))
-
-    out.grad_fn = grad_fn
-    return out
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    """Multiply by a plain float constant."""
-    c = float(c)
-    out = Tensor(a.data * c, parents=(a,))
-
-    def grad_fn(g: np.ndarray) -> None:
-        _accumulate(a, g * c)
-
-    out.grad_fn = grad_fn
-    return out
+    return Tensor(np.add(a.data, b.data), (a, b), grad_fn)
 
 
 def relu(x: Tensor) -> Tensor:
     if _RELU_TRACE is not None:
         _RELU_TRACE.append(x.data.copy())
-    out = Tensor(np.maximum(x.data, 0.0), parents=(x,))
     mask = x.data > 0.0
 
     def grad_fn(g: np.ndarray) -> None:
         _accumulate(x, g * mask)
 
-    out.grad_fn = grad_fn
-    return out
+    return Tensor(_relu(x.data), (x,), grad_fn)
 
 
 def tanh(x: Tensor) -> Tensor:
     y = np.tanh(x.data)
-    out = Tensor(y, parents=(x,))
 
     def grad_fn(g: np.ndarray) -> None:
         _accumulate(x, g * (1.0 - y * y))
 
-    out.grad_fn = grad_fn
-    return out
-
-
-# -- linear algebra ------------------------------------------------------
+    return Tensor(y, (x,), grad_fn)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -186,11 +244,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     shared by the whole batch, or a batch of matrices.
     """
     A, Bd = a.data, b.data
-    if A.ndim < 2 or Bd.ndim < 1:
-        raise ShapeError(f"matmul needs a matrix or batch on the left, got {a.shape} @ {b.shape}")
-    if A.shape[-1] != Bd.shape[0 if Bd.ndim == 1 else -2]:
-        raise ShapeError(f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
-    out = Tensor(A @ Bd, parents=(a, b))
 
     def grad_fn(g: np.ndarray) -> None:
         if Bd.ndim <= 2:  # shared: one product over all batch rows, a vector as a column
@@ -202,44 +255,25 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             _accumulate(a, _unbroadcast(g @ np.swapaxes(Bd, -1, -2), A.shape))
             _accumulate(b, _unbroadcast(np.swapaxes(A, -1, -2) @ g, Bd.shape))
 
-    out.grad_fn = grad_fn
-    return out
+    return Tensor(_matmul(A, Bd), (a, b), grad_fn)
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    out = Tensor(x.data.reshape(shape), parents=(x,))
-
     def grad_fn(g: np.ndarray) -> None:
         _accumulate(x, g.reshape(x.shape))
 
-    out.grad_fn = grad_fn
-    return out
-
-
-def tsum(x: Tensor) -> Tensor:
-    """Sum of all elements, as a scalar tensor."""
-    out = Tensor(x.data.sum(), parents=(x,))
-
-    def grad_fn(g: np.ndarray) -> None:
-        _accumulate(x, np.full_like(x.data, float(g)))
-
-    out.grad_fn = grad_fn
-    return out
+    return Tensor(_reshape(x.data, shape), (x,), grad_fn)
 
 
 def concat(ts: Sequence[Tensor]) -> Tensor:
     """Concatenate along the last axis."""
-    out = Tensor(np.concatenate([t.data for t in ts], axis=-1), parents=tuple(ts))
-    sizes = [t.shape[-1] for t in ts]
+    ends = np.cumsum([t.shape[-1] for t in ts])[:-1]
 
     def grad_fn(g: np.ndarray) -> None:
-        start = 0
-        for t, n in zip(ts, sizes):
-            _accumulate(t, g[..., start : start + n])
-            start += n
+        for t, part in zip(ts, np.split(g, ends, axis=-1)):
+            _accumulate(t, part)
 
-    out.grad_fn = grad_fn
-    return out
+    return Tensor(_concat([t.data for t in ts]), tuple(ts), grad_fn)
 
 
 def unfold(x: Tensor, m: int) -> Tensor:
@@ -248,17 +282,8 @@ def unfold(x: Tensor, m: int) -> Tensor:
     ``x`` is (..., L, k); the output is (..., L - m + 1, m * k), and
     window ``i`` is rows i..i+m-1 flattened.
     """
-    if x.data.ndim < 2:
-        raise ShapeError(f"unfold needs a matrix or batch of them, got shape {x.shape}")
-    L, k = x.shape[-2:]
-    if m < 1:
-        raise ShapeError(f"window width must be positive, got {m}")
-    if m > L:
-        raise WindowTooLargeError(f"window {m} exceeds sequence length {L}")
-    T = L - m + 1
-    out = Tensor(
-        np.concatenate([x.data[..., j : j + T, :] for j in range(m)], axis=-1), parents=(x,)
-    )
+    windows = _unfold(x.data, m)
+    T, k = windows.shape[-2], x.shape[-1]
 
     def grad_fn(g: np.ndarray) -> None:
         gx = np.zeros_like(x.data)
@@ -266,50 +291,32 @@ def unfold(x: Tensor, m: int) -> Tensor:
             gx[..., j : j + T, :] += g[..., j * k : (j + 1) * k]
         _accumulate(x, gx)
 
-    out.grad_fn = grad_fn
-    return out
+    return Tensor(windows, (x,), grad_fn)
 
 
 def lookup(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Gather rows of an embedding table for an id array of any shape.
-
-    The gradient scatter-adds back into the table with one ``np.add.at``.
-    """
+    """Gather table rows for an id array of any shape; the gradient scatter-adds back."""
     ids = np.asarray(ids)
-    if table.data.ndim != 2:
-        raise ShapeError(f"lookup table must be 2-D, got shape {table.shape}")
-    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
-        raise IndexError(f"ids out of range for table with {table.shape[0]} rows")
-    out = Tensor(table.data[ids], parents=(table,))
 
     def grad_fn(g: np.ndarray) -> None:
         gt = np.zeros_like(table.data)
         np.add.at(gt, ids, g)
         _accumulate(table, gt)
 
-    out.grad_fn = grad_fn
-    return out
+    return Tensor(_lookup(table.data, ids), (table,), grad_fn)
 
 
 def max_rows(x: Tensor) -> Tensor:
-    """Column-wise max over the rows of each matrix in ``x`` (..., T, F).
-
-    Gradient flows to the first maximal row of each column.
-    """
-    if x.data.ndim < 2:
-        raise ShapeError(f"max_rows needs a matrix or batch of them, got shape {x.shape}")
+    """Column-wise max over each (T, F) matrix's rows; the gradient goes to the first max."""
+    pooled = _max_rows(x.data)
     idx = np.expand_dims(np.argmax(x.data, axis=-2), -2)
-    out = Tensor(x.data.max(axis=-2), parents=(x,))
 
     def grad_fn(g: np.ndarray) -> None:
         gx = np.zeros_like(x.data)
         np.put_along_axis(gx, idx, g[..., None, :], axis=-2)
         _accumulate(x, gx)
 
-    out.grad_fn = grad_fn
-    return out
-
-# -- probabilistic ops ---------------------------------------------------
+    return Tensor(pooled, (x,), grad_fn)
 
 
 def softmax(v: Tensor, valid: np.ndarray | None = None) -> Tensor:
@@ -319,18 +326,12 @@ def softmax(v: Tensor, valid: np.ndarray | None = None) -> Tensor:
     the logit counts as -inf: that weight is exactly 0 and the others
     still sum to one. Each row needs at least one valid entry.
     """
-    if v.data.ndim < 1 or v.shape[-1] == 0:
-        raise ShapeError(f"softmax needs a nonempty last axis, got shape {v.shape}")
-    x = v.data if valid is None else np.where(valid, v.data, -np.inf)
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    y = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(y, parents=(v,))
+    y = _softmax(v.data, valid)
 
     def grad_fn(g: np.ndarray) -> None:
         _accumulate(v, y * (g - (g * y).sum(axis=-1, keepdims=True)))
 
-    out.grad_fn = grad_fn
-    return out
+    return Tensor(y, (v,), grad_fn)
 
 
 def mean_nll(probs: Tensor, labels: np.ndarray, clamp: float = 1e-12) -> Tensor:
@@ -347,8 +348,6 @@ def mean_nll(probs: Tensor, labels: np.ndarray, clamp: float = 1e-12) -> Tensor:
         raise IndexError(f"labels out of range for {probs.shape[1]} classes")
     rows = np.arange(labels.size)
     p = probs.data[rows, labels]
-    # np.maximum propagates NaN, so a poisoned forward pass stays visible
-    out = Tensor(np.mean(-np.log(np.maximum(p, clamp))), parents=(probs,))
 
     def grad_fn(g: np.ndarray) -> None:
         share = float(g) * (1.0 / labels.size)
@@ -356,8 +355,9 @@ def mean_nll(probs: Tensor, labels: np.ndarray, clamp: float = 1e-12) -> Tensor:
         gp[rows, labels] = np.where(p > clamp, -share / np.maximum(p, clamp), 0.0)
         _accumulate(probs, gp)
 
-    out.grad_fn = grad_fn
-    return out
+    # np.maximum propagates NaN, so a poisoned forward pass stays visible
+    return Tensor(np.mean(-np.log(np.maximum(p, clamp))), (probs,), grad_fn)
+
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout: zero entries with probability ``p``, rescale rest."""
@@ -366,13 +366,11 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
     if p == 0.0:
         return x
     mask = (rng.random(x.shape) >= p) / (1.0 - p)
-    out = Tensor(x.data * mask, parents=(x,))
 
     def grad_fn(g: np.ndarray) -> None:
         _accumulate(x, g * mask)
 
-    out.grad_fn = grad_fn
-    return out
+    return Tensor(x.data * mask, (x,), grad_fn)
 
 
 # -- gradient checking ---------------------------------------------------

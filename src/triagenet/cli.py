@@ -179,7 +179,11 @@ def write_json(obj, path: Path) -> None:
         fh.write("\n")
 
 
-def write_manifest(args, command: str, config, inputs: dict, outputs: dict, extra=None) -> Path:
+def write_manifest(
+    args, command: str, config, inputs: dict, outputs: dict, extra=None, corpus_sha256=None
+) -> Path:
+    """Write the command's manifest; ``corpus_sha256`` is the corpus input's digest if known."""
+    known = {} if corpus_sha256 is None else {"corpus": corpus_sha256}
     manifest = {
         "tool": "triagenet",
         "version": __version__,
@@ -187,7 +191,10 @@ def write_manifest(args, command: str, config, inputs: dict, outputs: dict, extr
         "config": config,
         "root_seed": config["seed"],
         "arguments": extra or {},
-        "inputs": {name: {"path": str(p), "sha256": file_sha256(p)} for name, p in inputs.items()},
+        "inputs": {
+            name: {"path": str(p), "sha256": known.get(name) or file_sha256(p)}
+            for name, p in inputs.items()
+        },
         "outputs": {name: {"path": str(p), "sha256": file_sha256(p)} for name, p in outputs.items()},
     }
     path = _out_dir(args) / f"manifest_{command.replace('-', '_')}.json"
@@ -292,6 +299,7 @@ def cmd_pretrain(args) -> int:
         config,
         {"corpus": corpus_path, **_config_inputs(args)},
         {"embeddings": out},
+        corpus_sha256=data.corpus_sha256,
     )
     print(f"wrote {table.vectors.shape[0]}x{table.dim} embeddings to {out}")
     return 0
@@ -331,6 +339,7 @@ def cmd_train(args) -> int:
         inputs,
         {"model": model_path, "vocab": vocab_path},
         extra={"epochs": [dataclasses.asdict(e) for e in history.epochs]},
+        corpus_sha256=data.corpus_sha256,
     )
     print(
         f"trained {cfg.arch} for {len(history.epochs)} epochs: "
@@ -358,6 +367,7 @@ def cmd_evaluate(args) -> int:
         {"corpus": corpus_path, "model": model_path, **_config_inputs(args)},
         {"metrics": out},
         extra={"split": args.split, "confidence_threshold": args.confidence_threshold},
+        corpus_sha256=params.data.corpus_sha256,
     )
     print(render_metrics_table([(args.split, metrics)]))
     if args.confidence_threshold is not None:
@@ -367,7 +377,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_grid_search(args) -> int:
     config = resolve_config(args)
-    corpus_path, splits, vocab, _ = _load_world(args, config)
+    corpus_path, splits, vocab, data = _load_world(args, config)
     with open(args.grid, encoding="utf-8") as fh:
         grid = json.load(fh)
     cfg = ModelConfig.from_dict({**config["model"], "vocab_size": len(vocab)})
@@ -387,6 +397,7 @@ def cmd_grid_search(args) -> int:
         config,
         {"corpus": corpus_path, "grid": Path(args.grid), **_config_inputs(args)},
         {"results": out},
+        corpus_sha256=data.corpus_sha256,
     )
     best = rows[0]
     print(f"{len(rows)} combinations; best val macro F1 {best['val_macro_f1']:.4f}: {best['combo']}")
@@ -407,6 +418,7 @@ def cmd_score_symptoms(args) -> int:
         {"corpus": corpus_path, "model": model_path, **_config_inputs(args)},
         {"scores": out},
         extra={"class": args.class_name, "gram": args.gram, "split": args.split},
+        corpus_sha256=params.data.corpus_sha256,
     )
     print(render_score_table(scores, top=args.top))
     return 0
@@ -427,6 +439,7 @@ def cmd_pairs(args) -> int:
         {"corpus": corpus_path, "model": model_path, **_config_inputs(args)},
         {"pairs": out},
         extra={"class": args.class_name, "split": args.split},
+        corpus_sha256=params.data.corpus_sha256,
     )
     print(render_pair_table(pairs, top=args.top))
     return 0
@@ -453,6 +466,7 @@ def cmd_drop_experiment(args) -> int:
         {"corpus": corpus_path, "model": model_path, **_config_inputs(args)},
         {"results": out},
         extra={"drops": args.drops, "class": args.class_name},
+        corpus_sha256=params.data.corpus_sha256,
     )
     print(render_metrics_table([(r.label, r.metrics) for r in rows]))
     return 0
@@ -499,6 +513,7 @@ def cmd_explain(args) -> int:
             {"corpus": corpus_path, "model": model_path, **_config_inputs(args)},
             {},
             extra={"cases": ids, "format": args.format},
+            corpus_sha256=params.data.corpus_sha256,
         )
         return 0
 
@@ -517,6 +532,7 @@ def cmd_explain(args) -> int:
         {"corpus": corpus_path, "model": model_path, **_config_inputs(args)},
         {"heatmaps": out},
         extra={"cases": ids, "format": args.format},
+        corpus_sha256=params.data.corpus_sha256,
     )
     print(f"wrote {len(ids)} heatmaps to {out}")
     return 0
@@ -630,8 +646,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: every default is a str, an int or a command
+    # function, so no call can change what the next one parses
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except FileNotFoundError as e:

@@ -12,8 +12,11 @@ Attention never attends to window positions that start in padding:
 those logits are masked out, so their weights are exactly zero and the
 remaining weights still sum to one.
 
-One forward pass serves training and inference. It takes a batch of
-documents as a (B, max_len) id array and builds one graph for it.
+One forward pass, ``forward_graph``, serves training and inference. It
+takes a batch of documents as a (B, max_len) id array and is written
+over an ops namespace: training passes ``autodiff`` and gets one graph
+to differentiate; inference passes ``autodiff.TapeFree`` and gets plain
+arrays from the same arithmetic, with no tape built.
 """
 
 from __future__ import annotations
@@ -34,6 +37,8 @@ FORMAT_VERSION = 2
 DEMOGRAPHICS_DIM = 3
 ARCHITECTURES = ("acnn", "kimcnn")
 PREDICT_CHUNK = 64  # cases per inference forward pass; bounds peak memory
+
+Activation = Tensor | np.ndarray  # a tensor in the taped pass, an array in the tape-free one
 
 
 @dataclass(frozen=True)
@@ -216,21 +221,22 @@ def doc_lengths(ids: np.ndarray) -> np.ndarray:
     real = np.asarray(ids) != PAD_ID
     if not real.any(axis=1).all():
         raise ad.ShapeError("document contains no real tokens")
-    return real.shape[1] - np.argmax(real[:, ::-1], axis=1)
+    return real.shape[1] - real[:, ::-1].argmax(axis=1)
 
 
-def ngram_encode(params: ModelParams, emb: Tensor, m: int) -> Tensor:
+def ngram_encode(params: ModelParams, emb: Activation, m: int, ops=ad) -> Activation:
     """Feature maps for one width: relu conv of every m-token window.
 
     ``emb`` is (B, L, k); the result is (B, L - m + 1, filters).
     """
-    windows = ad.unfold(emb, m)
-    return ad.relu(ad.add(ad.matmul(windows, params.conv_w[m]), params.conv_b[m]))
+    p = ops.param
+    windows = ops.unfold(emb, m)
+    return ops.relu(ops.add(ops.matmul(windows, p(params.conv_w[m])), p(params.conv_b[m])))
 
 
 def attend(
-    params: ModelParams, feats: Tensor, lengths: np.ndarray, m: int
-) -> tuple[Tensor, Tensor]:
+    params: ModelParams, feats: Activation, lengths: np.ndarray, m: int, ops=ad
+) -> tuple[Activation, Activation]:
     """Additive attention over feature-map rows: returns (pooled, weights).
 
     ``feats`` is (B, T, filters). Windows starting at or past a
@@ -238,11 +244,12 @@ def attend(
     weights are (B, T).
     """
     B, T, f = feats.shape
-    u = ad.tanh(ad.add(ad.matmul(feats, params.attn_w[m]), params.attn_b[m]))
+    p = ops.param
+    u = ops.tanh(ops.add(ops.matmul(feats, p(params.attn_w[m])), p(params.attn_b[m])))
     valid = np.arange(T) < np.asarray(lengths)[:, None]
-    alpha = ad.softmax(ad.matmul(u, params.attn_u[m]), valid)
-    pooled = ad.matmul(ad.reshape(alpha, (B, 1, T)), feats)
-    return ad.reshape(pooled, (B, f)), alpha
+    alpha = ops.softmax(ops.matmul(u, p(params.attn_u[m])), valid)
+    pooled = ops.matmul(ops.reshape(alpha, (B, 1, T)), feats)
+    return ops.reshape(pooled, (B, f)), alpha
 
 
 def forward_graph(
@@ -251,13 +258,17 @@ def forward_graph(
     demographics: np.ndarray,
     train_mode: bool = False,
     dropout_rng: np.random.Generator | None = None,
-) -> tuple[Tensor, dict[int, Tensor], np.ndarray]:
-    """Differentiable forward pass for a batch of documents.
+    ops=ad,
+) -> tuple[Activation, dict[int, Activation], np.ndarray]:
+    """Forward pass for a batch of documents, over the ops namespace ``ops``.
 
     ``ids`` is (B, max_len) and ``demographics`` (B, 3). Returns the
-    (B, n_classes) probability tensor; for acnn, each width's (B, T)
-    attention tensor over the first T window positions; and each
-    document's length in tokens.
+    (B, n_classes) probabilities; for acnn, each width's (B, T)
+    attention over the first T window positions; and each document's
+    length in tokens. With ``autodiff`` (the default) the first two are
+    tensors of one differentiable graph; with ``autodiff.TapeFree`` they
+    are plain arrays with the same values, and ``train_mode``, which
+    needs dropout, is not available.
 
     The batch is cut to the longest document plus the widest window (at
     most max_len columns). That keeps every window a full-length pass
@@ -274,50 +285,60 @@ def forward_graph(
         raise ConfigError("training forward with dropout needs a generator")
 
     cut = min(cfg.max_len, int(lengths.max()) + max(cfg.widths))
-    emb = ad.lookup(params.embedding, ids[:, :cut])
-    pooled: list[Tensor] = []
-    attention: dict[int, Tensor] = {}
+    p = ops.param
+    emb = ops.lookup(p(params.embedding), ids[:, :cut])
+    pooled: list[Activation] = []
+    attention: dict[int, Activation] = {}
     for m in cfg.widths:
-        feats = ngram_encode(params, emb, m)
+        feats = ngram_encode(params, emb, m, ops)
         if cfg.arch == "kimcnn":
-            pooled.append(ad.max_rows(feats))
+            pooled.append(ops.max_rows(feats))
             continue
-        s, attention[m] = attend(params, feats, lengths, m)
+        s, attention[m] = attend(params, feats, lengths, m, ops)
         pooled.append(s)
 
-    h = ad.concat(pooled + [Tensor(demographics)])
+    h = ops.concat(pooled + [ops.constant(demographics)])
     for w, b in params.mlp[:-1]:
-        h = ad.relu(ad.add(ad.matmul(h, w), b))
+        h = ops.relu(ops.add(ops.matmul(h, p(w)), p(b)))
         if train_mode and cfg.dropout > 0.0:
-            h = ad.dropout(h, cfg.dropout, dropout_rng)
+            h = ops.dropout(h, cfg.dropout, dropout_rng)
     w_out, b_out = params.mlp[-1]
-    probs = ad.softmax(ad.add(ad.matmul(h, w_out), b_out))
+    probs = ops.softmax(ops.add(ops.matmul(h, p(w_out)), p(b_out)))
     return probs, attention, lengths
 
 
 def predict_batch(params: ModelParams, cases: list[EncodedCase]) -> list[Prediction]:
-    """Inference-mode forward over ``cases``, PREDICT_CHUNK cases at a time.
+    """Inference over ``cases``: the tape-free forward, PREDICT_CHUNK cases per pass.
 
-    Each width's attention is zero-padded out to max_len - m + 1
-    positions, so a prediction does not depend on its batch mates'
-    lengths beyond float rounding.
+    Cases that fill more than one chunk are sorted by length first, so
+    each chunk, cut to its own longest document, carries little padding;
+    the predictions come back in the caller's order. Each width's
+    attention is zero-padded out to max_len - m + 1 positions, so a
+    prediction does not depend on its batch mates beyond float rounding.
     """
     cfg = params.config
-    preds: list[Prediction] = []
+    order = range(len(cases))
+    if len(cases) > PREDICT_CHUNK:  # a single chunk is cut to its longest document in any order
+        order = np.argsort(doc_lengths(np.array([c.ids for c in cases])), kind="stable")
+    preds: list[Prediction] = [None] * len(cases)
     for start in range(0, len(cases), PREDICT_CHUNK):
-        chunk = cases[start : start + PREDICT_CHUNK]
+        rows = order[start : start + PREDICT_CHUNK]
+        chunk = [cases[i] for i in rows]
         probs, attention, lengths = forward_graph(
-            params, np.array([c.ids for c in chunk]), np.array([c.demographics for c in chunk])
+            params,
+            np.array([c.ids for c in chunk]),
+            np.array([c.demographics for c in chunk]),
+            ops=ad.TapeFree,
         )
         alphas = {}
         for m, alpha in attention.items():
             alphas[m] = np.zeros((len(chunk), cfg.max_len - m + 1))
-            alphas[m][:, : alpha.shape[1]] = alpha.data
-        for i, p in enumerate(probs.data):
+            alphas[m][:, : alpha.shape[1]] = alpha
+        for i, (row, p) in enumerate(zip(rows, probs)):
             record = None
             if cfg.arch == "acnn":
                 record = AttentionRecord({m: a[i] for m, a in alphas.items()}, int(lengths[i]))
-            preds.append(Prediction(probs=p, predicted=int(np.argmax(p)), attention=record))
+            preds[row] = Prediction(probs=p, predicted=int(p.argmax()), attention=record)
     return preds
 
 

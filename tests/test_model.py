@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triagenet import autodiff as ad
+from triagenet import model
 from triagenet.autodiff import Tensor
 from triagenet.corpus import DataContract, EncodedCase
 from triagenet.embedding import ChecksumError, ConfigError, init_table
 from triagenet.model import (
+    PREDICT_CHUNK,
     ModelConfig,
     attend,
     forward_graph,
@@ -47,10 +49,23 @@ def make_case(ids, max_len, age=40, gender_male=True):
     return EncodedCase(ids=padded, demographics=demo, label=0)
 
 
-def forward(params, cases, *args):
+def forward(params, cases, *args, **kwargs):
     return forward_graph(
-        params, np.array([c.ids for c in cases]), np.array([c.demographics for c in cases]), *args
+        params,
+        np.array([c.ids for c in cases]),
+        np.array([c.demographics for c in cases]),
+        *args,
+        **kwargs,
     )
+
+
+def random_biases(params, rng):
+    # a nonzero bias lets an all-padding window win the max pool
+    for m in params.config.widths:
+        params.conv_b[m].data = rng.normal(size=params.config.filters)
+        params.attn_b[m].data = rng.normal(size=params.config.attention_size)
+    for _, b in params.mlp:
+        b.data = rng.normal(size=b.shape)
 
 
 def oracle_forward(params, case):
@@ -294,10 +309,7 @@ class TestForward:
         cfg = tiny_config(max_len=8, widths=(1, 2, 3), arch=arch)
         params = init_params(cfg, seed=seed)
         rng = np.random.default_rng(seed)
-        for m in cfg.widths:
-            # a nonzero bias lets an all-padding window win the max pool
-            params.conv_b[m].data = rng.normal(size=cfg.filters)
-            params.attn_b[m].data = rng.normal(size=cfg.attention_size)
+        random_biases(params, rng)
         cases = [
             make_case(rng.integers(1, cfg.vocab_size, size=n), 8, age=int(rng.integers(101)))
             for n in [cfg.max_len] * full + [short, *lengths]
@@ -324,6 +336,113 @@ class TestForward:
             np.testing.assert_allclose(single.probs, row.probs, rtol=0, atol=1e-12)
             for m, alpha in single.attention.alphas.items():
                 np.testing.assert_allclose(alpha, row.attention.alphas[m], rtol=0, atol=1e-12)
+
+
+class TestTapeFree:
+    @given(
+        arch=st.sampled_from(["acnn", "kimcnn"]),
+        seed=st.integers(min_value=0, max_value=2**16),
+        short=st.integers(min_value=1, max_value=2),
+        sizes=st.lists(st.integers(min_value=1, max_value=8), max_size=5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_same_bits_as_the_taped_pass(self, arch, seed, short, sizes):
+        # a document shorter than the widest window next to any others
+        params = init_params(tiny_config(max_len=8, widths=(1, 2, 3), arch=arch), seed=seed)
+        rng = np.random.default_rng(seed)
+        random_biases(params, rng)
+        cases = [make_case(rng.integers(1, 12, size=n), 8, age=int(rng.integers(101)))
+                 for n in [short, *sizes]]
+        probs, attention, lengths = forward(params, cases)
+        plain, plain_attention, plain_lengths = forward(params, cases, ops=ad.TapeFree)
+        assert isinstance(plain, np.ndarray)
+        assert plain.tobytes() == probs.data.tobytes()
+        assert set(plain_attention) == set(attention) == ({1, 2, 3} if arch == "acnn" else set())
+        for m, alpha in attention.items():
+            assert plain_attention[m].tobytes() == alpha.data.tobytes()
+        np.testing.assert_array_equal(plain_lengths, lengths)
+
+    @pytest.mark.parametrize("arch", ["acnn", "kimcnn"])
+    def test_inference_builds_no_tape(self, arch, monkeypatch):
+        params = init_params(tiny_config(arch=arch), seed=3)
+        cases = [make_case([2, 3, 4], 5), make_case([5], 5)] * PREDICT_CHUNK
+        taped = []
+        real_init = Tensor.__init__
+
+        def counting_init(self, data, parents=(), grad_fn=None):
+            if grad_fn is not None:
+                taped.append(self)
+            real_init(self, data, parents, grad_fn)
+
+        monkeypatch.setattr(Tensor, "__init__", counting_init)
+        forward(params, cases[:2])
+        assert taped  # the counter sees the taped pass
+        taped.clear()
+        predict_batch(params, cases)
+        predict(params, cases[0])
+        assert taped == []
+
+    @pytest.mark.parametrize(
+        "ids, error",
+        [
+            ([[2, 3, 0, 0, 0], [0, 0, 0, 0, 0]], ad.ShapeError),  # an empty document
+            ([[2, 3, 0, 0]], ad.ShapeError),  # not max_len columns
+            ([[2, 12, 0, 0, 0]], IndexError),  # an id past the table
+        ],
+        ids=["empty", "shape", "id-range"],
+    )
+    def test_same_checks_as_the_taped_pass(self, ids, error):
+        params = init_params(tiny_config(), seed=3)
+        ids = np.array(ids)
+        for ops in (ad, ad.TapeFree):
+            with pytest.raises(error):
+                forward_graph(params, ids, np.zeros((len(ids), 3)), ops=ops)
+
+    def test_window_wider_than_the_document_refused(self):
+        for ops in (ad, ad.TapeFree):
+            with pytest.raises(ad.WindowTooLargeError):
+                ops.unfold(ops.param(Tensor(np.ones((1, 2, 3)))), 3)
+
+
+class TestPredictOrder:
+    def test_sorted_chunks_come_back_in_the_callers_order(self, monkeypatch):
+        cfg = tiny_config(max_len=8, widths=(1, 2, 3))
+        params = init_params(cfg, seed=37)
+        rng = np.random.default_rng(37)
+        random_biases(params, rng)
+        n = 2 * PREDICT_CHUNK + 13
+        cases = [make_case(rng.integers(1, 12, size=k), 8, age=int(rng.integers(101)))
+                 for k in rng.integers(1, 9, size=n)]
+        perm = rng.permutation(n)
+        seen = []
+        real_forward = model.forward_graph
+
+        def recording(params, ids, *args, **kwargs):
+            out = real_forward(params, ids, *args, **kwargs)
+            seen.append(out[2])
+            return out
+
+        monkeypatch.setattr(model, "forward_graph", recording)
+        straight = predict_batch(params, cases)
+        permuted = predict_batch(params, [cases[i] for i in perm])
+        # each pass got a run of the length order, so its cut is its own longest document
+        assert [len(chunk) for chunk in seen] == [PREDICT_CHUNK, PREDICT_CHUNK, 13] * 2
+        passes = np.concatenate(seen[:3])
+        np.testing.assert_array_equal(passes, np.sort(passes))
+        for case, pred, again in zip(cases, straight, (permuted[j] for j in np.argsort(perm))):
+            want_probs, want_alphas = oracle_forward(params, case)
+            np.testing.assert_allclose(pred.probs, want_probs, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(again.probs, pred.probs, rtol=0, atol=1e-15)
+            assert again.predicted == pred.predicted
+            n_tokens = pred.attention.n_tokens
+            assert n_tokens == int(np.flatnonzero(case.ids)[-1]) + 1
+            for m, alpha in pred.attention.alphas.items():
+                assert np.all(alpha[n_tokens:] == 0.0)
+                np.testing.assert_allclose(alpha, want_alphas[m], rtol=0, atol=1e-12)
+                np.testing.assert_allclose(again.attention.alphas[m], alpha, rtol=0, atol=1e-15)
+
+    def test_no_cases_no_predictions(self):
+        assert predict_batch(init_params(tiny_config(), seed=3), []) == []
 
 
 class TestKimCNN:

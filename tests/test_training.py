@@ -182,9 +182,9 @@ class TestTrain:
         rows = []
         real_forward = model.forward_graph
 
-        def counting(params, ids, *args):
+        def counting(params, ids, *args, **kwargs):
             rows.append(len(ids))
-            return real_forward(params, ids, *args)
+            return real_forward(params, ids, *args, **kwargs)
 
         monkeypatch.setattr(model, "forward_graph", counting)
         monkeypatch.setattr(training, "forward_graph", counting)
