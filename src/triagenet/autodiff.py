@@ -22,10 +22,6 @@ class ShapeError(ValueError):
     """Operands have incompatible or unsupported shapes."""
 
 
-class WindowTooLargeError(ShapeError):
-    """Sliding window is wider than the sequence it slides over."""
-
-
 class NoTapeError(RuntimeError):
     """backward was called on a tensor with no recorded computation."""
 
@@ -34,7 +30,9 @@ class Tensor:
     """A float64 array plus the bookkeeping needed to differentiate it.
 
     ``parents`` and ``grad_fn`` are set by ops; leaves have neither.
-    Gradients accumulate across backward passes until ``zero_grad``.
+    A leaf's gradient accumulates across backward passes until
+    ``zero_grad``; an op's output hands its gradient on to its parents
+    during ``backward`` and keeps none.
     """
 
     __slots__ = ("data", "grad", "parents", "grad_fn", "frozen_rows")
@@ -72,7 +70,9 @@ class Tensor:
         _accumulate(self, np.ones_like(self.data))
         for node in reversed(_topo_order(self)):
             if node.grad_fn is not None:
-                node.grad_fn(node.grad)
+                # released first: the parents may adopt it, or views of it
+                g, node.grad = node.grad, None
+                node.grad_fn(g)
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:
@@ -92,9 +92,13 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
+    # The first gradient t receives becomes t.grad, with no zero fill. An
+    # op hands each parent an array no other tensor holds: a new one, or
+    # its own released gradient or disjoint views of it.
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = g
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -133,38 +137,71 @@ def _concat(arrays: Sequence[np.ndarray]) -> np.ndarray:
     return np.concatenate(arrays, axis=-1)
 
 
-def _unfold(x: np.ndarray, m: int) -> np.ndarray:
-    if x.ndim < 2:
-        raise ShapeError(f"unfold needs a matrix or batch of them, got shape {x.shape}")
-    if m < 1:
-        raise ShapeError(f"window width must be positive, got {m}")
-    if m > x.shape[-2]:
-        raise WindowTooLargeError(f"window {m} exceeds sequence length {x.shape[-2]}")
-    T = x.shape[-2] - m + 1
-    return np.concatenate([x[..., j : j + T, :] for j in range(m)], axis=-1)
-
-
 def _lookup(table: np.ndarray, ids: np.ndarray) -> np.ndarray:
     if table.ndim != 2:
         raise ShapeError(f"lookup table must be 2-D, got shape {table.shape}")
-    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
-        raise IndexError(f"ids out of range for table with {table.shape[0]} rows")
-    return table[ids]
+    if ids.size and np.minimum.reduce(ids, axis=None) < 0:
+        raise IndexError("ids must be nonnegative")
+    return table[ids]  # an id past the table raises IndexError here
 
 
-def _max_rows(x: np.ndarray) -> np.ndarray:
-    if x.ndim < 2:
-        raise ShapeError(f"max_rows needs a matrix or batch of them, got shape {x.shape}")
-    return x.max(axis=-2)
-
-
-def _softmax(x: np.ndarray, valid: np.ndarray | None = None) -> np.ndarray:
+def _softmax(x: np.ndarray) -> np.ndarray:
     if x.ndim < 1 or x.shape[-1] == 0:
         raise ShapeError(f"softmax needs a nonempty last axis, got shape {x.shape}")
-    x = x if valid is None else np.where(valid, x, -np.inf)
     # the reductions behind .max and .sum, called without their Python wrappers
     e = np.exp(x - np.maximum.reduce(x, axis=-1, keepdims=True))
     return e / np.add.reduce(e, axis=-1, keepdims=True)
+
+
+def _check_rows(x: np.ndarray, seg: Segments, ndim: int) -> None:
+    if x.ndim != ndim or x.shape[0] != seg.owner.size:
+        raise ShapeError(f"segment op needs {ndim}-D input with {seg.owner.size} rows, got {x.shape}")
+
+
+def _segment_softmax(v: np.ndarray, seg: Segments) -> np.ndarray:
+    _check_rows(v, seg, 1)
+    e = np.exp(v - np.maximum.reduceat(v, seg.starts)[seg.owner])
+    return e / np.add.reduceat(e, seg.starts)[seg.owner]
+
+
+def _segment_sum(w: np.ndarray, x: np.ndarray, seg: Segments) -> np.ndarray:
+    _check_rows(w, seg, 1)
+    _check_rows(x, seg, 2)
+    return np.add.reduceat(w[:, None] * x, seg.starts, axis=0)
+
+
+def _segment_max(x: np.ndarray, seg: Segments, floor: np.ndarray, floored: np.ndarray) -> np.ndarray:
+    _check_rows(x, seg, 2)
+    floored = np.asarray(floored, dtype=bool)
+    if floor.shape != x.shape[1:] or floored.shape != seg.starts.shape:
+        raise ShapeError(f"segment max floor {floor.shape} or mask {floored.shape} does not fit "
+                         f"{x.shape[1:]} columns and {seg.starts.size} segments")
+    top = np.maximum.reduceat(x, seg.starts, axis=0)
+    return np.maximum(top, floor, out=top, where=floored[:, None])
+
+
+def _scatter(x: np.ndarray, index: tuple[np.ndarray, ...], shape: tuple[int, ...]) -> np.ndarray:
+    out = np.zeros(shape)
+    out[index] = x
+    return out
+
+
+class Segments:
+    """Rows cut into consecutive nonempty runs, one run per segment.
+
+    ``counts`` holds each run's length. ``starts`` is each run's first row
+    and ``owner`` each row's run. One instance serves every segment op
+    over the same rows.
+    """
+
+    __slots__ = ("starts", "owner")
+
+    def __init__(self, counts):
+        counts = np.asarray(counts)
+        if counts.ndim != 1 or counts.size == 0 or np.minimum.reduce(counts) < 1:
+            raise ShapeError(f"segments need a nonempty list of positive lengths, got {counts}")
+        self.starts = np.add.accumulate(counts) - counts
+        self.owner = np.arange(counts.size).repeat(counts)
 
 
 class TapeFree:
@@ -177,7 +214,6 @@ class TapeFree:
     """
 
     lookup = staticmethod(_lookup)
-    unfold = staticmethod(_unfold)
     matmul = staticmethod(_matmul)
     add = staticmethod(np.add)
     relu = staticmethod(_relu)
@@ -185,7 +221,10 @@ class TapeFree:
     softmax = staticmethod(_softmax)
     reshape = staticmethod(_reshape)
     concat = staticmethod(_concat)
-    max_rows = staticmethod(_max_rows)
+    segment_softmax = staticmethod(_segment_softmax)
+    segment_sum = staticmethod(_segment_sum)
+    segment_max = staticmethod(_segment_max)
+    scatter = staticmethod(_scatter)
 
     @staticmethod
     def param(t: Tensor) -> np.ndarray:
@@ -211,8 +250,9 @@ def constant(x) -> Tensor:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     def grad_fn(g: np.ndarray) -> None:
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(g, b.shape))
+        ga, gb = _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        _accumulate(a, ga)
+        _accumulate(b, gb.copy() if gb is ga else gb)
 
     return Tensor(np.add(a.data, b.data), (a, b), grad_fn)
 
@@ -232,7 +272,10 @@ def tanh(x: Tensor) -> Tensor:
     y = np.tanh(x.data)
 
     def grad_fn(g: np.ndarray) -> None:
-        _accumulate(x, g * (1.0 - y * y))
+        gx = y * y
+        np.subtract(1.0, gx, out=gx)
+        gx *= g
+        _accumulate(x, gx)
 
     return Tensor(y, (x,), grad_fn)
 
@@ -276,62 +319,83 @@ def concat(ts: Sequence[Tensor]) -> Tensor:
     return Tensor(_concat([t.data for t in ts]), tuple(ts), grad_fn)
 
 
-def unfold(x: Tensor, m: int) -> Tensor:
-    """Stack the ``m``-row sliding windows of each L x k matrix as rows.
-
-    ``x`` is (..., L, k); the output is (..., L - m + 1, m * k), and
-    window ``i`` is rows i..i+m-1 flattened.
-    """
-    windows = _unfold(x.data, m)
-    T, k = windows.shape[-2], x.shape[-1]
-
-    def grad_fn(g: np.ndarray) -> None:
-        gx = np.zeros_like(x.data)
-        for j in range(m):
-            gx[..., j : j + T, :] += g[..., j * k : (j + 1) * k]
-        _accumulate(x, gx)
-
-    return Tensor(windows, (x,), grad_fn)
-
-
 def lookup(table: Tensor, ids: np.ndarray) -> Tensor:
     """Gather table rows for an id array of any shape; the gradient scatter-adds back."""
     ids = np.asarray(ids)
 
     def grad_fn(g: np.ndarray) -> None:
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, ids, g)
-        _accumulate(table, gt)
+        if table.grad is None:
+            table.grad = np.zeros_like(table.data)
+        # one 1-D scatter-add over (row, column) cells: numpy's fast path for ufunc.at
+        k = table.shape[1]
+        cells = (ids[..., None] * k + np.arange(k)).reshape(-1)
+        np.add.at(table.grad.reshape(-1), cells, g.reshape(-1))
 
     return Tensor(_lookup(table.data, ids), (table,), grad_fn)
 
 
-def max_rows(x: Tensor) -> Tensor:
-    """Column-wise max over each (T, F) matrix's rows; the gradient goes to the first max."""
-    pooled = _max_rows(x.data)
-    idx = np.expand_dims(np.argmax(x.data, axis=-2), -2)
-
-    def grad_fn(g: np.ndarray) -> None:
-        gx = np.zeros_like(x.data)
-        np.put_along_axis(gx, idx, g[..., None, :], axis=-2)
-        _accumulate(x, gx)
-
-    return Tensor(pooled, (x,), grad_fn)
-
-
-def softmax(v: Tensor, valid: np.ndarray | None = None) -> Tensor:
-    """Numerically stable softmax over the last axis.
-
-    Where the boolean array ``valid`` (broadcast against ``v``) is False
-    the logit counts as -inf: that weight is exactly 0 and the others
-    still sum to one. Each row needs at least one valid entry.
-    """
-    y = _softmax(v.data, valid)
+def softmax(v: Tensor) -> Tensor:
+    """Numerically stable softmax over the last axis."""
+    y = _softmax(v.data)
 
     def grad_fn(g: np.ndarray) -> None:
         _accumulate(v, y * (g - (g * y).sum(axis=-1, keepdims=True)))
 
     return Tensor(y, (v,), grad_fn)
+
+
+def segment_softmax(v: Tensor, seg: Segments) -> Tensor:
+    """Softmax of a vector within each segment of ``seg``: each run sums to one."""
+    y = _segment_softmax(v.data, seg)
+
+    def grad_fn(g: np.ndarray) -> None:
+        _accumulate(v, y * (g - np.add.reduceat(g * y, seg.starts)[seg.owner]))
+
+    return Tensor(y, (v,), grad_fn)
+
+
+def segment_sum(w: Tensor, x: Tensor, seg: Segments) -> Tensor:
+    """Per-segment weighted sum of rows: row s of the (S, F) result is sum_r w[r] x[r] over run s."""
+    W, X = w.data, x.data
+
+    def grad_fn(g: np.ndarray) -> None:
+        g_rows = g.take(seg.owner, axis=0)
+        _accumulate(w, np.einsum("rf,rf->r", X, g_rows))
+        g_rows *= W[:, None]
+        _accumulate(x, g_rows)
+
+    return Tensor(_segment_sum(W, X, seg), (w, x), grad_fn)
+
+
+def segment_max(x: Tensor, seg: Segments, floor: Tensor, floored: np.ndarray) -> Tensor:
+    """Column-wise max over each segment's rows of ``x``, (S, F) from (N, F).
+
+    Where the boolean ``floored[s]`` is set, the row ``floor`` (F,) also
+    competes in segment s, after its rows. The gradient goes to the first
+    maximal row, so a row of ``x`` wins a tie with the floor.
+    """
+    X = x.data
+    out = _segment_max(X, seg, floor.data, floored)
+
+    def grad_fn(g: np.ndarray) -> None:
+        rows = np.arange(X.shape[0])
+        hits = np.where(X == out[seg.owner], rows[:, None], X.shape[0])
+        first = np.minimum.reduceat(hits, seg.starts, axis=0)  # the floor won where none hit
+        won = first < X.shape[0]
+        gx = np.zeros_like(X)
+        gx[first[won], np.nonzero(won)[1]] = g[won]
+        _accumulate(x, gx)
+        _accumulate(floor, np.where(won, 0.0, g).sum(axis=0))
+
+    return Tensor(out, (x, floor), grad_fn)
+
+
+def scatter(x: Tensor, index: tuple[np.ndarray, ...], shape: tuple[int, ...]) -> Tensor:
+    """Zeros of ``shape`` with ``x`` placed at ``index``; the gradient gathers it back."""
+    def grad_fn(g: np.ndarray) -> None:
+        _accumulate(x, g[index])
+
+    return Tensor(_scatter(x.data, index, shape), (x,), grad_fn)
 
 
 def mean_nll(probs: Tensor, labels: np.ndarray, clamp: float = 1e-12) -> Tensor:

@@ -8,9 +8,13 @@ replaces the pooling with a per-column max. Pooled vectors from all
 widths, concatenated with a small demographics vector, feed a relu MLP
 with a softmax head.
 
-Attention never attends to window positions that start in padding:
-those logits are masked out, so their weights are exactly zero and the
-remaining weights still sum to one.
+Only real windows are computed: a batch's windows that start before
+their document's end are packed into one matrix of rows, gathered
+straight from the embedding table, and attention and pooling run over
+each document's run of rows. Window positions that start in padding are
+never convolved or attended, and get attention weight exactly zero;
+kimcnn's max pool still sees one all-padding window, relu(bias), for
+each document that has one.
 
 One forward pass, ``forward_graph``, serves training and inference. It
 takes a batch of documents as a (B, max_len) id array and is written
@@ -219,37 +223,53 @@ def init_params(
 def doc_lengths(ids: np.ndarray) -> np.ndarray:
     """Number of leading non-padding positions in each row of ``ids``."""
     real = np.asarray(ids) != PAD_ID
-    if not real.any(axis=1).all():
+    if not np.logical_and.reduce(np.logical_or.reduce(real, axis=1)):
         raise ad.ShapeError("document contains no real tokens")
     return real.shape[1] - real[:, ::-1].argmax(axis=1)
 
 
-def ngram_encode(params: ModelParams, emb: Activation, m: int, ops=ad) -> Activation:
-    """Feature maps for one width: relu conv of every m-token window.
+def ngram_encode(params: ModelParams, windows: np.ndarray, ops=ad) -> Activation:
+    """Relu convolution of token windows gathered straight from the embedding table.
 
-    ``emb`` is (B, L, k); the result is (B, L - m + 1, filters).
+    ``windows`` is an (N, m) id array, one window of width m per row; the
+    result is (N, filters), one feature row per window.
     """
     p = ops.param
-    windows = ops.unfold(emb, m)
-    return ops.relu(ops.add(ops.matmul(windows, p(params.conv_w[m])), p(params.conv_b[m])))
+    n, m = windows.shape
+    rows = ops.reshape(ops.lookup(p(params.embedding), windows), (n, m * params.config.embedding_dim))
+    return ops.relu(ops.add(ops.matmul(rows, p(params.conv_w[m])), p(params.conv_b[m])))
 
 
 def attend(
-    params: ModelParams, feats: Activation, lengths: np.ndarray, m: int, ops=ad
+    params: ModelParams, feats: Activation, seg: ad.Segments, m: int, ops=ad
 ) -> tuple[Activation, Activation]:
-    """Additive attention over feature-map rows: returns (pooled, weights).
+    """Additive attention over each document's feature rows: returns (pooled, weights).
 
-    ``feats`` is (B, T, filters). Windows starting at or past a
-    document's length get weight exactly 0; pooled is (B, filters) and
-    weights are (B, T).
+    ``feats`` is (N, filters), the rows of each document one segment of
+    ``seg``. Pooled is (B, filters); weights are (N,) and sum to one
+    within each document.
     """
-    B, T, f = feats.shape
     p = ops.param
     u = ops.tanh(ops.add(ops.matmul(feats, p(params.attn_w[m])), p(params.attn_b[m])))
-    valid = np.arange(T) < np.asarray(lengths)[:, None]
-    alpha = ops.softmax(ops.matmul(u, p(params.attn_u[m])), valid)
-    pooled = ops.matmul(ops.reshape(alpha, (B, 1, T)), feats)
-    return ops.reshape(pooled, (B, f)), alpha
+    alpha = ops.segment_softmax(ops.matmul(u, p(params.attn_u[m])), seg)
+    return ops.segment_sum(alpha, feats, seg), alpha
+
+
+def window_rows(
+    lengths: np.ndarray, n_windows: int, row_len: int
+) -> tuple[ad.Segments, tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """The real windows of a batch, packed one document after another.
+
+    Document b keeps its first min(len_b, n_windows) window starts: every
+    window that starts before its end and fits the max_len columns.
+    Returns the documents as segments of rows; each row's (document,
+    start), which scatters row values back to (B, n_windows); and each
+    row's first token in the flattened ids, rows of ``row_len`` apart.
+    """
+    seg = ad.Segments(np.minimum(lengths, n_windows))
+    doc = seg.owner
+    start = np.arange(doc.size) - seg.starts[doc]
+    return seg, (doc, start), doc * row_len + start
 
 
 def forward_graph(
@@ -263,18 +283,18 @@ def forward_graph(
     """Forward pass for a batch of documents, over the ops namespace ``ops``.
 
     ``ids`` is (B, max_len) and ``demographics`` (B, 3). Returns the
-    (B, n_classes) probabilities; for acnn, each width's (B, T)
-    attention over the first T window positions; and each document's
-    length in tokens. With ``autodiff`` (the default) the first two are
-    tensors of one differentiable graph; with ``autodiff.TapeFree`` they
-    are plain arrays with the same values, and ``train_mode``, which
+    (B, n_classes) probabilities; for acnn, each width's (B, max_len - m + 1)
+    attention, zero at window positions that start in padding; and each
+    document's length in tokens. With ``autodiff`` (the default) the first
+    two are tensors of one differentiable graph; with ``autodiff.TapeFree``
+    they are plain arrays with the same values, and ``train_mode``, which
     needs dropout, is not available.
 
-    The batch is cut to the longest document plus the widest window (at
-    most max_len columns). That keeps every window a full-length pass
-    scores, and at least one all-padding window for each document that
-    has one, so both poolings give the full-length result; the windows
-    past the cut would get zero attention.
+    Only real windows are computed: those of each width are gathered from
+    the embedding table as one packed batch of rows, and attention and
+    pooling run per document over segments of those rows. The row layout
+    depends on the width only through max_len - m + 1, so widths whose
+    windows all fit share one layout.
     """
     cfg = params.config
     ids = np.asarray(ids)
@@ -284,18 +304,32 @@ def forward_graph(
     if train_mode and cfg.dropout > 0.0 and dropout_rng is None:
         raise ConfigError("training forward with dropout needs a generator")
 
-    cut = min(cfg.max_len, int(lengths.max()) + max(cfg.widths))
+    B, L = ids.shape
+    widest = max(cfg.widths)
+    # padded so that every layout's rows can take windows of the widest width
+    padded = np.zeros((B, L + widest - 1), dtype=ids.dtype)
+    padded[:, :L] = ids
+    longest = int(np.maximum.reduce(lengths))
+    layouts = {}
     p = ops.param
-    emb = ops.lookup(p(params.embedding), ids[:, :cut])
     pooled: list[Activation] = []
     attention: dict[int, Activation] = {}
     for m in cfg.widths:
-        feats = ngram_encode(params, emb, m, ops)
+        n_windows = L - m + 1
+        key = min(n_windows, longest)  # every longer cap gives the same rows
+        if key not in layouts:
+            seg, where, first = window_rows(lengths, n_windows, padded.shape[1])
+            layouts[key] = seg, where, padded.ravel()[first[:, None] + np.arange(widest)]
+        seg, where, windows = layouts[key]
+        feats = ngram_encode(params, windows[:, :m], ops)
         if cfg.arch == "kimcnn":
-            pooled.append(ops.max_rows(feats))
+            # an all-padding window, where a document has one, convolves to relu(bias)
+            floor = ops.relu(p(params.conv_b[m]))
+            pooled.append(ops.segment_max(feats, seg, floor, lengths < n_windows))
             continue
-        s, attention[m] = attend(params, feats, lengths, m, ops)
+        s, alpha = attend(params, feats, seg, m, ops)
         pooled.append(s)
+        attention[m] = ops.scatter(alpha, where, (B, n_windows))
 
     h = ops.concat(pooled + [ops.constant(demographics)])
     for w, b in params.mlp[:-1]:
@@ -310,15 +344,16 @@ def forward_graph(
 def predict_batch(params: ModelParams, cases: list[EncodedCase]) -> list[Prediction]:
     """Inference over ``cases``: the tape-free forward, PREDICT_CHUNK cases per pass.
 
-    Cases that fill more than one chunk are sorted by length first, so
-    each chunk, cut to its own longest document, carries little padding;
-    the predictions come back in the caller's order. Each width's
-    attention is zero-padded out to max_len - m + 1 positions, so a
-    prediction does not depend on its batch mates beyond float rounding.
+    Cases that fill more than one chunk are sorted by length first and
+    the predictions come back in the caller's order. Packing computes
+    the same rows in any order, but chunks of like lengths measured about
+    6% faster on fulltext documents. A prediction does not depend on its
+    batch mates beyond float rounding: each document's windows are
+    computed and pooled on their own rows.
     """
     cfg = params.config
     order = range(len(cases))
-    if len(cases) > PREDICT_CHUNK:  # a single chunk is cut to its longest document in any order
+    if len(cases) > PREDICT_CHUNK:
         order = np.argsort(doc_lengths(np.array([c.ids for c in cases])), kind="stable")
     preds: list[Prediction] = [None] * len(cases)
     for start in range(0, len(cases), PREDICT_CHUNK):
@@ -330,14 +365,10 @@ def predict_batch(params: ModelParams, cases: list[EncodedCase]) -> list[Predict
             np.array([c.demographics for c in chunk]),
             ops=ad.TapeFree,
         )
-        alphas = {}
-        for m, alpha in attention.items():
-            alphas[m] = np.zeros((len(chunk), cfg.max_len - m + 1))
-            alphas[m][:, : alpha.shape[1]] = alpha
         for i, (row, p) in enumerate(zip(rows, probs)):
             record = None
             if cfg.arch == "acnn":
-                record = AttentionRecord({m: a[i] for m, a in alphas.items()}, int(lengths[i]))
+                record = AttentionRecord({m: a[i] for m, a in attention.items()}, int(lengths[i]))
             preds[row] = Prediction(probs=p, predicted=int(p.argmax()), attention=record)
     return preds
 

@@ -76,10 +76,13 @@ def adam_step(params: list[Tensor], state: AdamState, hyper: HyperParams) -> Non
             g = g.copy()
             for r in p.frozen_rows:
                 g[r] = 0.0
-        state.m[i] = BETA1 * state.m[i] + (1 - BETA1) * g
-        state.v[i] = BETA2 * state.v[i] + (1 - BETA2) * g * g
-        m_hat = state.m[i] / (1 - BETA1**t)
-        v_hat = state.v[i] / (1 - BETA2**t)
+        m, v = state.m[i], state.v[i]
+        m *= BETA1
+        m += (1 - BETA1) * g
+        v *= BETA2
+        v += (1 - BETA2) * g * g
+        m_hat = m / (1 - BETA1**t)
+        v_hat = v / (1 - BETA2**t)
         update = m_hat / (np.sqrt(v_hat) + EPS) + WEIGHT_DECAY * p.data
         if p.frozen_rows:
             for r in p.frozen_rows:

@@ -17,22 +17,24 @@ from hypothesis import strategies as st
 from triagenet import autodiff as ad
 from triagenet.autodiff import (
     NoTapeError,
+    Segments,
     ShapeError,
     Tensor,
-    WindowTooLargeError,
     concat,
     dropout,
     grad_check,
     lookup,
     matmul,
-    max_rows,
     mean_nll,
     relu,
+    scatter,
+    segment_max,
+    segment_softmax,
+    segment_sum,
     softmax,
     tanh,
-    unfold,
 )
-from triagenet.model import ngram_encode
+from triagenet.model import ngram_encode, window_rows
 
 
 def tsum(x, weights=None):
@@ -65,13 +67,29 @@ def central_difference(f, arrays, eps=1e-5):
     return grads
 
 
+def unfold(B, L, m):
+    """Ids of every m-token window of B full documents of L tokens, row b * L + i for token i of b.
+
+    The windows come packed as the model packs them, one document after
+    another; a window wider than the documents is refused.
+    """
+    _, _, first = window_rows(np.full(B, L), L - m + 1, L)
+    return first[:, None] + np.arange(m)
+
+
 def conv_valid(x, w, b, m):
-    """Valid convolution plus relu as the model builds it: unfold, matmul, add, relu.
+    """Valid convolution plus relu as the model builds it: window gather, matmul, add, relu.
 
     ``x`` is (B, L, k), ``w`` holds the filters flattened to (m * k, f)
-    and ``b`` is (f,).
+    and ``b`` is (f,). The windows are gathered from the rows of ``x``
+    as from an embedding table; the result is (B, L - m + 1, f).
     """
-    return ngram_encode(SimpleNamespace(conv_w={m: w}, conv_b={m: b}), x, m)
+    B, L, k = x.shape
+    table = Tensor(x.data.reshape(B * L, k))
+    params = SimpleNamespace(embedding=table, conv_w={m: w}, conv_b={m: b},
+                             config=SimpleNamespace(embedding_dim=k))
+    feats = ngram_encode(params, unfold(B, L, m))
+    return ad.reshape(feats, (B, L - m + 1, -1))
 
 
 class TestConvValid:
@@ -98,7 +116,7 @@ class TestConvValid:
             conv_valid(Tensor(np.ones((1, 4, 3))), Tensor(np.ones((4, 1))), Tensor(np.zeros(1)), 2)
 
     def test_window_too_large_raises(self):
-        with pytest.raises(WindowTooLargeError):
+        with pytest.raises(ShapeError):
             conv_valid(
                 Tensor(np.ones((1, 2, 3))), Tensor(np.ones((15, 1))), Tensor(np.zeros(1)), 5
             )
@@ -119,16 +137,16 @@ class TestConvValid:
 
 class TestUnfold:
     def test_windows_content(self):
-        x = Tensor(np.arange(16.0).reshape(2, 4, 2))
-        out = unfold(x, 2)
+        x = np.arange(16.0).reshape(2, 4, 2)
+        out = lookup(Tensor(x.reshape(8, 2)), unfold(2, 4, 2))
         expected = np.array(
             [[0.0, 1.0, 2.0, 3.0], [2.0, 3.0, 4.0, 5.0], [4.0, 5.0, 6.0, 7.0]]
         )
-        np.testing.assert_array_equal(out.data, [expected, expected + 8.0])
+        np.testing.assert_array_equal(out.data.reshape(2, 3, 4), [expected, expected + 8.0])
 
     def test_gradient_overlap_accumulates(self):
         x = Tensor(np.arange(6.0).reshape(3, 2))
-        loss = tsum(unfold(x, 2))
+        loss = tsum(lookup(x, unfold(1, 3, 2)))
         loss.backward()
         # middle row participates in both windows
         np.testing.assert_array_equal(x.grad, [[1.0, 1.0], [2.0, 2.0], [1.0, 1.0]])
@@ -170,14 +188,18 @@ class TestSoftmax:
 
 
     def test_masked_entries_get_exactly_zero(self):
-        v = Tensor([[1.0, 2.0, 3.0], [0.5, -0.5, 9.0]])
+        # two documents' logits, [1, 2] and [0.5], attended per document and
+        # scattered to their window positions
+        v = Tensor([1.0, 2.0, 0.5])
         valid = np.array([[True, True, False], [True, False, False]])
-        out = softmax(v, valid)
+        out = scatter(segment_softmax(v, Segments([2, 1])), np.nonzero(valid), (2, 3))
         np.testing.assert_array_equal(out.data[~valid], 0.0)
         np.testing.assert_allclose(out.data[0, :2], softmax(Tensor([1.0, 2.0])).data, atol=1e-15)
         np.testing.assert_array_equal(out.data[1], [1.0, 0.0, 0.0])
         tsum(out, np.arange(6.0).reshape(2, 3)).backward()
-        np.testing.assert_array_equal(v.grad[~valid], 0.0)
+        y = out.data[0, :2]
+        np.testing.assert_allclose(v.grad[:2], y * ([0.0, 1.0] - y[1]), atol=1e-15)
+        assert v.grad[2] == 0.0  # a one-window document's weight is always 1
 
 
 class TestCrossEntropy:
@@ -236,6 +258,29 @@ class TestBackward:
         tsum(matmul(w, x1)).backward()
         tsum(matmul(w, x2)).backward()  # accumulates onto the first
         np.testing.assert_allclose(w.grad, joint_grad, atol=1e-12)
+
+    def test_no_gradient_array_is_shared(self):
+        rng = np.random.default_rng(29)
+        x, y, z = (Tensor(rng.normal(size=(2, 3))) for _ in range(3))
+        b = Tensor(rng.normal(size=3))
+        weights = rng.normal(size=(2, 6))
+
+        def loss():
+            # add hands one array to both operands, reshape and concat views of theirs
+            s = ad.add(ad.add(x, y), b)
+            h = concat([s, ad.reshape(ad.reshape(z, (3, 2)), (2, 3))])
+            return tsum(ad.add(h, h), weights)
+
+        loss().backward()
+        leaves = (x, y, z, b)
+        for i, s in enumerate(leaves):
+            for t in leaves[i + 1 :]:
+                assert not np.shares_memory(s.grad, t.grad)
+        first = [t.grad.copy() for t in leaves]
+        loss().backward()
+        for t, g in zip(leaves, first):
+            np.testing.assert_array_equal(t.grad, 2.0 * g)
+        np.testing.assert_array_equal(x.grad, y.grad)
 
     def test_non_scalar_raises(self):
         x = Tensor([1.0, 2.0])
@@ -316,17 +361,19 @@ class TestOps:
         np.testing.assert_array_equal(a.grad, [[1.0, 10.0], [1.0, 10.0]])
         np.testing.assert_array_equal(b.grad, [[100.0], [100.0]])
 
-    def test_max_rows_routes_gradient_to_argmax(self):
+    def test_segment_max_routes_gradient_to_first_argmax(self):
         first = [[1.0, 5.0], [4.0, 2.0], [4.0, 5.0]]
-        x = Tensor([first, [[0.0, 0.0], [0.0, 0.0], [2.0, -1.0]]])
-        y = max_rows(x)
+        x = Tensor(first + [[0.0, 0.0], [0.0, 0.0], [2.0, -1.0]])
+        floor = Tensor([9.0, 9.0])
+        y = segment_max(x, Segments([3, 3]), floor, np.array([False, False]))
         np.testing.assert_array_equal(y.data, [[4.0, 5.0], [2.0, 0.0]])
         tsum(y).backward()
-        # ties break toward the first maximal row
+        # ties break toward the first maximal row; an unused floor gets nothing
         np.testing.assert_array_equal(
             x.grad,
-            [[[0.0, 1.0], [1.0, 0.0], [0.0, 0.0]], [[0.0, 1.0], [0.0, 0.0], [1.0, 0.0]]],
+            [[0.0, 1.0], [1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [0.0, 0.0], [1.0, 0.0]],
         )
+        np.testing.assert_array_equal(floor.grad, [0.0, 0.0])
 
     def test_lookup_gathers_and_scatters(self):
         table = Tensor(np.arange(8.0).reshape(4, 2))
@@ -358,6 +405,81 @@ class TestOps:
         kept = out.data[out.data > 0]
         np.testing.assert_allclose(kept, 2.0)
         assert 0.4 < kept.size / 1000 < 0.6
+
+
+class TestSegmentOps:
+    def test_floor_competes_after_the_rows(self):
+        x = Tensor([[1.0, 0.0], [2.0, -1.0], [5.0, 5.0]])
+        floor = Tensor([2.0, 0.5])
+        y = segment_max(x, Segments([2, 1]), floor, np.array([True, True]))
+        # the first segment ties the floor in column 0 and loses column 1 to it
+        np.testing.assert_array_equal(y.data, [[2.0, 0.5], [5.0, 5.0]])
+        tsum(y, [[1.0, 10.0], [100.0, 1000.0]]).backward()
+        np.testing.assert_array_equal(x.grad, [[0.0, 0.0], [1.0, 0.0], [100.0, 1000.0]])
+        np.testing.assert_array_equal(floor.grad, [0.0, 10.0])
+
+    def test_segment_softmax_and_pooling_grad_check(self):
+        # three documents of 3, 1 and 2 windows: the middle one is a single row
+        rng = np.random.default_rng(41)
+        seg = Segments([3, 1, 2])
+        x = Tensor(rng.normal(size=(6, 4)))
+        u = Tensor(rng.normal(size=4))
+        weights = rng.normal(size=(3, 4))
+
+        def f():
+            alpha = segment_softmax(tanh(matmul(x, u)), seg)
+            return tsum(segment_sum(alpha, x, seg), weights)
+
+        report = grad_check(f, [x, u])
+        assert report.checked == 28
+        assert report.max_rel_error < 1e-8
+
+    def test_segment_max_grad_check_with_the_floor_winning(self):
+        rng = np.random.default_rng(43)
+        seg = Segments([2, 1, 3])
+        x = Tensor(rng.normal(size=(6, 3)))
+        floor = Tensor([5.0, -5.0, 0.25])  # wins column 0 wherever it competes
+        floored = np.array([True, False, True])
+        weights = rng.normal(size=(3, 3))
+        y = segment_max(x, seg, floor, floored)
+        assert y.data[0, 0] == y.data[2, 0] == 5.0
+
+        report = grad_check(lambda: tsum(segment_max(x, seg, floor, floored), weights), [x, floor])
+        assert report.checked == 21
+        assert report.max_rel_error < 1e-8
+
+    def test_window_gather_with_repeated_ids_grad_check(self):
+        # the windows of a document [1, 2, 1, 1] and of [3]: ids repeat across and within rows
+        rng = np.random.default_rng(47)
+        table = Tensor(rng.normal(size=(4, 2)))
+        w = Tensor(rng.normal(size=(4, 3)))
+        windows = np.array([[1, 2], [2, 1], [1, 1], [3, 0]])
+        weights = rng.normal(size=(4, 3))
+
+        def f():
+            rows = ad.reshape(lookup(table, windows), (4, 4))
+            return tsum(tanh(matmul(rows, w)), weights)
+
+        report = grad_check(f, [table, w])
+        assert report.checked == 20
+        assert report.max_rel_error < 1e-8
+
+    @pytest.mark.parametrize("ops", [ad, ad.TapeFree], ids=["taped", "tape-free"])
+    def test_rows_must_fit_the_segments(self, ops):
+        seg = Segments([2, 1])
+        p = ops.param
+        with pytest.raises(ShapeError):
+            ops.segment_softmax(p(Tensor(np.zeros(4))), seg)
+        with pytest.raises(ShapeError):
+            ops.segment_sum(p(Tensor(np.zeros(3))), p(Tensor(np.zeros((2, 2)))), seg)
+        with pytest.raises(ShapeError):
+            ops.segment_max(p(Tensor(np.zeros((3, 2)))), seg, p(Tensor(np.zeros(3))),
+                            np.zeros(2, dtype=bool))
+
+    @pytest.mark.parametrize("counts", [[], [2, 0], [[1, 2]]])
+    def test_segments_need_positive_lengths(self, counts):
+        with pytest.raises(ShapeError):
+            Segments(counts)
 
 
 class TestGradCheck:

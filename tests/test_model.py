@@ -23,6 +23,7 @@ from triagenet.model import (
     predict,
     predict_batch,
     save_model,
+    window_rows,
 )
 
 
@@ -162,41 +163,45 @@ class TestInit:
 class TestNgramEncode:
     def test_feature_map_shape(self):
         params = init_params(tiny_config(), seed=1)
-        emb = Tensor(np.random.default_rng(0).normal(size=(2, 5, 4)))
-        feats = ngram_encode(params, emb, 2)
-        assert feats.shape == (2, 4, 3)
+        windows = np.random.default_rng(0).integers(0, 12, size=(7, 2))
+        feats = ngram_encode(params, windows)
+        assert feats.shape == (7, 3)
 
     def test_zero_embedding_zero_bias_gives_zeros(self):
         params = init_params(tiny_config(), seed=1)
-        feats = ngram_encode(params, Tensor(np.zeros((2, 5, 4))), 1)
-        np.testing.assert_array_equal(feats.data, np.zeros((2, 5, 3)))
+        params.embedding.data = np.zeros((12, 4))
+        feats = ngram_encode(params, np.arange(10).reshape(10, 1))
+        np.testing.assert_array_equal(feats.data, np.zeros((10, 3)))
 
     def test_single_filter_matches_numpy_convolution(self):
         cfg = tiny_config(filters=1)
         params = init_params(cfg, seed=2)
-        emb = np.random.default_rng(1).normal(size=(2, 5, 4))
-        feats = ngram_encode(params, Tensor(emb), 2)
+        emb = params.embedding.data
+        ids = np.random.default_rng(1).integers(1, 12, size=(2, 5))
+        windows = np.array([doc[i : i + 2] for doc in ids for i in range(4)])
+        feats = ngram_encode(params, windows)
         w = params.conv_w[2].data[:, 0].reshape(2, 4)
         b = params.conv_b[2].data[0]
         for doc in range(2):
-            direct = [max(0.0, float(np.sum(w * emb[doc, i : i + 2])) + b) for i in range(4)]
-            np.testing.assert_allclose(feats.data[doc, :, 0], direct, atol=1e-15)
+            direct = [max(0.0, float(np.sum(w * emb[ids[doc, i : i + 2]])) + b) for i in range(4)]
+            np.testing.assert_allclose(feats.data[4 * doc : 4 * doc + 4, 0], direct, atol=1e-15)
 
 
 class TestAttend:
     def test_single_row_gets_full_weight(self):
         params = init_params(tiny_config(), seed=5)
-        row = np.random.default_rng(2).normal(size=(1, 1, 3))
-        s, alpha = attend(params, Tensor(row), np.array([1]), 1)
-        np.testing.assert_allclose(alpha.data, [[1.0]])
-        np.testing.assert_allclose(s.data, row[0], atol=1e-15)
+        row = np.random.default_rng(2).normal(size=(1, 3))
+        s, alpha = attend(params, Tensor(row), ad.Segments([1]), 1)
+        np.testing.assert_allclose(alpha.data, [1.0])
+        np.testing.assert_allclose(s.data, row, atol=1e-15)
 
     def test_identical_rows_uniform(self):
         params = init_params(tiny_config(), seed=5)
-        rows = np.random.default_rng(3).normal(size=(2, 1, 3))
-        s, alpha = attend(params, Tensor(np.tile(rows, (1, 4, 1))), np.array([4, 2]), 1)
-        np.testing.assert_allclose(alpha.data, [[0.25] * 4, [0.5, 0.5, 0.0, 0.0]], atol=1e-12)
-        np.testing.assert_allclose(s.data, rows[:, 0], atol=1e-12)
+        rows = np.random.default_rng(3).normal(size=(2, 3))
+        feats = Tensor(np.repeat(rows, [4, 2], axis=0))  # documents of 4 and 2 windows
+        s, alpha = attend(params, feats, ad.Segments([4, 2]), 1)
+        np.testing.assert_allclose(alpha.data, [0.25] * 4 + [0.5] * 2, atol=1e-12)
+        np.testing.assert_allclose(s.data, rows, atol=1e-12)
 
     def test_engineered_log_odds(self):
         # u = tanh(v), logit = u * ln3/tanh(1): rows [0] and [1] give
@@ -206,9 +211,9 @@ class TestAttend:
         params.attn_w[1].data = np.array([[1.0]])
         params.attn_b[1].data = np.array([0.0])
         params.attn_u[1].data = np.array([np.log(3.0) / np.tanh(1.0)])
-        feats = Tensor(np.array([[[0.0], [1.0]]]))
-        s, alpha = attend(params, feats, np.array([2]), 1)
-        np.testing.assert_allclose(alpha.data, [[0.25, 0.75]], atol=1e-12)
+        feats = Tensor(np.array([[0.0], [1.0]]))
+        s, alpha = attend(params, feats, ad.Segments([2]), 1)
+        np.testing.assert_allclose(alpha.data, [0.25, 0.75], atol=1e-12)
         np.testing.assert_allclose(s.data, [[0.75]], atol=1e-12)
 
 
@@ -294,6 +299,72 @@ class TestForward:
         report = ad.grad_check(loss, [t for _, t in params.parameters()])
         assert report.max_rel_error < 1e-4
         assert report.checked > 0
+
+    def test_kimcnn_gradients_where_the_padding_window_wins(self):
+        params = init_params(tiny_config(arch="kimcnn"), seed=19)
+        # filter 0 scores every real window below its bias alone, so in a
+        # document with an all-padding window that window wins
+        params.embedding.data = np.abs(params.embedding.data)
+        for m in params.config.widths:
+            params.conv_w[m].data[:, 0] = -np.abs(params.conv_w[m].data[:, 0])
+            params.conv_b[m].data = np.full(3, 0.5)
+        cases = [make_case([2, 3, 4, 5, 6], 5), make_case([7, 8], 5, age=70)]
+
+        def loss():
+            probs, _, _ = forward(params, cases)
+            return ad.mean_nll(probs, [1, 2])
+
+        short = params.embedding.data[[7, 8, 0, 0, 0]]
+        for m in params.config.widths:  # so relu(0.5) beats the short document's real windows
+            scores = [short[i : i + m].reshape(-1) @ params.conv_w[m].data[:, 0] for i in range(2)]
+            assert max(scores) < 0.0
+        report = ad.grad_check(loss, [t for _, t in params.parameters()])
+        assert report.max_rel_error < 1e-4
+        assert report.checked > 0
+
+    @pytest.mark.parametrize("arch", ["acnn", "kimcnn"])
+    def test_batch_gradient_is_the_mean_of_per_case_gradients(self, arch):
+        # a gradient leaking across document boundaries shows here, not in the forward pass
+        cfg = tiny_config(max_len=8, widths=(1, 2, 3), arch=arch)
+        params = init_params(cfg, seed=53)
+        rng = np.random.default_rng(53)
+        random_biases(params, rng)
+        cases = [make_case(rng.integers(1, 12, size=n), 8, age=int(rng.integers(101)))
+                 for n in (8, 2, 5, 1, 7)]
+        labels = [0, 2, 1, 1, 0]
+        tensors = [t for _, t in params.parameters()]
+
+        def gradients(batch, batch_labels):
+            params.zero_grad()
+            probs, _, _ = forward(params, batch)
+            ad.mean_nll(probs, batch_labels).backward()
+            return [np.zeros_like(t.data) if t.grad is None else t.grad.copy() for t in tensors]
+
+        together = gradients(cases, labels)
+        alone = [gradients([c], [y]) for c, y in zip(cases, labels)]
+        for i, g in enumerate(together):
+            np.testing.assert_allclose(g, np.mean([a[i] for a in alone], axis=0), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("arch", ["acnn", "kimcnn"])
+    @pytest.mark.parametrize("ops", [ad, ad.TapeFree], ids=["taped", "tape-free"])
+    def test_convolution_sees_real_windows_only(self, arch, ops, monkeypatch):
+        cfg = tiny_config(max_len=8, widths=(1, 2, 3), arch=arch)
+        params = init_params(cfg, seed=59)
+        rng = np.random.default_rng(59)
+        lengths = np.array([8, 1, 3, 7, 2])
+        cases = [make_case(rng.integers(1, 12, size=n), 8) for n in lengths]
+        filters = {id(ops.param(params.conv_w[m])): m for m in cfg.widths}
+        rows = {}
+        real_matmul = ops.matmul
+
+        def recording(a, b):
+            if id(b) in filters:
+                rows[filters[id(b)]] = a.shape[0]
+            return real_matmul(a, b)
+
+        monkeypatch.setattr(ops, "matmul", staticmethod(recording) if ops is ad.TapeFree else recording)
+        forward(params, cases, ops=ops)
+        assert rows == {m: int(np.minimum(lengths, 8 - m + 1).sum()) for m in cfg.widths}
 
     @given(
         arch=st.sampled_from(["acnn", "kimcnn"]),
@@ -399,9 +470,10 @@ class TestTapeFree:
                 forward_graph(params, ids, np.zeros((len(ids), 3)), ops=ops)
 
     def test_window_wider_than_the_document_refused(self):
-        for ops in (ad, ad.TapeFree):
-            with pytest.raises(ad.WindowTooLargeError):
-                ops.unfold(ops.param(Tensor(np.ones((1, 2, 3)))), 3)
+        # a width past max_len leaves a document no window to pack
+        for n_windows in (0, -1):
+            with pytest.raises(ad.ShapeError):
+                window_rows(np.array([2, 1]), n_windows, 2)
 
 
 class TestPredictOrder:
@@ -425,7 +497,7 @@ class TestPredictOrder:
         monkeypatch.setattr(model, "forward_graph", recording)
         straight = predict_batch(params, cases)
         permuted = predict_batch(params, [cases[i] for i in perm])
-        # each pass got a run of the length order, so its cut is its own longest document
+        # each pass got a run of the length order
         assert [len(chunk) for chunk in seen] == [PREDICT_CHUNK, PREDICT_CHUNK, 13] * 2
         passes = np.concatenate(seen[:3])
         np.testing.assert_array_equal(passes, np.sort(passes))
