@@ -30,6 +30,7 @@ from .config import ConfigError, check, field_types
 from .corpus import (
     LABELS,
     Corpus,
+    CorpusFile,
     DataContract,
     GeneratorSpec,
     Vocabulary,
@@ -37,7 +38,6 @@ from .corpus import (
     encode_corpus,
     file_sha256,
     generate_corpus,
-    load_corpus,
     save_corpus,
     split,
 )
@@ -124,6 +124,15 @@ def _deep_copy(obj):
     return json.loads(json.dumps(obj))
 
 
+def _load_json(path):
+    """The value of a JSON file; a file that is not UTF-8 text is a ConfigError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path} is not UTF-8 text ({e.reason})") from None
+
+
 def resolve_config(args) -> dict:
     """Defaults, then config file, then flags; every value is checked.
 
@@ -132,8 +141,7 @@ def resolve_config(args) -> dict:
     """
     config = _deep_copy(DEFAULT_CONFIG)
     if getattr(args, "config", None):
-        with open(args.config, encoding="utf-8") as fh:
-            user = check(json.load(fh), _TOP_LEVEL)
+        user = check(_load_json(args.config), _TOP_LEVEL)
         for key, value in user.items():
             if isinstance(value, dict):
                 config[key].update(value)
@@ -209,44 +217,49 @@ def _config_inputs(args) -> dict:
 # -- shared pipeline steps ----------------------------------------------------
 
 
-def _load_corpus(args):
-    corpus_path = _artifact(args, "corpus", "corpus.jsonl")
-    return corpus_path, load_corpus(corpus_path)
-
-
-def _by_split(corpus, ratios, seed) -> dict:
-    """Each split's name mapped to its records."""
-    indices = split(corpus.records, ratios, seed=seed)
-    return {name: [corpus.records[i] for i in idx] for name, idx in zip(SPLITS, indices)}
-
-
 def _load_world(args, config):
     """Corpus path, records by split, train-split vocabulary, and the data record of all three.
 
     Only the commands that train decide the split and vocabulary; the record fixes them after.
+    The record's sha256 is that of the bytes parsed here, read once.
     """
-    corpus_path, corpus = _load_corpus(args)
-    ratios, seed = tuple(config["split"]), derive_seed(config["seed"], "split")
-    splits = _by_split(corpus, ratios, seed)
+    corpus_path = _artifact(args, "corpus", "corpus.jsonl")
+    corpus = CorpusFile(corpus_path)
+    records = corpus.records()
+    indices = split(records, tuple(config["split"]), seed=derive_seed(config["seed"], "split"))
+    splits = {name: [records[i] for i in idx] for name, idx in zip(SPLITS, indices)}
     vocab = build_vocab(splits["train"], min_count=config["min_count"])
-    data = DataContract(file_sha256(corpus_path), ratios, seed, tuple(vocab.id_to_token[2:]))
+    data = DataContract(corpus.sha256, *map(tuple, indices), tuple(vocab.id_to_token[2:]))
     return corpus_path, splits, vocab, data
 
 
-def _load_trained(args):
-    """Corpus path, corpus, records by split, vocabulary, model path and model.
+def _splits(*names):
+    """A ``pick`` for ``_load_trained``: the named splits of the model's data record."""
+    return lambda data: {name: getattr(data, name) for name in names}
 
-    The split and vocabulary come from the model's data record; another corpus file is refused.
+
+def _load_trained(args, pick):
+    """Corpus path, the records ``pick`` names, vocabulary, model path and model.
+
+    ``pick`` maps the model's data record to lists of record indices by
+    name; the records come back under the same names. The vocabulary comes
+    from the record, and a corpus file whose sha256 or record count differs
+    from it is refused before any record is parsed.
     """
-    corpus_path, corpus = _load_corpus(args)
+    corpus_path = _artifact(args, "corpus", "corpus.jsonl")
+    corpus = CorpusFile(corpus_path)
     model_path = _artifact(args, "model", "model.bin")
     params = load_model(model_path)
     data = params.data
-    if data is None or data.corpus_sha256 != file_sha256(corpus_path):
-        raise ConfigError(f"{model_path} records no training data" if data is None else
-                          f"model was trained on a different corpus file than {corpus_path}")
-    splits = _by_split(corpus, data.split, data.split_seed)
-    return corpus_path, corpus, splits, Vocabulary(data.tokens), model_path, params
+    if data is None:
+        raise ConfigError(f"{model_path} records no training data")
+    if corpus.sha256 != data.corpus_sha256:
+        raise ConfigError(f"model was trained on a different corpus file than {corpus_path}")
+    if len(corpus) != data.n_records:
+        raise ConfigError(f"{corpus_path} holds {len(corpus)} records; "
+                          f"the model's data record splits {data.n_records}")
+    records = {name: corpus.records(idx) for name, idx in pick(data).items()}
+    return corpus_path, records, Vocabulary(data.tokens), model_path, params
 
 
 def _report_truncation(records, max_len: int, what: str) -> int:
@@ -351,7 +364,7 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     config = resolve_config(args)
-    corpus_path, _, splits, vocab, model_path, params = _load_trained(args)
+    corpus_path, splits, vocab, model_path, params = _load_trained(args, _splits(args.split))
     records = splits[args.split]
     max_len = params.config.max_len
     cases = encode_corpus(records, vocab, max_len)
@@ -378,8 +391,7 @@ def cmd_evaluate(args) -> int:
 def cmd_grid_search(args) -> int:
     config = resolve_config(args)
     corpus_path, splits, vocab, data = _load_world(args, config)
-    with open(args.grid, encoding="utf-8") as fh:
-        grid = json.load(fh)
+    grid = _load_json(args.grid)
     cfg = ModelConfig.from_dict({**config["model"], "vocab_size": len(vocab)})
     rows = grid_search(
         cfg,
@@ -406,7 +418,7 @@ def cmd_grid_search(args) -> int:
 
 def cmd_score_symptoms(args) -> int:
     config = resolve_config(args)
-    corpus_path, _, splits, vocab, model_path, params = _load_trained(args)
+    corpus_path, splits, vocab, model_path, params = _load_trained(args, _splits(args.split))
     scores = score_features(params, splits[args.split], vocab, args.class_name, gram_size=args.gram)
 
     out = _artifact(args, "out", f"scores_{args.class_name}_{args.gram}gram.json")
@@ -426,7 +438,7 @@ def cmd_score_symptoms(args) -> int:
 
 def cmd_pairs(args) -> int:
     config = resolve_config(args)
-    corpus_path, _, splits, vocab, model_path, params = _load_trained(args)
+    corpus_path, splits, vocab, model_path, params = _load_trained(args, _splits(args.split))
     unigrams, bigrams = score_grams(params, splits[args.split], vocab, args.class_name, (1, 2))
     pairs = pair_synergy(unigrams, bigrams)
 
@@ -447,7 +459,9 @@ def cmd_pairs(args) -> int:
 
 def cmd_drop_experiment(args) -> int:
     config = resolve_config(args)
-    corpus_path, _, splits, vocab, model_path, params = _load_trained(args)
+    corpus_path, splits, vocab, model_path, params = _load_trained(
+        args, _splits("train", "test")
+    )
     rows = drop_experiment(
         params,
         splits["train"],
@@ -474,20 +488,23 @@ def cmd_drop_experiment(args) -> int:
 
 def cmd_explain(args) -> int:
     config = resolve_config(args)
-    corpus_path, corpus, _, vocab, model_path, params = _load_trained(args)
-    if params.config.arch != "acnn":
-        raise ConfigError("explain needs a model with attention pooling")
     try:
         ids = [int(c) for c in args.case_ids.split(",") if c.strip() != ""]
     except ValueError:
         raise ConfigError(f"case ids must be integers, got {args.case_ids!r}")
     if not ids:
         raise ConfigError("no case ids given")
-    bad = [i for i in ids if not 0 <= i < len(corpus.records)]
-    if bad:
-        raise ConfigError(f"case ids out of range for {len(corpus.records)} records: {bad}")
 
-    records = [corpus.records[i] for i in ids]
+    def pick(data):
+        bad = [i for i in ids if not 0 <= i < data.n_records]
+        if bad:
+            raise ConfigError(f"case ids out of range for {data.n_records} records: {bad}")
+        return {"cases": ids}
+
+    corpus_path, picked, vocab, model_path, params = _load_trained(args, pick)
+    if params.config.arch != "acnn":
+        raise ConfigError("explain needs a model with attention pooling")
+    records = picked["cases"]
     preds = predict_batch(params, encode_corpus(records, vocab, params.config.max_len))
     sections = []
     for i, rec, pred in zip(ids, records, preds):

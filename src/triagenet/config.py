@@ -39,8 +39,9 @@ def _check_value(name: str, value, kind):
         if isinstance(value, bool) or not isinstance(value, _ACCEPTED.get(kind, kind)):
             raise ConfigError(f"{name} must be {_EXPECTED[kind]}, got {value!r}")
         return value
-    if same and type(value) is origin and set(map(type, value)) <= same:
-        return value  # exact classes throughout, the common case: one pass in C
+    if same and type(value) in (list, tuple) and set(map(type, value)) <= same:
+        # exact classes throughout, the common case: one pass in C
+        return value if type(value) is origin else origin(value)
     if not isinstance(value, (list, tuple)):
         raise ConfigError(f"{name} must be a list, got {value!r}")
     if same:

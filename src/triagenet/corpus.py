@@ -422,17 +422,30 @@ def split(
 
 @dataclass(frozen=True)
 class DataContract(Schema):
-    """What a model or embedding file was trained on: the corpus file, the split
-    that cut it, and the vocabulary ``tokens`` in id order after padding and
-    unknown. Commands that read the file take split and vocabulary from here.
+    """What a model or embedding file was trained on: the corpus file's sha256, the
+    record indices of each split in the order ``split`` returned them, and the
+    vocabulary ``tokens`` in id order after padding and unknown. Commands that read
+    the file take split and vocabulary from here, and parse only the records they use.
     """
 
     section = "data"
 
     corpus_sha256: str
-    split: tuple[float, float, float]
-    split_seed: int
+    train: tuple[int, ...]
+    val: tuple[int, ...]
+    test: tuple[int, ...]
     tokens: tuple[str, ...]
+
+    @property
+    def n_records(self) -> int:
+        return len(self.train) + len(self.val) + len(self.test)
+
+    def validate(self) -> None:
+        super().validate()
+        if set(self.train + self.val + self.test) != set(range(self.n_records)):
+            raise SpecValidationError(
+                "data.train, data.val and data.test must split the record indices 0..n-1"
+            )
 
 
 # -- serialization -----------------------------------------------------------
@@ -463,28 +476,69 @@ def save_corpus(corpus: Corpus, path) -> None:
             fh.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
 
 
+def _parse_record(line_no: int, line: str) -> CaseRecord:
+    """One nonblank, stripped line of a corpus file as a checked record; errors name the line."""
+    try:
+        rec = CaseRecord(**check(json.loads(line), field_types(CaseRecord), "record"))
+        _validate_record(rec)
+    except json.JSONDecodeError as e:
+        raise SpecValidationError(f"line {line_no}: not valid JSON ({e})") from e
+    except TypeError as e:  # a required field is absent
+        raise SpecValidationError(f"line {line_no}: missing field ({e})") from e
+    except ConfigError as e:
+        raise SpecValidationError(f"line {line_no}: {e}") from e
+    return rec
+
+
+class CorpusFile:
+    """A JSONL corpus file read once: the sha256 of its bytes, its record count,
+    and the records a caller names, each parsed and checked on request.
+
+    Line numbers in errors count every line, blank ones included; a line
+    ends at a line feed, a carriage return or both, as in a text-mode read.
+    """
+
+    def __init__(self, path):
+        # line by line: a whole-file buffer raised the tour benchmark's peak RSS by
+        # about 3 MB, since once glibc frees a large mapped block it serves later
+        # allocations up to that size from the heap
+        digest = hashlib.sha256()
+        self._rows = []  # (line number, stripped text) of each record
+        line_no = 0
+        with open(path, "rb") as fh:
+            for chunk in fh:  # ends at a line feed; splitlines also breaks at a lone CR
+                digest.update(chunk)
+                for line in chunk.splitlines():
+                    line_no += 1
+                    try:
+                        text = line.decode("utf-8").strip()
+                    except UnicodeDecodeError as e:
+                        raise SpecValidationError(
+                            f"line {line_no}: not UTF-8 text ({e.reason})"
+                        ) from None
+                    if text:
+                        self._rows.append((line_no, text))
+        self.sha256 = digest.hexdigest()
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def records(self, indices: Sequence[int] | None = None) -> list[CaseRecord]:
+        """The records at ``indices`` (every record for None), in that order."""
+        if not self._rows:
+            raise SpecValidationError("corpus file holds no records")
+        if indices is None:
+            rows = self._rows
+        else:
+            if indices and not 0 <= min(indices) <= max(indices) < len(self._rows):
+                raise SpecValidationError(f"record indices out of range for {len(self)} records")
+            rows = [self._rows[i] for i in indices]
+        return [_parse_record(n, line) for n, line in rows]
+
+
 def load_corpus(path) -> Corpus:
     """Read a JSONL corpus, each record type-checked; ``planted_flags`` is optional."""
-    types = field_types(CaseRecord)
-    records = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = CaseRecord(**check(json.loads(line), types, "record"))
-                _validate_record(rec)
-            except json.JSONDecodeError as e:
-                raise SpecValidationError(f"line {line_no}: not valid JSON ({e})") from e
-            except TypeError as e:  # a required field is absent
-                raise SpecValidationError(f"line {line_no}: missing field ({e})") from e
-            except ConfigError as e:
-                raise SpecValidationError(f"line {line_no}: {e}") from e
-            records.append(rec)
-    if not records:
-        raise SpecValidationError("corpus file holds no records")
-    return Corpus(records=records)
+    return Corpus(records=CorpusFile(path).records())
 
 
 def file_sha256(path) -> str:

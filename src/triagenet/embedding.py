@@ -8,7 +8,7 @@ decaying step size, deterministic in the seed.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from .config import ConfigError
 from .corpus import PAD_ID, Corpus, DataContract, Vocabulary
 
 FORMAT_NAME = "triagenet-embedding"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 BLOCK = 4096  # steps whose index rows are built at once; bounds peak memory
 
 
@@ -152,7 +152,7 @@ def save_table(table: EmbeddingTable, path) -> None:
         "vocab_size": table.vectors.shape[0],
         "dim": table.dim,
         "seed": table.seed,
-        "data": None if table.data is None else asdict(table.data),
+        "data": None if table.data is None else vars(table.data),
     }
     write_artifact(path, header, np.ascontiguousarray(table.vectors, dtype="<f8").tobytes())
 
@@ -165,7 +165,7 @@ def load_table(path) -> EmbeddingTable:
         raise ChecksumError(f"blob holds {len(blob)} bytes, header implies a {shape} table")
     try:
         data = None if header["data"] is None else DataContract.from_dict(header["data"])
-    except ConfigError as e:
+    except (TypeError, ConfigError) as e:  # TypeError: a record field is absent
         raise ChecksumError(f"malformed {FORMAT_NAME} header: {e}") from e
     vectors = np.frombuffer(blob, dtype="<f8").reshape(shape)
     return EmbeddingTable(vectors=vectors.astype(np.float64), seed=header["seed"], data=data)

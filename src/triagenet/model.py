@@ -37,7 +37,7 @@ from .corpus import LABELS, PAD_ID, DataContract, EncodedCase, Vocabulary
 from .embedding import EmbeddingTable
 
 FORMAT_NAME = "triagenet-model"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 DEMOGRAPHICS_DIM = 3
 ARCHITECTURES = ("acnn", "kimcnn")
 PREDICT_CHUNK = 64  # cases per inference forward pass; bounds peak memory
@@ -390,7 +390,7 @@ def save_model(params: ModelParams, path) -> None:
         "version": FORMAT_VERSION,
         "config": asdict(params.config),
         "seed": params.seed,
-        "data": None if params.data is None else asdict(params.data),
+        "data": None if params.data is None else vars(params.data),
         "params": [[name, list(t.data.shape)] for name, t in named],
     }
     write_artifact(path, header, blob)

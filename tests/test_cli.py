@@ -1,14 +1,25 @@
 """End-to-end tests for the command-line pipeline."""
 
+import hashlib
 import json
 import re
 from html.parser import HTMLParser
+from pathlib import Path
 
 import pytest
 
+from triagenet import corpus as corpus_module
 from triagenet import explain
 from triagenet.cli import main
-from triagenet.corpus import URGENT, build_vocab, file_sha256, load_corpus, split
+from triagenet.corpus import (
+    URGENT,
+    SpecValidationError,
+    build_vocab,
+    file_sha256,
+    load_corpus,
+    split,
+)
+from triagenet.embedding import load_table
 from triagenet.model import load_model, save_model
 from triagenet.training import derive_seed
 
@@ -99,7 +110,7 @@ WRONG_TYPED_MODEL_HEADERS = {
     "filters-float": edit_config("filters", 6.0),
     "data-list": edit_field("data", []),
     "tokens-string": edit_record("tokens", "abc"),
-    "split_seed-float": edit_record("split_seed", 3.0),
+    "test-float": edit_record("test", [3.0]),
     "tokens-null": edit_record("tokens", None),
 }
 
@@ -109,6 +120,15 @@ def as_version_1(header):
     fields = json.loads(header)
     fields["corpus_hash"] = fields.pop("data")["corpus_sha256"]
     return json.dumps({**fields, "version": 1}, sort_keys=True).encode()
+
+
+def as_version_2(header):
+    """A header as the second file format wrote it: split ratios and seed, no index lists."""
+    fields = json.loads(header)
+    data = fields["data"]
+    fields["data"] = {"corpus_sha256": data["corpus_sha256"], "split": [0.9, 0.05, 0.05],
+                      "split_seed": 3, "tokens": data["tokens"]}
+    return json.dumps({**fields, "version": 2}, sort_keys=True).encode()
 
 
 # a corpus whose small lexicon lets two split seeds build the same vocabulary
@@ -143,6 +163,25 @@ def train_split(out, seed):
     corpus = load_corpus(out / "corpus.jsonl")
     tr, _, _ = split(corpus.records, (0.9, 0.05, 0.05), seed=derive_seed(seed, "split"))
     return [corpus.records[i] for i in tr]
+
+
+@pytest.fixture
+def corpus_reads(monkeypatch):
+    """Paths the corpus module opens, and the line numbers of the records it parses."""
+    opened, parsed = [], []
+    parse = corpus_module._parse_record
+
+    def counting_open(path, *args, **kwargs):
+        opened.append(Path(path))
+        return open(path, *args, **kwargs)
+
+    def counting_parse(line_no, line):
+        parsed.append(line_no)
+        return parse(line_no, line)
+
+    monkeypatch.setattr(corpus_module, "open", counting_open, raising=False)
+    monkeypatch.setattr(corpus_module, "_parse_record", counting_parse)
+    return opened, parsed
 
 
 @pytest.fixture(scope="module")
@@ -350,6 +389,34 @@ class TestErrorPaths:
         assert says in err
         assert not (tmp_path / "model.bin").exists()
 
+    def test_corpus_not_utf8_names_the_line(self, pipeline, tmp_path, capsys):
+        out, config = pipeline
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_bytes(b"\xff" + (out / "corpus.jsonl").read_bytes())
+        capsys.readouterr()
+        assert run("evaluate", "--config", config, "--out-dir", tmp_path,
+                   "--corpus", corpus, "--model", out / "model.bin") == 1
+        assert capsys.readouterr().err == "error: line 1: not UTF-8 text (invalid start byte)\n"
+
+    def test_config_not_utf8_is_validation_error(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_bytes(b"\xff" + json.dumps(CONFIG).encode())
+        capsys.readouterr()
+        assert run("gen-data", "--config", config, "--out-dir", tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {config} is not UTF-8 text (invalid start byte)\n"
+        assert not (tmp_path / "corpus.jsonl").exists()
+
+    def test_grid_not_utf8_is_validation_error(self, pipeline, tmp_path, capsys):
+        out, config = pipeline
+        grid = tmp_path / "grid.json"
+        grid.write_bytes(b"\xff" + json.dumps({"lr": [0.01]}).encode())
+        capsys.readouterr()
+        assert run("grid-search", "--config", config, "--out-dir", tmp_path,
+                   "--corpus", out / "corpus.jsonl", "--grid", grid) == 1
+        assert capsys.readouterr().err == f"error: {grid} is not UTF-8 text (invalid start byte)\n"
+        assert not (tmp_path / "grid_search.json").exists()
+
     def test_corrupt_model_is_validation_error(self, pipeline, tmp_path, capsys):
         out, config = pipeline
         broken = tmp_path / "model.bin"
@@ -487,8 +554,32 @@ class TestDataRecord:
                    "--corpus", out / "corpus.jsonl", "--embeddings", table,
                    "--model", tmp_path / "new.bin") == 1
         err = capsys.readouterr().err.splitlines()
-        assert err == ["error: not a triagenet-model v2 file",
-                       "error: not a triagenet-embedding v2 file"]
+        assert err == ["error: not a triagenet-model v3 file",
+                       "error: not a triagenet-embedding v3 file"]
+
+    def test_version_2_files_refused(self, pipeline, tmp_path, capsys):
+        out, config = pipeline
+        model = with_header(out / "model.bin", tmp_path / "model.bin", as_version_2)
+        table = with_header(out / "embeddings.bin", tmp_path / "embeddings.bin", as_version_2)
+        capsys.readouterr()
+        assert run("evaluate", "--config", config, "--out-dir", tmp_path,
+                   "--corpus", out / "corpus.jsonl", "--model", model) == 1
+        assert run("train", "--config", config, "--out-dir", tmp_path,
+                   "--corpus", out / "corpus.jsonl", "--embeddings", table,
+                   "--model", tmp_path / "new.bin") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: not a triagenet-model v3 file",
+                       "error: not a triagenet-embedding v3 file"]
+        assert not (tmp_path / "metrics.json").exists()
+
+    def test_record_holds_the_split_in_split_order(self, pipeline):
+        out, _ = pipeline
+        data = load_model(out / "model.bin").data
+        corpus = load_corpus(out / "corpus.jsonl")
+        cut = split(corpus.records, (0.9, 0.05, 0.05), seed=derive_seed(CONFIG["seed"], "split"))
+        assert (data.train, data.val, data.test) == tuple(map(tuple, cut))
+        assert data.corpus_sha256 == file_sha256(out / "corpus.jsonl")
+        assert load_table(out / "embeddings.bin").data == data
 
     def test_model_without_data_record_refused(self, pipeline, tmp_path, capsys):
         out, config = pipeline
@@ -500,6 +591,92 @@ class TestDataRecord:
                    "--corpus", out / "corpus.jsonl") == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "records no training data" in err
+
+
+class TestCorpusReads:
+    """Commands read the corpus file once and parse only the records they use."""
+
+    def test_evaluate_and_explain_parse_only_what_they_use(self, pipeline, tmp_path,
+                                                           corpus_reads):
+        out, config = pipeline
+        opened, parsed = corpus_reads
+        corpus, data = out / "corpus.jsonl", load_model(out / "model.bin").data
+        common = ("--config", config, "--out-dir", tmp_path, "--corpus", corpus,
+                  "--model", out / "model.bin")
+        assert run("evaluate", *common) == 0
+        assert opened.count(corpus) == 1
+        assert parsed == [i + 1 for i in data.test]  # one record a line, no blank lines
+        opened.clear()
+        parsed.clear()
+        assert run("explain", *common, "--cases", "0,3") == 0
+        assert opened.count(corpus) == 1
+        assert parsed == [1, 4]
+        parsed.clear()
+        assert run("drop-experiment", *common) == 0
+        assert len(parsed) == len(data.train) + len(data.test)
+
+    def test_train_records_the_bytes_it_parsed(self, pipeline, tmp_path, monkeypatch):
+        out, config = pipeline
+        corpus = tmp_path / "corpus.jsonl"
+        original = (out / "corpus.jsonl").read_bytes()
+        corpus.write_bytes(original)
+        opens = []
+
+        def swapping_open(path, *args, **kwargs):
+            if Path(path) == corpus:
+                opens.append(path)
+                if len(opens) == 2:  # a second read would see other bytes, same records
+                    corpus.write_bytes(original + b"\n")
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(corpus_module, "open", swapping_open, raising=False)
+        assert run("train", "--config", config, "--out-dir", tmp_path, "--corpus", corpus) == 0
+        digest = hashlib.sha256(original).hexdigest()
+        assert load_model(tmp_path / "model.bin").data.corpus_sha256 == digest
+        manifest = json.loads((tmp_path / "manifest_train.json").read_text())
+        assert manifest["inputs"]["corpus"]["sha256"] == digest
+
+    @pytest.mark.parametrize("change", ["digest", "count"])
+    def test_refused_before_any_record_is_parsed(self, pipeline, tmp_path, capsys,
+                                                 corpus_reads, change):
+        out, config = pipeline
+        text = (out / "corpus.jsonl").read_text()
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(text + text.splitlines(keepends=True)[0])  # one record more
+        model = out / "model.bin"
+        if change == "count":  # a record naming these bytes, but the old split
+            model = with_header(model, tmp_path / "model.bin",
+                                edit_record("corpus_sha256", file_sha256(corpus)))
+        capsys.readouterr()
+        assert run("evaluate", "--config", config, "--out-dir", tmp_path,
+                   "--corpus", corpus, "--model", model) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert ("different corpus file" if change == "digest"
+                else "holds 201 records; the model's data record splits 200") in err
+        assert corpus_reads[1] == []
+        assert not (tmp_path / "metrics.json").exists()
+
+    def test_malformed_record_in_a_used_split_gives_its_line(self, pipeline, tmp_path,
+                                                              capsys):
+        out, config = pipeline
+        data = load_model(out / "model.bin").data
+        lines = (out / "corpus.jsonl").read_text().splitlines(keepends=True)
+        bad = data.test[0]
+        lines[bad] = lines[bad].replace('"label":"', '"label":"x', 1)
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(lines))
+        with pytest.raises(SpecValidationError) as whole:
+            load_corpus(corpus)
+        assert str(whole.value).startswith(f"line {bad + 1}: unknown label")
+        # a record naming these bytes, as if train had accepted them
+        model = with_header(out / "model.bin", tmp_path / "model.bin",
+                            edit_record("corpus_sha256", file_sha256(corpus)))
+        common = ("--config", config, "--out-dir", tmp_path, "--corpus", corpus, "--model", model)
+        capsys.readouterr()
+        assert run("evaluate", *common, "--split", "val") == 0
+        assert run("evaluate", *common, "--split", "test") == 1
+        assert capsys.readouterr().err == f"error: {whole.value}\n"
 
 
 class TestEnvironment:

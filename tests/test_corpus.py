@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from triagenet.corpus import (
@@ -17,12 +17,14 @@ from triagenet.corpus import (
     URGENT,
     CaseRecord,
     Corpus,
+    CorpusFile,
     GeneratorSpec,
     SpecValidationError,
     Vocabulary,
     build_lexicon,
     build_vocab,
     encode,
+    file_sha256,
     generate_corpus,
     load_corpus,
     oracle_label,
@@ -280,3 +282,89 @@ class TestSerialization:
         )
         with pytest.raises(SpecValidationError):
             load_corpus(path)
+
+
+def _corrupt_json(line):
+    return line[:-1]
+
+
+def _corrupt_field(key, value):
+    def corrupt(line):
+        record = json.loads(line)
+        record[key] = value(record)
+        if record[key] is None:
+            del record[key]
+        return json.dumps(record)
+    return corrupt
+
+
+CORRUPTIONS = {
+    "bad-json": _corrupt_json,
+    "wrong-typed": _corrupt_field("age", lambda r: str(r["age"])),
+    "missing-field": _corrupt_field("label", lambda r: None),
+    "unknown-label": _corrupt_field("label", lambda r: "er"),
+    "flag-out-of-range": _corrupt_field("planted_flags", lambda r: [len(r["tokens"])]),
+}
+# lines that read as blank: str.strip() removes them, and none ends a line in text mode
+BLANKS = ("", " ", "\t ", "\x0c", "\x1c", "\x85", "\u2028")
+
+
+class TestSelectiveRead:
+    """``CorpusFile.records`` on any index set agrees with ``load_corpus``."""
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_matches_load_corpus(self, tmp_path, data):
+        n = data.draw(st.integers(1, 8), label="n")
+        corpus = generate_corpus(GeneratorSpec(), n, seed=data.draw(st.integers(0, 99)))
+        newline = data.draw(st.sampled_from(["\n", "\r\n", "\r"]), label="newline")
+        lines, line_of = [], []
+        for rec in corpus.records:
+            lines += data.draw(st.lists(st.sampled_from(BLANKS), max_size=2))
+            line_of.append(len(lines) + 1)
+            lines.append(json.dumps(vars(rec), sort_keys=True))
+        lines += data.draw(st.lists(st.sampled_from(BLANKS), max_size=2))
+        bad = data.draw(st.integers(0, n - 1), label="bad")
+        corrupt = CORRUPTIONS[data.draw(st.sampled_from(sorted(CORRUPTIONS)), label="how")]
+        broken = lines.copy()
+        broken[line_of[bad] - 1] = corrupt(lines[line_of[bad] - 1])
+        clean_path, broken_path = tmp_path / "clean.jsonl", tmp_path / "broken.jsonl"
+        clean_path.write_bytes(newline.join(lines).encode())
+        broken_path.write_bytes(newline.join(broken).encode())
+
+        full = load_corpus(clean_path).records
+        assert full == corpus.records
+        with pytest.raises(SpecValidationError) as whole:
+            load_corpus(broken_path)
+        assert str(whole.value).startswith(f"line {line_of[bad]}: ")
+
+        picked = data.draw(st.lists(st.integers(0, n - 1), max_size=6), label="picked")
+        others = [i for i in picked if i != bad]
+        for path in (clean_path, broken_path):
+            assert len(CorpusFile(path)) == n
+            assert CorpusFile(path).records(others) == [full[i] for i in others]
+        assert CorpusFile(clean_path).records(picked) == [full[i] for i in picked]
+        with_bad = others[: len(others) // 2] + [bad] + others[len(others) // 2 :]
+        with pytest.raises(SpecValidationError) as part:
+            CorpusFile(broken_path).records(with_bad)
+        assert str(part.value) == str(whole.value)
+
+    def test_non_utf8_names_its_line(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        record = json.dumps({"tokens": ["a"], "label": "telecare", "age": 1, "gender": "male"})
+        path.write_bytes(record.encode() + b"\r\n\r" + b'{"tokens": ["\xe9"]}\n')
+        with pytest.raises(SpecValidationError, match=r"^line 3: not UTF-8 text"):
+            CorpusFile(path)
+
+    def test_index_out_of_range_refused(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        save_corpus(generate_corpus(GeneratorSpec(), 3, seed=1), path)
+        for indices in ([3], [-1]):
+            with pytest.raises(SpecValidationError, match="out of range for 3 records"):
+                CorpusFile(path).records(indices)
+
+    def test_hash_is_of_the_bytes_read(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        save_corpus(generate_corpus(GeneratorSpec(), 3, seed=1), path)
+        assert CorpusFile(path).sha256 == file_sha256(path)

@@ -234,7 +234,7 @@ class TestTraining:
 class TestPersistence:
     def test_roundtrip_bitwise(self, tmp_path):
         table = init_table(30, 12, seed=9)
-        table.data = DataContract("ab" * 32, (0.8, 0.1, 0.1), 2**63 + 5, ("x", "y"))
+        table.data = DataContract("ab" * 32, (3, 0), (2,), (1,), ("x", "y"))
         path = tmp_path / "emb.bin"
         save_table(table, path)
         loaded = load_table(path)
@@ -246,10 +246,27 @@ class TestPersistence:
         path = tmp_path / "emb.bin"
         save_table(init_table(10, 4, seed=0), path)
         header, newline, blob = path.read_bytes().partition(b"\n")
-        record = {"corpus_sha256": "ab", "split": [1, 0, 0], "split_seed": "3", "tokens": []}
+        record = {"corpus_sha256": "ab", "train": [0], "val": [], "test": ["1"], "tokens": []}
         fields = {**json.loads(header), "data": record}
         path.write_bytes(json.dumps(fields).encode() + newline + blob)
-        with pytest.raises(ChecksumError, match="split_seed must be an integer"):
+        with pytest.raises(ChecksumError, match=r"data.test\[0\] must be an integer"):
+            load_table(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [{"test": [0]}, {"test": [2]}, {"test": [-1]}, {"tokens": None}],
+        ids=["repeated-index", "index-past-the-end", "negative-index", "field-absent"],
+    )
+    def test_data_record_that_does_not_split_the_corpus_detected(self, tmp_path, edit):
+        path = tmp_path / "emb.bin"
+        save_table(init_table(10, 4, seed=0), path)
+        header, newline, blob = path.read_bytes().partition(b"\n")
+        record = {"corpus_sha256": "ab", "train": [0], "val": [], "test": [1], "tokens": [],
+                  **edit}
+        record = {key: value for key, value in record.items() if value is not None}
+        fields = {**json.loads(header), "data": record}
+        path.write_bytes(json.dumps(fields).encode() + newline + blob)
+        with pytest.raises(ChecksumError, match="malformed triagenet-embedding header"):
             load_table(path)
 
     def test_corrupt_blob_detected(self, tmp_path):

@@ -556,14 +556,14 @@ class TestPersistence:
         save_model(params, path)
         assert load_model(path).data is None
         tokens = tuple(f"t{i}" for i in range(params.config.vocab_size - 2))
-        params.data = DataContract("ef" * 32, (0.9, 0.05, 0.05), 2**64 - 1, tokens)
+        params.data = DataContract("ef" * 32, (4, 0, 2), (1,), (3,), tokens)
         save_model(params, path)
         assert load_model(path).data == params.data
 
     @pytest.mark.parametrize("tokens", [("a",), ("a",) * 10], ids=["too-few", "repeated"])
     def test_data_record_must_fit_the_embedding(self, tmp_path, tokens):
         params = init_params(tiny_config(vocab_size=12), seed=23)
-        params.data = DataContract("ef" * 32, (0.9, 0.05, 0.05), 7, tokens)
+        params.data = DataContract("ef" * 32, (0, 1), (), (2,), tokens)
         path = tmp_path / "model.bin"
         save_model(params, path)
         with pytest.raises(ChecksumError):
