@@ -122,9 +122,9 @@ def _relu(x: np.ndarray) -> np.ndarray:
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.ndim < 2 or b.ndim < 1:
-        raise ShapeError(f"matmul needs a matrix or batch on the left, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[0 if b.ndim == 1 else -2]:
+    if a.ndim != 2 or b.ndim not in (1, 2):
+        raise ShapeError(f"matmul needs a matrix times a matrix or vector, got {a.shape} @ {b.shape}")
+    if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner dimensions differ: {a.shape} @ {b.shape}")
     return a @ b
 
@@ -281,22 +281,14 @@ def tanh(x: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product over the last two axes, batched like numpy's ``@``.
-
-    ``a`` is a matrix or a batch of them. ``b`` is a vector, a matrix
-    shared by the whole batch, or a batch of matrices.
-    """
+    """Matrix product ``a @ b`` of a matrix and a matrix or vector."""
     A, Bd = a.data, b.data
 
     def grad_fn(g: np.ndarray) -> None:
-        if Bd.ndim <= 2:  # shared: one product over all batch rows, a vector as a column
-            Bm = Bd.reshape(Bd.shape[0], -1)
-            g2 = g.reshape(-1, Bm.shape[1])
-            _accumulate(a, (g2 @ Bm.T).reshape(A.shape))
-            _accumulate(b, (A.reshape(-1, A.shape[-1]).T @ g2).reshape(Bd.shape))
-        else:
-            _accumulate(a, _unbroadcast(g @ np.swapaxes(Bd, -1, -2), A.shape))
-            _accumulate(b, _unbroadcast(np.swapaxes(A, -1, -2) @ g, Bd.shape))
+        Bm = Bd.reshape(Bd.shape[0], -1)  # a vector as a column
+        g2 = g.reshape(-1, Bm.shape[1])
+        _accumulate(a, g2 @ Bm.T)
+        _accumulate(b, (A.T @ g2).reshape(Bd.shape))
 
     return Tensor(_matmul(A, Bd), (a, b), grad_fn)
 

@@ -176,9 +176,33 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _artifact(args, flag: str, default_name: str) -> Path:
-    given = getattr(args, flag, None)
-    return Path(given) if given else _out_dir(args) / default_name
+@dataclasses.dataclass
+class Run:
+    """One command's record: its settings and the files it reads and writes, by name.
+
+    A command registers each file where it reads the file or names the
+    output's path; ``write_manifest`` hashes every file without a digest.
+    """
+
+    args: argparse.Namespace
+    config: dict
+    inputs: dict = dataclasses.field(default_factory=dict)  # name -> (path, sha256 or None)
+    outputs: dict = dataclasses.field(default_factory=dict)  # name -> path
+
+    def path(self, flag: str, default_name: str) -> Path:
+        """The path ``--flag`` gives, else ``default_name`` in the output directory."""
+        given = getattr(self.args, flag, None)
+        return Path(given) if given else _out_dir(self.args) / default_name
+
+    def read(self, name: str, path, sha256: str | None = None) -> Path:
+        """Register an input; ``sha256`` is the digest of the bytes already read, if any."""
+        self.inputs[name] = (Path(path), sha256)
+        return Path(path)
+
+    def output(self, name: str, flag: str, default_name: str) -> Path:
+        """Register an output and return its path."""
+        self.outputs[name] = path = self.path(flag, default_name)
+        return path
 
 
 def write_json(obj, path: Path) -> None:
@@ -187,50 +211,47 @@ def write_json(obj, path: Path) -> None:
         fh.write("\n")
 
 
-def write_manifest(
-    args, command: str, config, inputs: dict, outputs: dict, extra=None, corpus_sha256=None
-) -> Path:
-    """Write the command's manifest; ``corpus_sha256`` is the corpus input's digest if known."""
-    known = {} if corpus_sha256 is None else {"corpus": corpus_sha256}
+def write_manifest(run: Run, arguments: dict) -> Path:
+    """Write the run's manifest: its settings, ``arguments`` and every file it registered."""
+    command = run.args.command
     manifest = {
         "tool": "triagenet",
         "version": __version__,
         "command": command,
-        "config": config,
-        "root_seed": config["seed"],
-        "arguments": extra or {},
+        "config": run.config,
+        "root_seed": run.config["seed"],
+        "arguments": arguments,
         "inputs": {
-            name: {"path": str(p), "sha256": known.get(name) or file_sha256(p)}
-            for name, p in inputs.items()
+            name: {"path": str(p), "sha256": sha256 or file_sha256(p)}
+            for name, (p, sha256) in run.inputs.items()
         },
-        "outputs": {name: {"path": str(p), "sha256": file_sha256(p)} for name, p in outputs.items()},
+        "outputs": {name: {"path": str(p), "sha256": file_sha256(p)}
+                    for name, p in run.outputs.items()},
     }
-    path = _out_dir(args) / f"manifest_{command.replace('-', '_')}.json"
+    path = _out_dir(run.args) / f"manifest_{command.replace('-', '_')}.json"
     write_json(manifest, path)
     return path
-
-
-def _config_inputs(args) -> dict:
-    return {"config": Path(args.config)} if getattr(args, "config", None) else {}
 
 
 # -- shared pipeline steps ----------------------------------------------------
 
 
-def _load_world(args, config):
-    """Corpus path, records by split, train-split vocabulary, and the data record of all three.
+def _load_world(run: Run):
+    """Records by split, train-split vocabulary, and the data record of all three.
 
     Only the commands that train decide the split and vocabulary; the record fixes them after.
     The record's sha256 is that of the bytes parsed here, read once.
     """
-    corpus_path = _artifact(args, "corpus", "corpus.jsonl")
+    corpus_path = run.path("corpus", "corpus.jsonl")
     corpus = CorpusFile(corpus_path)
+    run.read("corpus", corpus_path, corpus.sha256)
     records = corpus.records()
+    config = run.config
     indices = split(records, tuple(config["split"]), seed=derive_seed(config["seed"], "split"))
     splits = {name: [records[i] for i in idx] for name, idx in zip(SPLITS, indices)}
     vocab = build_vocab(splits["train"], min_count=config["min_count"])
     data = DataContract(corpus.sha256, *map(tuple, indices), tuple(vocab.id_to_token[2:]))
-    return corpus_path, splits, vocab, data
+    return splits, vocab, data
 
 
 def _splits(*names):
@@ -238,17 +259,18 @@ def _splits(*names):
     return lambda data: {name: getattr(data, name) for name in names}
 
 
-def _load_trained(args, pick):
-    """Corpus path, the records ``pick`` names, vocabulary, model path and model.
+def _load_trained(run: Run, pick):
+    """The records ``pick`` names, the vocabulary, and the model.
 
     ``pick`` maps the model's data record to lists of record indices by
     name; the records come back under the same names. The vocabulary comes
     from the record, and a corpus file whose sha256 or record count differs
     from it is refused before any record is parsed.
     """
-    corpus_path = _artifact(args, "corpus", "corpus.jsonl")
+    corpus_path = run.path("corpus", "corpus.jsonl")
     corpus = CorpusFile(corpus_path)
-    model_path = _artifact(args, "model", "model.bin")
+    run.read("corpus", corpus_path, corpus.sha256)
+    model_path = run.read("model", run.path("model", "model.bin"))
     params = load_model(model_path)
     data = params.data
     if data is None:
@@ -259,7 +281,7 @@ def _load_trained(args, pick):
         raise ConfigError(f"{corpus_path} holds {len(corpus)} records; "
                           f"the model's data record splits {data.n_records}")
     records = {name: corpus.records(idx) for name, idx in pick(data).items()}
-    return corpus_path, records, Vocabulary(data.tokens), model_path, params
+    return records, Vocabulary(data.tokens), params
 
 
 def _report_truncation(records, max_len: int, what: str) -> int:
@@ -280,57 +302,47 @@ def _report_truncation(records, max_len: int, what: str) -> int:
 
 
 # -- subcommands --------------------------------------------------------------
+# Each takes the parsed flags and the run record, registers the files it
+# reads and writes there, and returns the arguments its manifest records.
 
 
-def cmd_gen_data(args) -> int:
-    config = resolve_config(args)
+def cmd_gen_data(args, run: Run) -> dict:
+    config = run.config
     spec = GeneratorSpec.from_dict(config["generator"])
     corpus = generate_corpus(spec, config["cases"], seed=derive_seed(config["seed"], "data"))
-    out = _artifact(args, "out", "corpus.jsonl")
+    out = run.output("corpus", "out", "corpus.jsonl")
     save_corpus(corpus, out)
-    write_manifest(args, "gen-data", config, _config_inputs(args), {"corpus": out})
     print(f"wrote {len(corpus.records)} cases to {out}")
-    return 0
+    return {}
 
 
-def cmd_pretrain(args) -> int:
-    config = resolve_config(args)
-    corpus_path, splits, vocab, data = _load_world(args, config)
+def cmd_pretrain(args, run: Run) -> dict:
+    splits, vocab, data = _load_world(run)
     table = train_skipgram(
         Corpus(records=splits["train"]),
         vocab,
-        dim=config["model"]["embedding_dim"],
-        seed=derive_seed(config["seed"], "embedding"),
-        **config["embedding"],
+        dim=run.config["model"]["embedding_dim"],
+        seed=derive_seed(run.config["seed"], "embedding"),
+        **run.config["embedding"],
     )
     table = dataclasses.replace(table, data=data)
-    out = _artifact(args, "out", "embeddings.bin")
+    out = run.output("embeddings", "out", "embeddings.bin")
     save_table(table, out)
-    write_manifest(
-        args,
-        "pretrain-embeddings",
-        config,
-        {"corpus": corpus_path, **_config_inputs(args)},
-        {"embeddings": out},
-        corpus_sha256=data.corpus_sha256,
-    )
     print(f"wrote {table.vectors.shape[0]}x{table.dim} embeddings to {out}")
-    return 0
+    return {}
 
 
-def cmd_train(args) -> int:
-    config = resolve_config(args)
-    corpus_path, splits, vocab, data = _load_world(args, config)
+def cmd_train(args, run: Run) -> dict:
+    config = run.config
+    splits, vocab, data = _load_world(run)
     cfg = ModelConfig.from_dict({**config["model"], "vocab_size": len(vocab)})
 
     pretrained = None
-    inputs = {"corpus": corpus_path, **_config_inputs(args)}
     if args.embeddings:
-        pretrained = load_table(args.embeddings)
+        pretrained = load_table(run.read("embeddings", args.embeddings))
         if pretrained.data != data:
             raise ConfigError("embeddings were pretrained on a different corpus, split or "
                               "vocabulary; pretrain them with this run's --seed and --config")
-        inputs["embeddings"] = Path(args.embeddings)
 
     params = init_params(cfg, seed=derive_seed(config["seed"], "init"), pretrained=pretrained)
     params.data = data
@@ -340,128 +352,73 @@ def cmd_train(args) -> int:
     hyper = HyperParams.from_dict(config["training"])
     history = train(params, train_set, val_set, hyper, seed=derive_seed(config["seed"], "train"))
 
-    model_path = _artifact(args, "model", "model.bin")
-    vocab_path = _artifact(args, "vocab", "vocab.json")
+    model_path = run.output("model", "model", "model.bin")
     save_model(params, model_path)
-    vocab.save(vocab_path)
+    vocab.save(run.output("vocab", "vocab", "vocab.json"))
     last = history.epochs[-1]
-    write_manifest(
-        args,
-        "train",
-        config,
-        inputs,
-        {"model": model_path, "vocab": vocab_path},
-        extra={"epochs": [dataclasses.asdict(e) for e in history.epochs]},
-        corpus_sha256=data.corpus_sha256,
-    )
     print(
         f"trained {cfg.arch} for {len(history.epochs)} epochs: "
         f"train loss {last.train_loss:.4f}, val macro F1 {last.val_macro_f1:.4f}"
     )
     print(f"wrote model to {model_path}")
-    return 0
+    return {"epochs": [dataclasses.asdict(e) for e in history.epochs]}
 
 
-def cmd_evaluate(args) -> int:
-    config = resolve_config(args)
-    corpus_path, splits, vocab, model_path, params = _load_trained(args, _splits(args.split))
+def cmd_evaluate(args, run: Run) -> dict:
+    splits, vocab, params = _load_trained(run, _splits(args.split))
     records = splits[args.split]
     max_len = params.config.max_len
     cases = encode_corpus(records, vocab, max_len)
     metrics = evaluate(params, cases, threshold=args.confidence_threshold)
     truncated = _report_truncation(records, max_len, args.split)
 
-    out = _artifact(args, "out", "metrics.json")
+    out = run.output("metrics", "out", "metrics.json")
     write_json({**dataclasses.asdict(metrics), "truncated_cases": truncated}, out)
-    write_manifest(
-        args,
-        "evaluate",
-        config,
-        {"corpus": corpus_path, "model": model_path, **_config_inputs(args)},
-        {"metrics": out},
-        extra={"split": args.split, "confidence_threshold": args.confidence_threshold},
-        corpus_sha256=params.data.corpus_sha256,
-    )
     print(render_metrics_table([(args.split, metrics)]))
     if args.confidence_threshold is not None:
         print(f"discarded {1.0 - metrics.retained_fraction:.1%} of cases below the threshold")
-    return 0
+    return {"split": args.split, "confidence_threshold": args.confidence_threshold}
 
 
-def cmd_grid_search(args) -> int:
-    config = resolve_config(args)
-    corpus_path, splits, vocab, data = _load_world(args, config)
-    grid = _load_json(args.grid)
-    cfg = ModelConfig.from_dict({**config["model"], "vocab_size": len(vocab)})
+def cmd_grid_search(args, run: Run) -> dict:
+    splits, vocab, _ = _load_world(run)
+    grid = _load_json(run.read("grid", args.grid))
+    cfg = ModelConfig.from_dict({**run.config["model"], "vocab_size": len(vocab)})
     rows = grid_search(
         cfg,
         encode_corpus(splits["train"], vocab, cfg.max_len),
         encode_corpus(splits["val"], vocab, cfg.max_len),
-        HyperParams.from_dict(config["training"]),
+        HyperParams.from_dict(run.config["training"]),
         grid,
-        seed=derive_seed(config["seed"], "grid"),
+        seed=derive_seed(run.config["seed"], "grid"),
     )
-    out = _artifact(args, "out", "grid_search.json")
-    write_json(rows, out)
-    write_manifest(
-        args,
-        "grid-search",
-        config,
-        {"corpus": corpus_path, "grid": Path(args.grid), **_config_inputs(args)},
-        {"results": out},
-        corpus_sha256=data.corpus_sha256,
-    )
+    write_json(rows, run.output("results", "out", "grid_search.json"))
     best = rows[0]
     print(f"{len(rows)} combinations; best val macro F1 {best['val_macro_f1']:.4f}: {best['combo']}")
-    return 0
+    return {}
 
 
-def cmd_score_symptoms(args) -> int:
-    config = resolve_config(args)
-    corpus_path, splits, vocab, model_path, params = _load_trained(args, _splits(args.split))
+def cmd_score_symptoms(args, run: Run) -> dict:
+    splits, vocab, params = _load_trained(run, _splits(args.split))
     scores = score_features(params, splits[args.split], vocab, args.class_name, gram_size=args.gram)
-
-    out = _artifact(args, "out", f"scores_{args.class_name}_{args.gram}gram.json")
+    out = run.output("scores", "out", f"scores_{args.class_name}_{args.gram}gram.json")
     write_json([s.to_dict() for s in scores], out)
-    write_manifest(
-        args,
-        "score-symptoms",
-        config,
-        {"corpus": corpus_path, "model": model_path, **_config_inputs(args)},
-        {"scores": out},
-        extra={"class": args.class_name, "gram": args.gram, "split": args.split},
-        corpus_sha256=params.data.corpus_sha256,
-    )
     print(render_score_table(scores, top=args.top))
-    return 0
+    return {"class": args.class_name, "gram": args.gram, "split": args.split}
 
 
-def cmd_pairs(args) -> int:
-    config = resolve_config(args)
-    corpus_path, splits, vocab, model_path, params = _load_trained(args, _splits(args.split))
+def cmd_pairs(args, run: Run) -> dict:
+    splits, vocab, params = _load_trained(run, _splits(args.split))
     unigrams, bigrams = score_grams(params, splits[args.split], vocab, args.class_name, (1, 2))
     pairs = pair_synergy(unigrams, bigrams)
-
-    out = _artifact(args, "out", f"pairs_{args.class_name}.json")
+    out = run.output("pairs", "out", f"pairs_{args.class_name}.json")
     write_json([vars(p) for p in pairs], out)  # flat rows; asdict would deep-copy each value
-    write_manifest(
-        args,
-        "pairs",
-        config,
-        {"corpus": corpus_path, "model": model_path, **_config_inputs(args)},
-        {"pairs": out},
-        extra={"class": args.class_name, "split": args.split},
-        corpus_sha256=params.data.corpus_sha256,
-    )
     print(render_pair_table(pairs, top=args.top))
-    return 0
+    return {"class": args.class_name, "split": args.split}
 
 
-def cmd_drop_experiment(args) -> int:
-    config = resolve_config(args)
-    corpus_path, splits, vocab, model_path, params = _load_trained(
-        args, _splits("train", "test")
-    )
+def cmd_drop_experiment(args, run: Run) -> dict:
+    splits, vocab, params = _load_trained(run, _splits("train", "test"))
     rows = drop_experiment(
         params,
         splits["train"],
@@ -469,25 +426,17 @@ def cmd_drop_experiment(args) -> int:
         vocab,
         max_drops=args.drops,
         class_name=args.class_name,
-        seed=derive_seed(config["seed"], "drop"),
+        seed=derive_seed(run.config["seed"], "drop"),
     )
-    out = _artifact(args, "out", "drop_experiment.json")
+    out = run.output("results", "out", "drop_experiment.json")
     write_json([dataclasses.asdict(r) for r in rows], out)
-    write_manifest(
-        args,
-        "drop-experiment",
-        config,
-        {"corpus": corpus_path, "model": model_path, **_config_inputs(args)},
-        {"results": out},
-        extra={"drops": args.drops, "class": args.class_name},
-        corpus_sha256=params.data.corpus_sha256,
-    )
     print(render_metrics_table([(r.label, r.metrics) for r in rows]))
-    return 0
+    return {"drops": args.drops, "class": args.class_name}
 
 
-def cmd_explain(args) -> int:
-    config = resolve_config(args)
+def cmd_explain(args, run: Run) -> dict:
+    if args.format == "ansi" and args.out:
+        raise ConfigError("--out names the HTML file; --format ansi prints to the terminal")
     try:
         ids = [int(c) for c in args.case_ids.split(",") if c.strip() != ""]
     except ValueError:
@@ -501,7 +450,7 @@ def cmd_explain(args) -> int:
             raise ConfigError(f"case ids out of range for {data.n_records} records: {bad}")
         return {"cases": ids}
 
-    corpus_path, picked, vocab, model_path, params = _load_trained(args, pick)
+    picked, vocab, params = _load_trained(run, pick)
     if params.config.arch != "acnn":
         raise ConfigError("explain needs a model with attention pooling")
     records = picked["cases"]
@@ -523,39 +472,29 @@ def cmd_explain(args) -> int:
 
     if args.format == "ansi":
         print("\n\n".join(sections))
-        write_manifest(
-            args,
-            "explain",
-            config,
-            {"corpus": corpus_path, "model": model_path, **_config_inputs(args)},
-            {},
-            extra={"cases": ids, "format": args.format},
-            corpus_sha256=params.data.corpus_sha256,
-        )
-        return 0
-
-    out = _artifact(args, "out", "heatmaps.html")
-    document = (
-        "<!doctype html>\n"
-        '<html><head><meta charset="utf-8"><title>attention heatmaps</title></head>\n'
-        "<body>\n" + "\n".join(sections) + "\n</body></html>\n"
-    )
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(document)
-    write_manifest(
-        args,
-        "explain",
-        config,
-        {"corpus": corpus_path, "model": model_path, **_config_inputs(args)},
-        {"heatmaps": out},
-        extra={"cases": ids, "format": args.format},
-        corpus_sha256=params.data.corpus_sha256,
-    )
-    print(f"wrote {len(ids)} heatmaps to {out}")
-    return 0
+    else:
+        out = run.output("heatmaps", "out", "heatmaps.html")
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(
+                "<!doctype html>\n"
+                '<html><head><meta charset="utf-8"><title>attention heatmaps</title></head>\n'
+                "<body>\n" + "\n".join(sections) + "\n</body></html>\n"
+            )
+        print(f"wrote {len(ids)} heatmaps to {out}")
+    return {"cases": ids, "format": args.format}
 
 
 # -- parser -------------------------------------------------------------------
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
 
 
 def _add_common(sub) -> None:
@@ -630,7 +569,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--class", dest="class_name", choices=LABELS, default="urgent_care")
     sub.add_argument("--gram", type=int, choices=(1, 2), default=1)
     sub.add_argument("--split", choices=SPLITS, default="train")
-    sub.add_argument("--top", type=int, default=20, help="rows to print (file holds all)")
+    sub.add_argument("--top", type=_positive_int, default=20,
+                     help="rows to print (file holds all)")
     sub.add_argument("--out", help="score table JSON output path")
     sub.set_defaults(func=cmd_score_symptoms)
 
@@ -639,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_inputs(sub)
     sub.add_argument("--class", dest="class_name", choices=LABELS, default="urgent_care")
     sub.add_argument("--split", choices=SPLITS, default="train")
-    sub.add_argument("--top", type=int, default=20)
+    sub.add_argument("--top", type=_positive_int, default=20)
     sub.add_argument("--out", help="pair table JSON output path")
     sub.set_defaults(func=cmd_pairs)
 
@@ -673,15 +613,20 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
-    except FileNotFoundError as e:
-        print(f"error: no such file: {e.filename}", file=sys.stderr)
-        return 1
+        run = Run(args, resolve_config(args))
+        if args.config:
+            run.read("config", args.config)
+        write_manifest(run, args.func(args, run))
+        return 0
     except json.JSONDecodeError as e:
         print(f"error: malformed JSON: {e}", file=sys.stderr)
         return 1
     except _USER_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except OSError as e:  # after _USER_ERRORS: ChecksumError is an IOError
+        what = f"{e.strerror.lower()}: {e.filename}" if e.strerror and e.filename else e
+        print(f"error: {what}", file=sys.stderr)
         return 1
 
 

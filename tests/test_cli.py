@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+import shutil
 from html.parser import HTMLParser
 from pathlib import Path
 
@@ -235,6 +236,62 @@ class TestPipeline:
         assert 0.0 < metrics["retained_fraction"] <= 1.0
 
 
+# per run: the subcommand and its flags, then the files it reads and the files it
+# writes, by manifest name; every run also reads config.json
+TRAINED = {"corpus": "corpus.jsonl", "model": "model.bin"}
+MANIFEST_RUNS = {
+    "gen-data": ("gen-data", (), {}, {"corpus": "corpus.jsonl"}),
+    "pretrain-embeddings": ("pretrain-embeddings", (), {"corpus": "corpus.jsonl"},
+                            {"embeddings": "embeddings.bin"}),
+    "train": ("train", ("--embeddings", "embeddings.bin"),
+              {"corpus": "corpus.jsonl", "embeddings": "embeddings.bin"},
+              {"model": "model.bin", "vocab": "vocab.json"}),
+    "evaluate": ("evaluate", ("--split", "val"), TRAINED,
+                 {"metrics": "metrics.json"}),
+    "grid-search": ("grid-search", ("--grid", "grid.json"),
+                    {"corpus": "corpus.jsonl", "grid": "grid.json"},
+                    {"results": "grid_search.json"}),
+    "score-symptoms": ("score-symptoms", ("--gram", "2"), TRAINED,
+                       {"scores": "scores_urgent_care_2gram.json"}),
+    "pairs": ("pairs", (), TRAINED, {"pairs": "pairs_urgent_care.json"}),
+    "drop-experiment": ("drop-experiment", (), TRAINED, {"results": "drop_experiment.json"}),
+    "explain-html": ("explain", ("--cases", "0,3"), TRAINED, {"heatmaps": "heatmaps.html"}),
+    "explain-ansi": ("explain", ("--cases", "0,3", "--format", "ansi"), TRAINED, {}),
+}
+
+
+class TestManifests:
+    @pytest.mark.parametrize("name", MANIFEST_RUNS)
+    def test_manifest_lists_exactly_the_files_read_and_written(self, pipeline, tmp_path,
+                                                              capsys, name):
+        out, config = pipeline
+        command, flags, reads, writes = MANIFEST_RUNS[name]
+        reads = {**reads, "config": "config.json"}
+        for file in reads.values():
+            if file == "grid.json":
+                (tmp_path / file).write_text(json.dumps({"lr": [0.01], "epochs": [1]}))
+            else:
+                shutil.copy(out / file, tmp_path / file)
+        before = {p.name: file_sha256(p) for p in tmp_path.iterdir()}
+        argv = [tmp_path / f if f in reads.values() else f for f in flags]
+        assert run(command, "--config", tmp_path / "config.json", "--out-dir", tmp_path,
+                   *argv) == 0
+        capsys.readouterr()
+        manifest_name = f"manifest_{command.replace('-', '_')}.json"
+        after = {p.name: file_sha256(p) for p in tmp_path.iterdir()}
+        assert {f for f in after if before.get(f) != after[f]} == {*writes.values(),
+                                                                   manifest_name}
+        manifest = json.loads((tmp_path / manifest_name).read_text())
+        assert manifest["command"] == command
+        for listed, expected in ((manifest["inputs"], reads), (manifest["outputs"], writes)):
+            assert {key: Path(entry["path"]) for key, entry in listed.items()} == {
+                key: tmp_path / file for key, file in expected.items()}
+            for entry in listed.values():
+                assert entry["sha256"] == file_sha256(entry["path"])
+        corpus = {**manifest["inputs"], **manifest["outputs"]}["corpus"]
+        assert corpus["sha256"] == load_model(out / "model.bin").data.corpus_sha256
+
+
 class TestScoringCommands:
     def test_score_symptoms_writes_sorted_table(self, pipeline, capsys):
         out, config = pipeline
@@ -321,6 +378,17 @@ class TestExplainCommand:
                    "--cases", "1", "--format", "ansi") == 0
         assert "\x1b[48;2;" in capsys.readouterr().out
 
+    def test_ansi_refuses_out_before_reading_anything(self, pipeline, tmp_path, capsys):
+        _, config = pipeline
+        html_out = tmp_path / "heatmaps.html"
+        # neither input exists: reading either would give another error
+        assert run("explain", "--config", config, "--out-dir", tmp_path, "--cases", "0",
+                   "--corpus", tmp_path / "none.jsonl", "--model", tmp_path / "none.bin",
+                   "--format", "ansi", "--out", html_out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --out") and err.count("\n") == 1
+        assert not html_out.exists()
+
     def test_bad_case_ids(self, pipeline, capsys):
         out, config = pipeline
         assert run("explain", "--config", config, "--out-dir", out, "--cases", "0,99999") == 1
@@ -350,6 +418,34 @@ class TestErrorPaths:
         with pytest.raises(SystemExit) as e:
             run("grid-search", "--config", config, "--out-dir", out)
         assert e.value.code == 2
+
+    @pytest.mark.parametrize("command", ["score-symptoms", "pairs"])
+    @pytest.mark.parametrize("top", ["-3", "0"])
+    def test_top_must_be_positive(self, pipeline, tmp_path, capsys, command, top):
+        out, config = pipeline
+        with pytest.raises(SystemExit) as e:
+            run(command, "--config", config, "--out-dir", tmp_path, "--corpus",
+                out / "corpus.jsonl", "--model", out / "model.bin", "--top", top)
+        assert e.value.code == 2
+        assert f"--top: must be a positive integer, got '{top}'" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ("train", "--corpus", "{dir}"),
+        ("evaluate", "--corpus", "{out}/corpus.jsonl", "--model", "{dir}"),
+        ("explain", "--corpus", "{out}/corpus.jsonl", "--model", "{out}/model.bin",
+         "--cases", "0", "--out", "{dir}"),
+    ], ids=["train-corpus", "evaluate-model", "explain-out"])
+    def test_directory_for_a_file_is_validation_error(self, pipeline, tmp_path, capsys, argv):
+        out, config = pipeline
+        given = tmp_path / "a-directory"
+        given.mkdir()
+        argv = [a.format(out=out, dir=given) for a in argv]
+        capsys.readouterr()
+        assert run(*argv, "--config", config, "--out-dir", tmp_path) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.rstrip().endswith(f": {given}")
 
     def test_missing_corpus_is_validation_error(self, tmp_path, capsys):
         assert run("train", "--out-dir", tmp_path) == 1
