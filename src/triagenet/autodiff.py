@@ -35,14 +35,13 @@ class Tensor:
     during ``backward`` and keeps none.
     """
 
-    __slots__ = ("data", "grad", "parents", "grad_fn", "frozen_rows")
+    __slots__ = ("data", "grad", "parents", "grad_fn")
 
     def __init__(self, data, parents: tuple = (), grad_fn: Callable | None = None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.parents = parents
         self.grad_fn = grad_fn
-        self.frozen_rows: tuple[int, ...] = ()
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -170,20 +169,9 @@ def _segment_sum(w: np.ndarray, x: np.ndarray, seg: Segments) -> np.ndarray:
     return np.add.reduceat(w[:, None] * x, seg.starts, axis=0)
 
 
-def _segment_max(x: np.ndarray, seg: Segments, floor: np.ndarray, floored: np.ndarray) -> np.ndarray:
+def _segment_max(x: np.ndarray, seg: Segments) -> np.ndarray:
     _check_rows(x, seg, 2)
-    floored = np.asarray(floored, dtype=bool)
-    if floor.shape != x.shape[1:] or floored.shape != seg.starts.shape:
-        raise ShapeError(f"segment max floor {floor.shape} or mask {floored.shape} does not fit "
-                         f"{x.shape[1:]} columns and {seg.starts.size} segments")
-    top = np.maximum.reduceat(x, seg.starts, axis=0)
-    return np.maximum(top, floor, out=top, where=floored[:, None])
-
-
-def _scatter(x: np.ndarray, index: tuple[np.ndarray, ...], shape: tuple[int, ...]) -> np.ndarray:
-    out = np.zeros(shape)
-    out[index] = x
-    return out
+    return np.maximum.reduceat(x, seg.starts, axis=0)
 
 
 class Segments:
@@ -224,7 +212,6 @@ class TapeFree:
     segment_softmax = staticmethod(_segment_softmax)
     segment_sum = staticmethod(_segment_sum)
     segment_max = staticmethod(_segment_max)
-    scatter = staticmethod(_scatter)
 
     @staticmethod
     def param(t: Tensor) -> np.ndarray:
@@ -359,35 +346,23 @@ def segment_sum(w: Tensor, x: Tensor, seg: Segments) -> Tensor:
     return Tensor(_segment_sum(W, X, seg), (w, x), grad_fn)
 
 
-def segment_max(x: Tensor, seg: Segments, floor: Tensor, floored: np.ndarray) -> Tensor:
+def segment_max(x: Tensor, seg: Segments) -> Tensor:
     """Column-wise max over each segment's rows of ``x``, (S, F) from (N, F).
 
-    Where the boolean ``floored[s]`` is set, the row ``floor`` (F,) also
-    competes in segment s, after its rows. The gradient goes to the first
-    maximal row, so a row of ``x`` wins a tie with the floor.
+    The gradient goes to the first maximal row of each segment and column.
     """
     X = x.data
-    out = _segment_max(X, seg, floor.data, floored)
+    out = _segment_max(X, seg)
 
     def grad_fn(g: np.ndarray) -> None:
         rows = np.arange(X.shape[0])
         hits = np.where(X == out[seg.owner], rows[:, None], X.shape[0])
-        first = np.minimum.reduceat(hits, seg.starts, axis=0)  # the floor won where none hit
-        won = first < X.shape[0]
+        first = np.minimum.reduceat(hits, seg.starts, axis=0)
         gx = np.zeros_like(X)
-        gx[first[won], np.nonzero(won)[1]] = g[won]
+        gx[first, np.arange(X.shape[1])] = g
         _accumulate(x, gx)
-        _accumulate(floor, np.where(won, 0.0, g).sum(axis=0))
 
-    return Tensor(out, (x, floor), grad_fn)
-
-
-def scatter(x: Tensor, index: tuple[np.ndarray, ...], shape: tuple[int, ...]) -> Tensor:
-    """Zeros of ``shape`` with ``x`` placed at ``index``; the gradient gathers it back."""
-    def grad_fn(g: np.ndarray) -> None:
-        _accumulate(x, g[index])
-
-    return Tensor(_scatter(x.data, index, shape), (x,), grad_fn)
+    return Tensor(out, (x,), grad_fn)
 
 
 def mean_nll(probs: Tensor, labels: np.ndarray, clamp: float = 1e-12) -> Tensor:

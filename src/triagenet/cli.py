@@ -170,10 +170,8 @@ def resolve_config(args) -> dict:
 
 
 def _out_dir(args) -> Path:
-    base = args.out_dir or os.environ.get("TRIAGENET_OUT_DIR") or "."
-    path = Path(base)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    """The output directory; only writing an output or a manifest makes it."""
+    return Path(args.out_dir or os.environ.get("TRIAGENET_OUT_DIR") or ".")
 
 
 @dataclasses.dataclass
@@ -189,9 +187,9 @@ class Run:
     inputs: dict = dataclasses.field(default_factory=dict)  # name -> (path, sha256 or None)
     outputs: dict = dataclasses.field(default_factory=dict)  # name -> path
 
-    def path(self, flag: str, default_name: str) -> Path:
+    def path(self, flag: str | None, default_name: str) -> Path:
         """The path ``--flag`` gives, else ``default_name`` in the output directory."""
-        given = getattr(self.args, flag, None)
+        given = flag and getattr(self.args, flag, None)
         return Path(given) if given else _out_dir(self.args) / default_name
 
     def read(self, name: str, path, sha256: str | None = None) -> Path:
@@ -199,8 +197,9 @@ class Run:
         self.inputs[name] = (Path(path), sha256)
         return Path(path)
 
-    def output(self, name: str, flag: str, default_name: str) -> Path:
-        """Register an output and return its path."""
+    def output(self, name: str, flag: str | None, default_name: str) -> Path:
+        """Register an output and return its path, making the output directory."""
+        _out_dir(self.args).mkdir(parents=True, exist_ok=True)
         self.outputs[name] = path = self.path(flag, default_name)
         return path
 
@@ -229,6 +228,7 @@ def write_manifest(run: Run, arguments: dict) -> Path:
                     for name, p in run.outputs.items()},
     }
     path = _out_dir(run.args) / f"manifest_{command.replace('-', '_')}.json"
+    path.parent.mkdir(parents=True, exist_ok=True)
     write_json(manifest, path)
     return path
 
@@ -354,7 +354,7 @@ def cmd_train(args, run: Run) -> dict:
 
     model_path = run.output("model", "model", "model.bin")
     save_model(params, model_path)
-    vocab.save(run.output("vocab", "vocab", "vocab.json"))
+    vocab.save(run.output("vocab", None, "vocab.json"))
     last = history.epochs[-1]
     print(
         f"trained {cfg.arch} for {len(history.epochs)} epochs: "
@@ -541,7 +541,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--arch", choices=("acnn", "kimcnn"), help="attention or max pooling")
     sub.add_argument("--embeddings", help="pretrained embeddings file")
     sub.add_argument("--model", help="model output path")
-    sub.add_argument("--vocab", help="vocabulary output path")
     sub.set_defaults(func=cmd_train)
 
     sub = add_parser("evaluate", help="metrics on a held-out split")

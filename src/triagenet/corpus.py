@@ -453,8 +453,9 @@ class DataContract(Schema):
 
 def _validate_record(rec: CaseRecord) -> None:
     """The range rules of a record whose field types are already checked."""
-    if not rec.tokens or "" in rec.tokens:
-        raise SpecValidationError("record tokens must be a nonempty list of nonempty strings")
+    if not rec.tokens or not {"", PAD_TOKEN, UNK_TOKEN}.isdisjoint(rec.tokens):
+        raise SpecValidationError("record tokens must be a nonempty list of nonempty strings "
+                                  f"other than the reserved {PAD_TOKEN} and {UNK_TOKEN}")
     if rec.label not in LABELS:
         raise SpecValidationError(f"unknown label {rec.label!r}")
     if not 0 <= rec.age <= MAX_AGE:

@@ -11,10 +11,11 @@ with a softmax head.
 Only real windows are computed: a batch's windows that start before
 their document's end are packed into one matrix of rows, gathered
 straight from the embedding table, and attention and pooling run over
-each document's run of rows. Window positions that start in padding are
-never convolved or attended, and get attention weight exactly zero;
-kimcnn's max pool still sees one all-padding window, relu(bias), for
-each document that has one.
+each document's run of rows. kimcnn's max pool also sees a document's
+first all-padding window, where it has one, as its last row. Padding is
+this module's concern: ``predict_batch`` gives windows that start in
+padding attention weight zero, and training keeps the padding embedding
+row at zero, so an all-padding window convolves to relu(bias).
 
 One forward pass, ``forward_graph``, serves training and inference. It
 takes a batch of documents as a (B, max_len) id array and is written
@@ -191,7 +192,6 @@ def init_params(
         emb = rng.uniform(-0.05, 0.05, size=(config.vocab_size, k))
     emb[PAD_ID] = 0.0
     embedding = Tensor(emb)
-    embedding.frozen_rows = (PAD_ID,)
 
     conv_w, conv_b = {}, {}
     attn_w, attn_b, attn_u = {}, {}, {}
@@ -256,20 +256,19 @@ def attend(
 
 
 def window_rows(
-    lengths: np.ndarray, n_windows: int, row_len: int
-) -> tuple[ad.Segments, tuple[np.ndarray, np.ndarray], np.ndarray]:
-    """The real windows of a batch, packed one document after another.
+    counts: np.ndarray, n_windows: int, row_len: int
+) -> tuple[ad.Segments, np.ndarray]:
+    """A batch's windows, packed one document after another in row-major order.
 
-    Document b keeps its first min(len_b, n_windows) window starts: every
-    window that starts before its end and fits the max_len columns.
-    Returns the documents as segments of rows; each row's (document,
-    start), which scatters row values back to (B, n_windows); and each
-    row's first token in the flattened ids, rows of ``row_len`` apart.
+    Document b keeps its first min(counts_b, n_windows) window starts;
+    with counts the document lengths, those are the windows that start
+    before its end and fit the max_len columns. Returns the documents as
+    segments of rows, and each row's first token in the flattened ids,
+    rows of ``row_len`` apart.
     """
-    seg = ad.Segments(np.minimum(lengths, n_windows))
+    seg = ad.Segments(np.minimum(counts, n_windows))
     doc = seg.owner
-    start = np.arange(doc.size) - seg.starts[doc]
-    return seg, (doc, start), doc * row_len + start
+    return seg, doc * row_len + np.arange(doc.size) - seg.starts[doc]
 
 
 def forward_graph(
@@ -283,18 +282,20 @@ def forward_graph(
     """Forward pass for a batch of documents, over the ops namespace ``ops``.
 
     ``ids`` is (B, max_len) and ``demographics`` (B, 3). Returns the
-    (B, n_classes) probabilities; for acnn, each width's (B, max_len - m + 1)
-    attention, zero at window positions that start in padding; and each
+    (B, n_classes) probabilities; for acnn, each width's attention over its
+    packed rows, the first min(len_b, max_len - m + 1) window starts of
+    each document b in turn, each document's run summing to one; and each
     document's length in tokens. With ``autodiff`` (the default) the first
     two are tensors of one differentiable graph; with ``autodiff.TapeFree``
     they are plain arrays with the same values, and ``train_mode``, which
     needs dropout, is not available.
 
-    Only real windows are computed: those of each width are gathered from
-    the embedding table as one packed batch of rows, and attention and
-    pooling run per document over segments of those rows. The row layout
-    depends on the width only through max_len - m + 1, so widths whose
-    windows all fit share one layout.
+    Only real windows are computed, plus for kimcnn one all-padding window
+    per document that has one, last in its run so a real window wins ties:
+    those of each width are gathered from the embedding table as one packed
+    batch of rows, and attention and pooling run per document over segments
+    of those rows. The row layout depends on the width only through
+    max_len - m + 1, so widths whose windows all fit share one layout.
     """
     cfg = params.config
     ids = np.asarray(ids)
@@ -309,7 +310,8 @@ def forward_graph(
     # padded so that every layout's rows can take windows of the widest width
     padded = np.zeros((B, L + widest - 1), dtype=ids.dtype)
     padded[:, :L] = ids
-    longest = int(np.maximum.reduce(lengths))
+    counts = lengths + (cfg.arch == "kimcnn")  # kimcnn also pools one all-padding window
+    longest = int(np.maximum.reduce(counts))
     layouts = {}
     p = ops.param
     pooled: list[Activation] = []
@@ -318,18 +320,15 @@ def forward_graph(
         n_windows = L - m + 1
         key = min(n_windows, longest)  # every longer cap gives the same rows
         if key not in layouts:
-            seg, where, first = window_rows(lengths, n_windows, padded.shape[1])
-            layouts[key] = seg, where, padded.ravel()[first[:, None] + np.arange(widest)]
-        seg, where, windows = layouts[key]
+            seg, first = window_rows(counts, n_windows, padded.shape[1])
+            layouts[key] = seg, padded.ravel()[first[:, None] + np.arange(widest)]
+        seg, windows = layouts[key]
         feats = ngram_encode(params, windows[:, :m], ops)
         if cfg.arch == "kimcnn":
-            # an all-padding window, where a document has one, convolves to relu(bias)
-            floor = ops.relu(p(params.conv_b[m]))
-            pooled.append(ops.segment_max(feats, seg, floor, lengths < n_windows))
+            pooled.append(ops.segment_max(feats, seg))
             continue
-        s, alpha = attend(params, feats, seg, m, ops)
+        s, attention[m] = attend(params, feats, seg, m, ops)
         pooled.append(s)
-        attention[m] = ops.scatter(alpha, where, (B, n_windows))
 
     h = ops.concat(pooled + [ops.constant(demographics)])
     for w, b in params.mlp[:-1]:
@@ -365,6 +364,10 @@ def predict_batch(params: ModelParams, cases: list[EncodedCase]) -> list[Predict
             np.array([c.demographics for c in chunk]),
             ops=ad.TapeFree,
         )
+        starts_inside = np.arange(cfg.max_len) < lengths[:, None]
+        for m, alpha in attention.items():
+            attention[m] = dense = np.zeros((len(chunk), cfg.max_len - m + 1))
+            dense[starts_inside[:, : dense.shape[1]]] = alpha  # the rows are packed row-major
         for i, (row, p) in enumerate(zip(rows, probs)):
             record = None
             if cfg.arch == "acnn":

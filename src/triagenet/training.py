@@ -12,7 +12,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .config import ConfigError, Schema
-from .corpus import LABELS, EncodedCase
+from .corpus import LABELS, PAD_ID, EncodedCase
 from .model import ModelConfig, ModelParams, Prediction, forward_graph, init_params, predict_batch
 
 # Adam's fixed knobs: decoupled weight decay, moment decay rates, denominator guard
@@ -65,17 +65,12 @@ def adam_step(params: list[Tensor], state: AdamState, hyper: HyperParams) -> Non
     """Bias-corrected Adam update with decoupled weight decay ``WEIGHT_DECAY``.
 
     The decay term joins the update directly rather than entering the
-    moment estimates. Rows listed in a tensor's ``frozen_rows`` (the
-    padding embedding row) never move.
+    moment estimates.
     """
     state.t += 1
     t = state.t
     for i, p in enumerate(params):
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        if p.frozen_rows:
-            g = g.copy()
-            for r in p.frozen_rows:
-                g[r] = 0.0
         m, v = state.m[i], state.v[i]
         m *= BETA1
         m += (1 - BETA1) * g
@@ -84,9 +79,6 @@ def adam_step(params: list[Tensor], state: AdamState, hyper: HyperParams) -> Non
         m_hat = m / (1 - BETA1**t)
         v_hat = v / (1 - BETA2**t)
         update = m_hat / (np.sqrt(v_hat) + EPS) + WEIGHT_DECAY * p.data
-        if p.frozen_rows:
-            for r in p.frozen_rows:
-                update[r] = 0.0
         p.data -= hyper.lr * update
 
 
@@ -114,7 +106,9 @@ def train(
     The root seed splits into independent shuffle and dropout streams.
     Raises TrainingDivergedError the moment a batch loss stops being
     finite. The validation set runs forward once per epoch; its loss
-    and macro-F1 come from the same probabilities.
+    and macro-F1 come from the same probabilities. The padding embedding
+    row gets no gradient, so from zero it stays exactly zero: Adam's
+    moments and the decay term are all zero there.
     """
     hyper.validate()
     if not train_set or not val_set:
@@ -146,6 +140,7 @@ def train(
                 )
             params.zero_grad()
             batch_loss.backward()
+            params.embedding.grad[PAD_ID] = 0.0
             adam_step(tensors, state, hyper)
             total_loss += value * len(batch)
 

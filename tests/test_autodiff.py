@@ -27,7 +27,6 @@ from triagenet.autodiff import (
     matmul,
     mean_nll,
     relu,
-    scatter,
     segment_max,
     segment_softmax,
     segment_sum,
@@ -73,7 +72,7 @@ def unfold(B, L, m):
     The windows come packed as the model packs them, one document after
     another; a window wider than the documents is refused.
     """
-    _, _, first = window_rows(np.full(B, L), L - m + 1, L)
+    _, first = window_rows(np.full(B, L), L - m + 1, L)
     return first[:, None] + np.arange(m)
 
 
@@ -187,17 +186,14 @@ class TestSoftmax:
         np.testing.assert_allclose(out.data, shifted.data, atol=1e-12)
 
 
-    def test_masked_entries_get_exactly_zero(self):
-        # two documents' logits, [1, 2] and [0.5], attended per document and
-        # scattered to their window positions
+    def test_segment_softmax_is_softmax_per_run(self):
+        # two documents' logits, [1, 2] and [0.5], attended per document
         v = Tensor([1.0, 2.0, 0.5])
-        valid = np.array([[True, True, False], [True, False, False]])
-        out = scatter(segment_softmax(v, Segments([2, 1])), np.nonzero(valid), (2, 3))
-        np.testing.assert_array_equal(out.data[~valid], 0.0)
-        np.testing.assert_allclose(out.data[0, :2], softmax(Tensor([1.0, 2.0])).data, atol=1e-15)
-        np.testing.assert_array_equal(out.data[1], [1.0, 0.0, 0.0])
-        tsum(out, np.arange(6.0).reshape(2, 3)).backward()
-        y = out.data[0, :2]
+        out = segment_softmax(v, Segments([2, 1]))
+        np.testing.assert_allclose(out.data[:2], softmax(Tensor([1.0, 2.0])).data, atol=1e-15)
+        assert out.data[2] == 1.0
+        tsum(out, [0.0, 1.0, 2.0]).backward()
+        y = out.data[:2]
         np.testing.assert_allclose(v.grad[:2], y * ([0.0, 1.0] - y[1]), atol=1e-15)
         assert v.grad[2] == 0.0  # a one-window document's weight is always 1
 
@@ -358,16 +354,14 @@ class TestOps:
     def test_segment_max_routes_gradient_to_first_argmax(self):
         first = [[1.0, 5.0], [4.0, 2.0], [4.0, 5.0]]
         x = Tensor(first + [[0.0, 0.0], [0.0, 0.0], [2.0, -1.0]])
-        floor = Tensor([9.0, 9.0])
-        y = segment_max(x, Segments([3, 3]), floor, np.array([False, False]))
+        y = segment_max(x, Segments([3, 3]))
         np.testing.assert_array_equal(y.data, [[4.0, 5.0], [2.0, 0.0]])
-        tsum(y).backward()
-        # ties break toward the first maximal row; an unused floor gets nothing
+        tsum(y, [[1.0, 10.0], [100.0, 1000.0]]).backward()
+        # ties break toward the first maximal row
         np.testing.assert_array_equal(
             x.grad,
-            [[0.0, 1.0], [1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [0.0, 0.0], [1.0, 0.0]],
+            [[0.0, 10.0], [1.0, 0.0], [0.0, 0.0], [0.0, 1000.0], [0.0, 0.0], [100.0, 0.0]],
         )
-        np.testing.assert_array_equal(floor.grad, [0.0, 0.0])
 
     def test_lookup_gathers_and_scatters(self):
         table = Tensor(np.arange(8.0).reshape(4, 2))
@@ -402,16 +396,6 @@ class TestOps:
 
 
 class TestSegmentOps:
-    def test_floor_competes_after_the_rows(self):
-        x = Tensor([[1.0, 0.0], [2.0, -1.0], [5.0, 5.0]])
-        floor = Tensor([2.0, 0.5])
-        y = segment_max(x, Segments([2, 1]), floor, np.array([True, True]))
-        # the first segment ties the floor in column 0 and loses column 1 to it
-        np.testing.assert_array_equal(y.data, [[2.0, 0.5], [5.0, 5.0]])
-        tsum(y, [[1.0, 10.0], [100.0, 1000.0]]).backward()
-        np.testing.assert_array_equal(x.grad, [[0.0, 0.0], [1.0, 0.0], [100.0, 1000.0]])
-        np.testing.assert_array_equal(floor.grad, [0.0, 10.0])
-
     def test_segment_softmax_and_pooling_grad_check(self):
         # three documents of 3, 1 and 2 windows: the middle one is a single row
         rng = np.random.default_rng(41)
@@ -428,18 +412,18 @@ class TestSegmentOps:
         assert report.checked == 28
         assert report.max_rel_error < 1e-8
 
-    def test_segment_max_grad_check_with_the_floor_winning(self):
+    def test_segment_max_grad_check_with_the_last_row_winning(self):
+        # as kimcnn's all-padding window does when it ends a document's run
         rng = np.random.default_rng(43)
         seg = Segments([2, 1, 3])
         x = Tensor(rng.normal(size=(6, 3)))
-        floor = Tensor([5.0, -5.0, 0.25])  # wins column 0 wherever it competes
-        floored = np.array([True, False, True])
+        x.data[[1, 5], 0] = 5.0
         weights = rng.normal(size=(3, 3))
-        y = segment_max(x, seg, floor, floored)
+        y = segment_max(x, seg)
         assert y.data[0, 0] == y.data[2, 0] == 5.0
 
-        report = grad_check(lambda: tsum(segment_max(x, seg, floor, floored), weights), [x, floor])
-        assert report.checked == 21
+        report = grad_check(lambda: tsum(segment_max(x, seg), weights), [x])
+        assert report.checked == 18
         assert report.max_rel_error < 1e-8
 
     def test_window_gather_with_repeated_ids_grad_check(self):
@@ -467,8 +451,9 @@ class TestSegmentOps:
         with pytest.raises(ShapeError):
             ops.segment_sum(p(Tensor(np.zeros(3))), p(Tensor(np.zeros((2, 2)))), seg)
         with pytest.raises(ShapeError):
-            ops.segment_max(p(Tensor(np.zeros((3, 2)))), seg, p(Tensor(np.zeros(3))),
-                            np.zeros(2, dtype=bool))
+            ops.segment_max(p(Tensor(np.zeros((4, 2)))), seg)
+        with pytest.raises(ShapeError):
+            ops.segment_max(p(Tensor(np.zeros(3))), seg)
 
     @pytest.mark.parametrize("counts", [[], [2, 0], [[1, 2]]])
     def test_segments_need_positive_lengths(self, counts):

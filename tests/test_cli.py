@@ -447,6 +447,13 @@ class TestErrorPaths:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert err.rstrip().endswith(f": {given}")
 
+    @pytest.mark.parametrize("command", ["evaluate", "train"])
+    def test_failed_command_leaves_no_output_directory(self, tmp_path, capsys, command):
+        out = tmp_path / "never_made"
+        assert run(command, "--out-dir", out) == 1
+        assert capsys.readouterr().err.startswith("error: no such file or directory: ")
+        assert not out.exists()
+
     def test_missing_corpus_is_validation_error(self, tmp_path, capsys):
         assert run("train", "--out-dir", tmp_path) == 1
         assert "error" in capsys.readouterr().err

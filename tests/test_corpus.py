@@ -12,8 +12,10 @@ from triagenet.corpus import (
     GENERAL_PRACTICE,
     LABELS,
     PAD_ID,
+    PAD_TOKEN,
     TELECARE,
     UNK_ID,
+    UNK_TOKEN,
     URGENT,
     CaseRecord,
     Corpus,
@@ -268,6 +270,18 @@ class TestSerialization:
         corpus = Corpus([CaseRecord(tokens="fever", label=TELECARE, age=30, gender="male")])
         with pytest.raises(SpecValidationError, match="record.tokens must be a list"):
             save_corpus(corpus, tmp_path / "c.jsonl")
+
+    @pytest.mark.parametrize("token", [PAD_TOKEN, UNK_TOKEN])
+    def test_reserved_tokens_refused(self, tmp_path, token):
+        # read as a corpus token, <pad> would be padding to the model
+        record = CaseRecord(["fieber", token], TELECARE, 30, "male")
+        with pytest.raises(SpecValidationError, match="reserved"):
+            save_corpus(Corpus([record]), tmp_path / "c.jsonl")
+        path = tmp_path / "ext.jsonl"
+        path.write_text(json.dumps({**vars(record), "tokens": ["fieber"]}) + "\n"
+                        + json.dumps(vars(record)) + "\n")
+        with pytest.raises(SpecValidationError, match=f"^line 2: .*reserved {PAD_TOKEN}"):
+            load_corpus(path)
 
     def test_malformed_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"

@@ -60,6 +60,11 @@ def forward(params, cases, *args, **kwargs):
     )
 
 
+def runs(alpha, lengths, n_windows):
+    """Each document's run of packed attention weights, over its first window starts."""
+    return np.split(alpha, np.cumsum(np.minimum(lengths, n_windows))[:-1])
+
+
 def random_biases(params, rng):
     # a nonzero bias lets an all-padding window win the max pool
     for m in params.config.widths:
@@ -111,7 +116,6 @@ class TestInit:
         c = init_params(tiny_config(), seed=4)
         assert a.embedding.data.tobytes() != c.embedding.data.tobytes()
         np.testing.assert_array_equal(a.embedding.data[0], np.zeros(4))
-        assert a.embedding.frozen_rows == (0,)
 
     def test_parameter_count_closed_form(self):
         cfg = tiny_config()
@@ -230,9 +234,8 @@ class TestForward:
         cases = [make_case([2, 3], 5), make_case([2, 3, 4, 5, 6], 5), make_case([4], 5)]
         _, attention, lengths = forward(params, cases)
         np.testing.assert_array_equal(lengths, [2, 5, 1])
-        for m, alpha in attention.items():
-            starts = np.arange(alpha.shape[1])
-            assert np.all(alpha.data[starts >= lengths[:, None]] == 0.0)
+        for m, alpha in attention.items():  # one weight per window that starts in the document
+            assert [len(r) for r in runs(alpha.data, lengths, 5 - m + 1)] == [2, 6 - m, 1]
         record = predict_batch(params, cases)[0].attention
         assert record.n_tokens == 2
         a1 = record.alphas[1]
@@ -274,7 +277,7 @@ class TestForward:
         ids = np.array([2, 5, 7, 9, 11])
         perm = np.array([3, 0, 4, 1, 2])
         _, att, _ = forward(params, [make_case(ids, 5), make_case(ids[perm], 5)])
-        np.testing.assert_allclose(att[1].data[1], att[1].data[0][perm], atol=1e-12)
+        np.testing.assert_allclose(att[1].data[5:], att[1].data[:5][perm], atol=1e-12)
 
     def test_dropout_needs_rng_and_changes_across_draws(self):
         params = init_params(tiny_config(dropout=0.5), seed=7)
@@ -348,6 +351,7 @@ class TestForward:
     @pytest.mark.parametrize("arch", ["acnn", "kimcnn"])
     @pytest.mark.parametrize("ops", [ad, ad.TapeFree], ids=["taped", "tape-free"])
     def test_convolution_sees_real_windows_only(self, arch, ops, monkeypatch):
+        # and kimcnn one all-padding window for each document that has one
         cfg = tiny_config(max_len=8, widths=(1, 2, 3), arch=arch)
         params = init_params(cfg, seed=59)
         rng = np.random.default_rng(59)
@@ -364,7 +368,8 @@ class TestForward:
 
         monkeypatch.setattr(ops, "matmul", staticmethod(recording) if ops is ad.TapeFree else recording)
         forward(params, cases, ops=ops)
-        assert rows == {m: int(np.minimum(lengths, 8 - m + 1).sum()) for m in cfg.widths}
+        counts = lengths + (arch == "kimcnn")
+        assert rows == {m: int(np.minimum(counts, 8 - m + 1).sum()) for m in cfg.widths}
 
     @given(
         arch=st.sampled_from(["acnn", "kimcnn"]),
@@ -385,15 +390,15 @@ class TestForward:
             make_case(rng.integers(1, cfg.vocab_size, size=n), 8, age=int(rng.integers(101)))
             for n in [cfg.max_len] * full + [short, *lengths]
         ]
-        probs, attention, _ = forward(params, cases)
+        probs, attention, lengths = forward(params, cases)
         for i, case in enumerate(cases):
             want_probs, want_alphas = oracle_forward(params, case)
             np.testing.assert_allclose(probs.data[i], want_probs, rtol=0, atol=1e-12)
             assert set(attention) == set(want_alphas)
             for m, alpha in attention.items():
-                cut = alpha.shape[1]
-                np.testing.assert_allclose(alpha.data[i], want_alphas[m][:cut], rtol=0, atol=1e-12)
-                assert np.all(want_alphas[m][cut:] == 0.0)
+                run = runs(alpha.data, lengths, 8 - m + 1)[i]
+                np.testing.assert_allclose(run, want_alphas[m][: len(run)], rtol=0, atol=1e-12)
+                assert np.all(want_alphas[m][len(run) :] == 0.0)
 
     def test_predict_equals_its_batch_row(self):
         params = init_params(tiny_config(max_len=8, widths=(1, 2, 3)), seed=31)
@@ -526,8 +531,24 @@ class TestKimCNN:
         cases = [make_case([3, 4], 2), make_case([5, 6], 2, age=20)]
         p_acnn, att, _ = forward(params, cases)
         p_kim, _, _ = forward(kim, cases)
-        np.testing.assert_allclose(att[2].data, [[1.0], [1.0]])
+        np.testing.assert_array_equal(att[2].data, [1.0, 1.0])
         np.testing.assert_allclose(p_acnn.data, p_kim.data, atol=1e-15)
+
+    def test_all_padding_window_competes_after_the_real_ones(self):
+        # a real window that scores exactly relu(bias) ties the all-padding
+        # window and keeps the gradient; one that scores below it loses it
+        params = init_params(tiny_config(arch="kimcnn", widths=(1,), filters=1), seed=19)
+        params.conv_w[1].data = np.ones((4, 1))
+        params.conv_b[1].data = np.array([0.5])
+        params.embedding.data[3] = 0.0
+        params.embedding.data[4] = -1.0
+        for token, padding_wins in ((3, False), (4, True)):
+            params.zero_grad()
+            probs, _, _ = forward(params, [make_case([token], 5)])
+            ad.mean_nll(probs, [0]).backward()
+            grad = params.embedding.grad
+            assert np.any(grad[token] != 0.0) != padding_wins
+            assert np.any(grad[0] != 0.0) == padding_wins
 
     def test_prediction_has_no_attention(self):
         cfg = tiny_config(arch="kimcnn")
@@ -548,7 +569,6 @@ class TestPersistence:
         for (na, ta), (nb, tb) in zip(params.parameters(), loaded.parameters()):
             assert na == nb
             assert ta.data.tobytes() == tb.data.tobytes()
-        assert loaded.embedding.frozen_rows == (0,)
 
     def test_data_record_roundtrip(self, tmp_path):
         params = init_params(tiny_config(), seed=23)

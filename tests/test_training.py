@@ -1,5 +1,7 @@
 """Tests for Adam, the training loop, metrics, and confidence filtering."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -68,14 +70,15 @@ class TestAdam:
             adam_step([theta], state, hyper)
         assert abs(float(theta.data[0])) < 0.05
 
-    def test_frozen_rows_never_move(self):
+    def test_zero_row_with_zero_gradient_never_moves(self):
+        # how train pins the padding embedding row: moments and decay stay zero there
         w = Tensor(np.zeros((3, 2)))
-        w.frozen_rows = (0,)
         state = AdamState([w])
         for _ in range(3):
             w.grad = np.ones((3, 2))
+            w.grad[0] = 0.0
             adam_step([w], state, HyperParams(lr=0.05))
-        np.testing.assert_array_equal(w.data[0], np.zeros(2))
+        assert w.data[0].tobytes() == np.zeros(2).tobytes()
         assert np.all(w.data[1:] != 0)
 
     def test_deterministic(self):
@@ -212,12 +215,16 @@ class TestTrain:
         assert run(5) != run(6)
 
     def test_padding_row_untouched_by_training(self, tiny_task):
+        # from init_params, and with an embedding tensor built without it
         config, tr, va, _ = tiny_task
-        params = init_params(config, seed=3)
-        train(params, tr, va, HyperParams(lr=0.01, epochs=1), seed=3)
-        np.testing.assert_array_equal(
-            params.embedding.data[0], np.zeros(config.embedding_dim)
-        )
+        table = np.random.default_rng(3).uniform(-1, 1, (config.vocab_size, config.embedding_dim))
+        table[0] = 0.0
+        by_hand = dataclasses.replace(init_params(config, seed=3), embedding=Tensor(table.copy()))
+        for params in (init_params(config, seed=3), by_hand):
+            before = params.embedding.data.copy()
+            train(params, tr, va, HyperParams(lr=0.01, epochs=1), seed=3)
+            assert params.embedding.data[0].tobytes() == np.zeros(config.embedding_dim).tobytes()
+            assert np.all(params.embedding.data[1:] != before[1:])
 
     def test_poisoned_parameters_abort(self, tiny_task):
         config, tr, va, _ = tiny_task
