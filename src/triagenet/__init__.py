@@ -34,7 +34,6 @@ from .corpus import (
 )
 from .embedding import EmbeddingTable, load_table, save_table, train_skipgram
 from .explain import (
-    DropStrategy,
     PairSynergy,
     SymptomScore,
     drop_dataset,
@@ -64,7 +63,6 @@ __all__ = [
     "CaseRecord",
     "Corpus",
     "DataContract",
-    "DropStrategy",
     "EmbeddingTable",
     "EncodedCase",
     "GeneratorSpec",

@@ -365,10 +365,13 @@ def segment_max(x: Tensor, seg: Segments) -> Tensor:
     return Tensor(out, (x,), grad_fn)
 
 
-def mean_nll(probs: Tensor, labels: np.ndarray, clamp: float = 1e-12) -> Tensor:
+NLL_FLOOR = 1e-12  # mean_nll's lower clamp on a picked probability
+
+
+def mean_nll(probs: Tensor, labels: np.ndarray) -> Tensor:
     """Mean negative log-likelihood of ``labels`` under rows of probabilities.
 
-    Each picked probability is clamped below at ``clamp`` so the loss
+    Each picked probability is clamped below at ``NLL_FLOOR`` so the loss
     stays finite; a clamped entry passes no gradient.
     """
     labels = np.asarray(labels)
@@ -383,11 +386,11 @@ def mean_nll(probs: Tensor, labels: np.ndarray, clamp: float = 1e-12) -> Tensor:
     def grad_fn(g: np.ndarray) -> None:
         share = float(g) * (1.0 / labels.size)
         gp = np.zeros_like(probs.data)
-        gp[rows, labels] = np.where(p > clamp, -share / np.maximum(p, clamp), 0.0)
+        gp[rows, labels] = np.where(p > NLL_FLOOR, -share / np.maximum(p, NLL_FLOOR), 0.0)
         _accumulate(probs, gp)
 
     # np.maximum propagates NaN, so a poisoned forward pass stays visible
-    return Tensor(np.mean(-np.log(np.maximum(p, clamp))), (probs,), grad_fn)
+    return Tensor(np.mean(-np.log(np.maximum(p, NLL_FLOOR))), (probs,), grad_fn)
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:

@@ -265,13 +265,15 @@ def _load_trained(run: Run, pick):
     ``pick`` maps the model's data record to lists of record indices by
     name; the records come back under the same names. The vocabulary comes
     from the record, and a corpus file whose sha256 or record count differs
-    from it is refused before any record is parsed.
+    from it is refused before any record is parsed. The run records the
+    model file's own settings as its ``model`` config.
     """
     corpus_path = run.path("corpus", "corpus.jsonl")
     corpus = CorpusFile(corpus_path)
     run.read("corpus", corpus_path, corpus.sha256)
     model_path = run.read("model", run.path("model", "model.bin"))
     params = load_model(model_path)
+    run.config["model"] = {key: getattr(params.config, key) for key in _MODEL_SETTINGS}
     data = params.data
     if data is None:
         raise ConfigError(f"{model_path} records no training data")
@@ -282,6 +284,18 @@ def _load_trained(run: Run, pick):
                           f"the model's data record splits {data.n_records}")
     records = {name: corpus.records(idx) for name, idx in pick(data).items()}
     return records, Vocabulary(data.tokens), params
+
+
+def _training_inputs(run: Run, splits, vocab):
+    """The model config, hyperparameters, and encoded train and val sets of a training run.
+
+    Notes on stderr how many train and val documents truncation shortens.
+    """
+    cfg = ModelConfig.from_dict({**run.config["model"], "vocab_size": len(vocab)})
+    hyper = HyperParams.from_dict(run.config["training"])
+    _report_truncation(splits["train"] + splits["val"], cfg.max_len, "train and val")
+    train_set, val_set = (encode_corpus(splits[s], vocab, cfg.max_len) for s in ("train", "val"))
+    return cfg, hyper, train_set, val_set
 
 
 def _report_truncation(records, max_len: int, what: str) -> int:
@@ -335,7 +349,7 @@ def cmd_pretrain(args, run: Run) -> dict:
 def cmd_train(args, run: Run) -> dict:
     config = run.config
     splits, vocab, data = _load_world(run)
-    cfg = ModelConfig.from_dict({**config["model"], "vocab_size": len(vocab)})
+    cfg, hyper, train_set, val_set = _training_inputs(run, splits, vocab)
 
     pretrained = None
     if args.embeddings:
@@ -346,10 +360,6 @@ def cmd_train(args, run: Run) -> dict:
 
     params = init_params(cfg, seed=derive_seed(config["seed"], "init"), pretrained=pretrained)
     params.data = data
-    _report_truncation(splits["train"] + splits["val"], cfg.max_len, "train and val")
-    train_set = encode_corpus(splits["train"], vocab, cfg.max_len)
-    val_set = encode_corpus(splits["val"], vocab, cfg.max_len)
-    hyper = HyperParams.from_dict(config["training"])
     history = train(params, train_set, val_set, hyper, seed=derive_seed(config["seed"], "train"))
 
     model_path = run.output("model", "model", "model.bin")
@@ -383,15 +393,9 @@ def cmd_evaluate(args, run: Run) -> dict:
 def cmd_grid_search(args, run: Run) -> dict:
     splits, vocab, _ = _load_world(run)
     grid = _load_json(run.read("grid", args.grid))
-    cfg = ModelConfig.from_dict({**run.config["model"], "vocab_size": len(vocab)})
-    rows = grid_search(
-        cfg,
-        encode_corpus(splits["train"], vocab, cfg.max_len),
-        encode_corpus(splits["val"], vocab, cfg.max_len),
-        HyperParams.from_dict(run.config["training"]),
-        grid,
-        seed=derive_seed(run.config["seed"], "grid"),
-    )
+    cfg, hyper, train_set, val_set = _training_inputs(run, splits, vocab)
+    rows = grid_search(cfg, train_set, val_set, hyper, grid,
+                       seed=derive_seed(run.config["seed"], "grid"))
     write_json(rows, run.output("results", "out", "grid_search.json"))
     best = rows[0]
     print(f"{len(rows)} combinations; best val macro F1 {best['val_macro_f1']:.4f}: {best['combo']}")

@@ -154,8 +154,8 @@ def _largest_remainder(quotas: Sequence[float], total: int) -> list[int]:
     return floors
 
 
-def _zipf_weights(n: int, s: float = 1.0) -> np.ndarray:
-    w = 1.0 / np.arange(1, n + 1) ** s
+def _zipf_weights(n: int) -> np.ndarray:
+    w = 1.0 / np.arange(1, n + 1)
     return w / w.sum()
 
 

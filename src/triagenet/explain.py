@@ -25,8 +25,6 @@ from .corpus import LABELS, CaseRecord, Vocabulary, encode_corpus
 from .model import AttentionRecord, ModelParams, predict_batch
 from .training import Metrics, derive_seed, evaluate
 
-DROP_KINDS = ("random", "frequency", "attention")
-
 
 @dataclass(frozen=True)
 class SymptomScore:
@@ -200,59 +198,37 @@ def pair_synergy(
 # -- drop experiments ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DropStrategy:
-    """How to delete tokens from each case before re-evaluating."""
-
-    kind: str
-    drops: int = 1
-    seed: int = 0
-
-    def validate(self) -> None:
-        if self.kind not in DROP_KINDS:
-            raise ConfigError(f"kind must be one of {DROP_KINDS}, got {self.kind!r}")
-        if self.drops < 1:
-            raise ConfigError("drops must be >= 1")
-
-
-def _drop_positions(tokens: list[str], strategy: DropStrategy, ranking, rng) -> list[int]:
-    n_drop = min(strategy.drops, len(tokens) - 1)
-    if n_drop <= 0:
-        return []
-    if strategy.kind == "random":
-        return sorted(int(i) for i in rng.choice(len(tokens), size=n_drop, replace=False))
-    # highest-ranked tokens present in the case; unranked sort below all ranked
-    order = sorted(
-        range(len(tokens)),
-        key=lambda i: (-ranking.get(tokens[i], float("-inf")), i),
-    )
-    return sorted(order[:n_drop])
-
-
 def drop_dataset(
     records: list[CaseRecord],
-    strategy: DropStrategy,
+    drops: int,
     ranking: dict[str, float] | None = None,
+    seed: int = 0,
 ) -> list[CaseRecord]:
-    """Delete ``strategy.drops`` tokens from every record.
+    """Delete min(drops, len - 1) tokens from every record.
 
-    ``ranking`` maps token to attention score (kind "attention") or to
-    class frequency (kind "frequency"); random drops ignore it. Every
-    case loses exactly min(drops, len - 1) tokens, so no case ends up
-    empty, and the corpus size never changes. Planted-flag indices are
-    remapped to the surviving positions.
+    With a ``ranking`` (token to score, such as attention score or class
+    frequency) the highest-ranked tokens go, and tokens it does not rank
+    sort below every ranked one. Without one, the tokens are drawn at
+    random from a stream derived from ``seed``. No case ends up empty, and
+    the corpus size never changes. Planted-flag indices are remapped to
+    the surviving positions.
     """
-    strategy.validate()
-    if strategy.kind != "random" and ranking is None:
-        raise ConfigError(f"{strategy.kind} drop needs a ranking table")
-    rng = np.random.default_rng(derive_seed(strategy.seed, "drop-random"))
+    if drops < 1:
+        raise ConfigError("drops must be >= 1")
+    rng = np.random.default_rng(derive_seed(seed, "drop-random"))
     out = []
     for rec in records:
-        drop = set(_drop_positions(rec.tokens, strategy, ranking, rng))
-        if not drop:
+        n = len(rec.tokens)
+        n_drop = min(drops, n - 1)
+        if n_drop <= 0:
             out.append(rec)
             continue
-        keep = [i for i in range(len(rec.tokens)) if i not in drop]
+        if ranking is None:
+            drop = set(rng.choice(n, size=n_drop, replace=False).tolist())
+        else:
+            order = sorted(range(n), key=lambda i: (-ranking.get(rec.tokens[i], float("-inf")), i))
+            drop = set(order[:n_drop])
+        keep = [i for i in range(n) if i not in drop]
         new_index = {old: new for new, old in enumerate(keep)}
         out.append(
             CaseRecord(
@@ -288,11 +264,12 @@ def drop_experiment(
     """Evaluate one model on the test set under every drop condition.
 
     Produces a baseline row plus {random, frequency, attention} rows for
-    each drop count 1..max_drops. Both ranking tables come from the
-    ``class_name`` cases of the training split, never from test data:
-    frequency counts token occurrences there, attention uses unigram
-    scores from the same split. The rows report metrics only; deciding
-    what the ordering means is the caller's job.
+    each drop count d in 1..max_drops, each one ``drop_dataset`` call
+    seeded ``derive_seed(seed, f"drop-{d}")``. Random passes no ranking;
+    both ranking tables come from the ``class_name`` cases of the training
+    split, never from test data: frequency counts token occurrences there,
+    attention uses unigram scores from the same split. The rows report
+    metrics only; deciding what the ordering means is the caller's job.
     """
     if max_drops < 1:
         raise ConfigError("max_drops must be >= 1")
@@ -319,11 +296,10 @@ def drop_experiment(
     for d in range(1, max_drops + 1):
         for kind, ranking in (
             ("random", None),
-            ("frequency", dict(freq_rank)),
+            ("frequency", freq_rank),
             ("attention", att_rank),
         ):
-            strategy = DropStrategy(kind=kind, drops=d, seed=derive_seed(seed, f"drop-{d}"))
-            dropped = drop_dataset(test_records, strategy, ranking)
+            dropped = drop_dataset(test_records, d, ranking, seed=derive_seed(seed, f"drop-{d}"))
             word = kind.capitalize()
             label = f"{word} Drop" if d == 1 else f"{d} {word} Drops"
             metrics = evaluate(params, encode_corpus(dropped, vocab, max_len))

@@ -275,7 +275,7 @@ def forward_graph(
     params: ModelParams,
     ids: np.ndarray,
     demographics: np.ndarray,
-    train_mode: bool = False,
+    *,
     dropout_rng: np.random.Generator | None = None,
     ops=ad,
 ) -> tuple[Activation, dict[int, Activation], np.ndarray]:
@@ -287,8 +287,8 @@ def forward_graph(
     each document b in turn, each document's run summing to one; and each
     document's length in tokens. With ``autodiff`` (the default) the first
     two are tensors of one differentiable graph; with ``autodiff.TapeFree``
-    they are plain arrays with the same values, and ``train_mode``, which
-    needs dropout, is not available.
+    they are plain arrays with the same values. Dropout runs after each
+    hidden MLP layer exactly when ``dropout_rng`` is given, drawing from it.
 
     Only real windows are computed, plus for kimcnn one all-padding window
     per document that has one, last in its run so a real window wins ties:
@@ -302,8 +302,6 @@ def forward_graph(
     if ids.ndim != 2 or ids.shape[1] != cfg.max_len:
         raise ad.ShapeError(f"ids must have shape (B, {cfg.max_len}), got {ids.shape}")
     lengths = doc_lengths(ids)
-    if train_mode and cfg.dropout > 0.0 and dropout_rng is None:
-        raise ConfigError("training forward with dropout needs a generator")
 
     B, L = ids.shape
     widest = max(cfg.widths)
@@ -333,7 +331,7 @@ def forward_graph(
     h = ops.concat(pooled + [ops.constant(demographics)])
     for w, b in params.mlp[:-1]:
         h = ops.relu(ops.add(ops.matmul(h, p(w)), p(b)))
-        if train_mode and cfg.dropout > 0.0:
+        if dropout_rng is not None:
             h = ops.dropout(h, cfg.dropout, dropout_rng)
     w_out, b_out = params.mlp[-1]
     probs = ops.softmax(ops.add(ops.matmul(h, p(w_out)), p(b_out)))

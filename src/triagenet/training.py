@@ -129,8 +129,7 @@ def train(
                 params,
                 np.array([c.ids for c in batch]),
                 np.array([c.demographics for c in batch]),
-                True,
-                dropout_rng,
+                dropout_rng=dropout_rng,
             )
             batch_loss = ad.mean_nll(probs, [c.label for c in batch])
             value = batch_loss.item()
@@ -188,14 +187,13 @@ class Metrics:
 def metrics_from(
     true_labels: list[int],
     predicted: list[int],
-    class_names: tuple[str, ...] = LABELS,
     retained_fraction: float = 1.0,
 ) -> Metrics:
     if len(true_labels) != len(predicted):
         raise ConfigError("label and prediction counts differ")
     if not true_labels:
         raise EmptyRetainedError("cannot compute metrics over zero cases")
-    n = len(class_names)
+    n = len(LABELS)
     confusion = np.zeros((n, n), dtype=np.int64)
     for t, p in zip(true_labels, predicted):
         confusion[t][p] += 1
@@ -203,7 +201,7 @@ def metrics_from(
     per_class: dict[str, ClassMetrics] = {}
     zero_support = []
     f1s = []
-    for i, name in enumerate(class_names):
+    for i, name in enumerate(LABELS):
         support = int(confusion[i].sum())
         predicted_as = int(confusion[:, i].sum())
         tp = int(confusion[i][i])
@@ -261,14 +259,14 @@ def evaluate(
     )
 
 
-def render_metrics_table(rows: list[tuple[str, Metrics]], class_names=LABELS) -> str:
+def render_metrics_table(rows: list[tuple[str, Metrics]]) -> str:
     """Fixed-width table: P/R/F per class (percent), accuracy, retention."""
     label_w = max(12, *(len(name) for name, _ in rows)) if rows else 12
-    header = "".join(f"  P({c[:4]})  R({c[:4]})  F({c[:4]})" for c in class_names)
+    header = "".join(f"  P({c[:4]})  R({c[:4]})  F({c[:4]})" for c in LABELS)
     lines = [f"{'':<{label_w}}{header}     acc  kept"]
     for name, m in rows:
         cells = ""
-        for c in class_names:
+        for c in LABELS:
             cm = m.per_class[c]
             cells += f"  {cm.precision * 100:7.1f}  {cm.recall * 100:7.1f}  {cm.f1 * 100:7.1f}"
         lines.append(

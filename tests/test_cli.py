@@ -291,6 +291,22 @@ class TestManifests:
         corpus = {**manifest["inputs"], **manifest["outputs"]}["corpus"]
         assert corpus["sha256"] == load_model(out / "model.bin").data.corpus_sha256
 
+    @pytest.mark.parametrize("command", [
+        ("evaluate",), ("score-symptoms",), ("pairs",), ("drop-experiment",),
+        ("explain", "--cases", "0", "--format", "ansi"),
+    ], ids=lambda c: c[0])
+    def test_model_settings_are_the_model_files(self, pipeline, tmp_path, capsys, command):
+        out, _ = pipeline
+        config = tmp_path / "kim.json"
+        config.write_text(json.dumps({**CONFIG, "model": {"arch": "kimcnn", "filters": 99}}))
+        assert run(*command, "--config", config, "--out-dir", tmp_path,
+                   "--corpus", out / "corpus.jsonl", "--model", out / "model.bin") == 0
+        capsys.readouterr()
+        manifest = json.loads((tmp_path / f"manifest_{command[0].replace('-', '_')}.json")
+                              .read_text())
+        trained = json.loads((out / "manifest_train.json").read_text())["config"]["model"]
+        assert manifest["config"]["model"] == trained
+
 
 class TestScoringCommands:
     def test_score_symptoms_writes_sorted_table(self, pipeline, capsys):
@@ -346,6 +362,19 @@ class TestScoringCommands:
         rows = json.loads((out / "grid_search.json").read_text())
         assert len(rows) == 2
         assert rows[0]["val_macro_f1"] >= rows[1]["val_macro_f1"]
+
+    def test_grid_search_notes_truncation_like_train(self, tmp_path, capsys):
+        out, config = make_workspace(tmp_path, "long")
+        grid = out / "grid.json"
+        grid.write_text(json.dumps({"epochs": [1]}))
+        assert run("gen-data", "--config", config, "--out-dir", out, "--mode", "fulltext") == 0
+        capsys.readouterr()
+        notes = []
+        for command in (("train",), ("grid-search", "--grid", grid)):
+            assert run(*command, "--config", config, "--out-dir", out) == 0
+            notes.append(capsys.readouterr().err)
+        assert notes[0].startswith("note: ") and "train and val documents" in notes[0]
+        assert notes[1] == notes[0]
 
 
 class _Balance(HTMLParser):
@@ -790,3 +819,13 @@ class TestEnvironment:
         assert run("gen-data", "--cases", "30") == 0
         assert (target / "corpus.jsonl").exists()
         capsys.readouterr()
+
+
+class TestReadme:
+    def test_library_use_block_runs(self, capsys):
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+        code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+        exec(compile(code, "README.md", "exec"), {"__name__": "readme"})
+        printed = capsys.readouterr().out
+        assert "macro_f1" in printed and "seen in" in printed

@@ -16,7 +16,6 @@ from triagenet.corpus import (
 )
 from triagenet.embedding import ConfigError
 from triagenet.explain import (
-    DropStrategy,
     PairSynergy,
     SymptomScore,
     drop_dataset,
@@ -233,31 +232,24 @@ def rec(tokens, label="urgent_care", flags=()):
 class TestDropDataset:
     def test_ranked_drop_removes_top_present(self):
         ranking = {"a": 3.0, "b": 2.0, "c": 1.0}
-        strategy = DropStrategy(kind="attention", drops=1)
-        out = drop_dataset([rec(["c", "a", "b"])], strategy, ranking)
+        out = drop_dataset([rec(["c", "a", "b"])], 1, ranking)
         assert out[0].tokens == ["c", "b"]
 
     def test_absent_top_falls_through_to_next_ranked(self):
         ranking = {"a": 3.0, "b": 2.0, "c": 1.0}
-        strategy = DropStrategy(kind="attention", drops=1)
-        out = drop_dataset([rec(["c", "x"])], strategy, ranking)
+        out = drop_dataset([rec(["c", "x"])], 1, ranking)
         assert out[0].tokens == ["x"]
 
     def test_repeated_top_token_loses_both_instances(self):
         ranking = {"a": 3.0, "b": 1.0}
-        out = drop_dataset([rec(["a", "b", "a"])], DropStrategy("attention", drops=2), ranking)
+        out = drop_dataset([rec(["a", "b", "a"])], 2, ranking)
         assert out[0].tokens == ["b"]
-
-    def test_frequency_ranking_behaves_like_attention_ranking(self):
-        freq = {"common": 50.0, "rare": 2.0}
-        out = drop_dataset([rec(["rare", "common", "z"])], DropStrategy("frequency", 1), freq)
-        assert out[0].tokens == ["rare", "z"]
 
     def test_conservation_and_never_empty(self):
         records = [rec(["a"]), rec(["a", "b"]), rec(["a", "b", "c", "d"])]
-        for kind, ranking in (("random", None), ("attention", {"a": 1.0})):
+        for ranking in (None, {"a": 1.0}):
             for k in (1, 2, 5):
-                out = drop_dataset(records, DropStrategy(kind, k, seed=4), ranking)
+                out = drop_dataset(records, k, ranking, seed=4)
                 assert len(out) == len(records)
                 for before, after in zip(records, out):
                     assert len(after.tokens) == max(1, len(before.tokens) - k)
@@ -266,30 +258,25 @@ class TestDropDataset:
 
     def test_random_is_seed_deterministic(self):
         records = [rec(list("abcdef")), rec(list("ghij"))]
-        a = drop_dataset(records, DropStrategy("random", 2, seed=9), None)
-        b = drop_dataset(records, DropStrategy("random", 2, seed=9), None)
-        c = drop_dataset(records, DropStrategy("random", 2, seed=10), None)
+        a = drop_dataset(records, 2, seed=9)
+        b = drop_dataset(records, 2, seed=9)
+        c = drop_dataset(records, 2, seed=10)
         assert [r.tokens for r in a] == [r.tokens for r in b]
         assert any(x.tokens != y.tokens for x, y in zip(a, c))
 
     def test_flag_indices_remapped(self):
-        ranking = {"b": 9.0}
-        out = drop_dataset([rec(["a", "b", "c"], flags=[0, 2])], DropStrategy("attention", 1), ranking)
+        out = drop_dataset([rec(["a", "b", "c"], flags=[0, 2])], 1, {"b": 9.0})
         assert out[0].tokens == ["a", "c"]
         assert out[0].planted_flags == [0, 1]
 
     def test_dropped_flag_disappears(self):
-        ranking = {"b": 9.0}
-        out = drop_dataset([rec(["a", "b", "c"], flags=[1])], DropStrategy("attention", 1), ranking)
+        out = drop_dataset([rec(["a", "b", "c"], flags=[1])], 1, {"b": 9.0})
         assert out[0].planted_flags == []
 
     def test_validation(self):
-        with pytest.raises(ConfigError):
-            DropStrategy("typo", 1).validate()
-        with pytest.raises(ConfigError):
-            DropStrategy("random", 0).validate()
-        with pytest.raises(ConfigError):
-            drop_dataset([rec(["a", "b"])], DropStrategy("attention", 1), None)
+        for ranking in (None, {"a": 1.0}):
+            with pytest.raises(ConfigError, match="drops must be >= 1"):
+                drop_dataset([rec(["a", "b"])], 0, ranking)
 
 
 @pytest.fixture(scope="module")

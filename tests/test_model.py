@@ -279,17 +279,28 @@ class TestForward:
         _, att, _ = forward(params, [make_case(ids, 5), make_case(ids[perm], 5)])
         np.testing.assert_allclose(att[1].data[5:], att[1].data[:5][perm], atol=1e-12)
 
-    def test_dropout_needs_rng_and_changes_across_draws(self):
-        params = init_params(tiny_config(dropout=0.5), seed=7)
+    def test_dropout_runs_exactly_when_a_generator_is_given(self):
         cases = [make_case([2, 3, 4], 5)] * 2
-        with pytest.raises(ConfigError):
-            forward(params, cases, True)
+        params = init_params(tiny_config(dropout=0.5), seed=7)
+        p0, _, _ = forward(params, cases)
+        assert p0.data[0].tobytes() == p0.data[1].tobytes()
+        assert forward(params, cases)[0].data.tobytes() == p0.data.tobytes()
         rng = np.random.default_rng(0)
-        p1, _, _ = forward(params, cases, True, rng)
-        p2, _, _ = forward(params, cases, True, rng)
+        p1, _, _ = forward(params, cases, dropout_rng=rng)
+        p2, _, _ = forward(params, cases, dropout_rng=rng)
         assert p1.data.tobytes() != p2.data.tobytes()
         # each row draws its own mask
         assert p1.data[0].tobytes() != p1.data[1].tobytes()
+        # a zero rate draws nothing and leaves the forward as it is
+        rng = np.random.default_rng(0)
+        still, _, _ = forward(init_params(tiny_config(dropout=0.0), seed=7), cases, dropout_rng=rng)
+        assert still.data.tobytes() == p0.data.tobytes()
+        assert rng.random() == np.random.default_rng(0).random()
+
+    def test_positional_train_flag_is_refused(self):
+        params = init_params(tiny_config(dropout=0.5), seed=7)
+        with pytest.raises(TypeError):
+            forward_graph(params, np.array([[2, 3, 4, 0, 0]]), np.zeros((1, 3)), True)
 
     def test_gradients_match_finite_differences(self):
         params = init_params(tiny_config(), seed=17)
