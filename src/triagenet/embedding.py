@@ -2,8 +2,9 @@
 
 The table aligns row-for-row with a Vocabulary: row 0 is the padding
 slot and stays all-zero, row 1 is the unknown token. Training is
-sequential SGD over shuffled (center, context) pairs with a linearly
-decaying step size, deterministic in the seed.
+sequential SGD over shuffled (center, context) pairs, each center's
+reach drawn afresh every iteration, with a linearly decaying step size,
+deterministic in the seed.
 """
 
 from __future__ import annotations
@@ -44,16 +45,35 @@ def init_table(vocab_size: int, dim: int, seed: int) -> EmbeddingTable:
     return EmbeddingTable(vectors=vectors, seed=seed)
 
 
-def _window_pairs(sequences: list[np.ndarray], window: int) -> tuple[np.ndarray, np.ndarray]:
-    """(center, context) ids of every window: sequence by sequence, i then j ascending."""
+def _spans(lengths: np.ndarray, reach: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each token's first context index and one past its last, in the
+    concatenation of sequences of ``lengths``, within ``reach`` of it."""
+    end = np.repeat(np.cumsum(lengths), lengths)  # one past each token's sequence
+    i = np.arange(len(end))
+    lo = np.maximum(end - np.repeat(lengths, lengths), i - reach)
+    hi = np.minimum(end, i + reach + 1)
+    return lo, hi
+
+
+def _window_pairs(sequences: list[np.ndarray], reach: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(center, context) ids of every token with each token of its sequence
+    within its own ``reach``: sequence by sequence, i then j ascending."""
     flat = np.concatenate(sequences)
     lengths = np.array([len(s) for s in sequences])
-    end = np.repeat(np.cumsum(lengths), lengths)[:, None]  # one past each token's sequence
-    start = end - np.repeat(lengths, lengths)[:, None]
+    lo, hi = (bound[:, None] for bound in _spans(lengths, reach))
+    # no pair lies further apart than the longest sequence allows, however far a reach
+    width = min(int(reach.max()), int(lengths.max()) - 1)
     i = np.arange(len(flat))[:, None]
-    j = i + np.r_[-window:0, 1 : window + 1]
-    keep = (j >= start) & (j < end)
+    j = i + np.r_[-width:0, 1 : width + 1]
+    keep = (j >= lo) & (j < hi)
     return flat[np.broadcast_to(i, j.shape)[keep]], flat[j[keep]]
+
+
+def _reaches(seed: int, window: int, n_tokens: int, iters: int):
+    """Every token's reach in each iteration, uniform in 1..window (word2vec's
+    reduced window), from a generator apart from the shuffle and negatives."""
+    rng = np.random.default_rng([seed, 1])
+    return (rng.integers(1, window + 1, size=n_tokens) for _ in range(iters))
 
 
 def train_skipgram(
@@ -68,13 +88,22 @@ def train_skipgram(
 ) -> EmbeddingTable:
     """Train skip-gram vectors on the corpus; ``iters=0`` returns the init.
 
-    Tokens outside the vocabulary train under the unknown id. The
-    negative-sampling distribution is unigram count^0.75 over observed
-    ids; padding is never sampled and its row never moves. Updates are
-    applied one (center, context) pair at a time in shuffle order, so
-    every step sees the effect of the one before it; batching the pairs
-    instead would scale a frequent token's step by its duplicate count
-    and diverge on Zipf-skewed corpora.
+    Tokens outside the vocabulary train under the unknown id. Each
+    iteration draws every token's reach uniformly from 1..``window``, as
+    the original skip-gram does, and pairs the token with each token of
+    its record within that reach: adjacent tokens always pair, far ones
+    less often. On the README tour's corpus that is about a third fewer
+    steps than a fixed window. The reaches fix every iteration's pair
+    count in advance, so the step size decays linearly over the steps of
+    all iterations, while each iteration's pairs are built only when it
+    starts.
+
+    The negative-sampling distribution is unigram count^0.75 over
+    observed ids; padding is never sampled and its row never moves.
+    Updates are applied one (center, context) pair at a time in shuffle
+    order, so every step sees the effect of the one before it; batching
+    the pairs instead would scale a frequent token's step by its
+    duplicate count and diverge on Zipf-skewed corpora.
 
     Input vectors are rows [0, V) and output vectors rows [V, 2V) of one
     table. A step gathers its center, context and negative rows at once
@@ -96,11 +125,16 @@ def train_skipgram(
     ]
     if iters == 0 or not sequences:
         return table
-    centers, contexts = _window_pairs(sequences, window)
-    if not len(centers):
+    flat = np.concatenate(sequences)
+    lengths = np.array([len(s) for s in sequences])
+    total_steps = 0  # the reaches are drawn twice: here to count the steps, then to train
+    for reach in _reaches(seed, window, len(flat), iters):
+        lo, hi = _spans(lengths, reach)
+        total_steps += int((hi - lo - 1).sum())
+    if not total_steps:
         return table
 
-    counts = np.bincount(np.concatenate(sequences), minlength=len(vocab))
+    counts = np.bincount(flat, minlength=len(vocab))
     pool = np.flatnonzero(counts)
     pool = pool[pool != PAD_ID]
     weights = counts[pool] ** 0.75
@@ -108,12 +142,16 @@ def train_skipgram(
 
     V = len(vocab)
     W = np.concatenate([table.vectors, np.zeros_like(table.vectors)])
-    G = np.zeros((negatives + 2, negatives + 2))
+    k = negatives + 2
+    G = np.zeros((k, k))
+    g, g_col = G[0, 1:], G[1:, 0]  # the scaled gradients, stored in both
+    x, d = np.empty((k, dim)), np.empty((k, dim))
+    center, outputs = x[0], x[1:]
     shift = np.r_[-1.0, np.ones(negatives)]  # sigma(s) - label = (tanh(s/2) + shift) / 2
     rng = np.random.default_rng(seed)
-    total_steps = iters * len(centers)
     done = 0
-    for _ in range(iters):
+    for reach in _reaches(seed, window, len(flat), iters):
+        centers, contexts = _window_pairs(sequences, reach)
         order = rng.permutation(len(centers))
         negs = pool[np.searchsorted(cum, rng.random((len(order), negatives)))]
         for start in range(0, len(order), BLOCK):
@@ -123,14 +161,20 @@ def train_skipgram(
             )
             ranked = np.sort(rows[:, 1:], axis=1)
             distinct = (ranked[:, 1:] != ranked[:, :-1]).all(axis=1).tolist()
-            for r, unique in zip(rows, distinct):
-                half_step = 0.5 * lr * max(1.0 - done / total_steps, 1e-4)
-                done += 1
-                x = W.take(r, axis=0)  # center, context, negatives before this step
-                g = (np.tanh(np.dot(x[1:], x[0]) * 0.5) + shift) * half_step
-                G[0, 1:] = g
-                G[1:, 0] = g
-                d = np.dot(G, x)
+            n = len(rows)
+            half_steps = 0.5 * lr * np.maximum(1.0 - np.arange(done, done + n) / total_steps, 1e-4)
+            done += n
+            for r, unique, half_step in zip(rows, distinct, half_steps.tolist()):
+                # center, context, negatives before this step; "clip" lets take
+                # write into x directly where the default mode buffers a copy
+                W.take(r, axis=0, out=x, mode="clip")
+                np.dot(outputs, center, out=g)
+                g *= 0.5
+                np.tanh(g, out=g)
+                g += shift
+                g *= half_step
+                g_col[:] = g
+                np.dot(G, x, out=d)
                 if unique:
                     x -= d
                     W[r] = x

@@ -26,6 +26,7 @@ arrays from the same arithmetic, with no tape built.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -397,6 +398,19 @@ def save_model(params: ModelParams, path) -> None:
     write_artifact(path, header, blob)
 
 
+def _param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Every tensor's shape under its name, in ``ModelParams.parameters`` order."""
+    k, f, a = config.embedding_dim, config.filters, config.attention_size
+    shapes = {"embedding": (config.vocab_size, k)}
+    for m in sorted(config.widths):
+        shapes.update({f"conv_w{m}": (m * k, f), f"conv_b{m}": (f,), f"attn_w{m}": (f, a),
+                       f"attn_b{m}": (a,), f"attn_u{m}": (a,)})
+    dims = [config.mlp_input_dim, *config.mlp_layers, config.n_classes]
+    for i, (d_in, d_out) in enumerate(zip(dims, dims[1:])):
+        shapes.update({f"mlp_w{i}": (d_in, d_out), f"mlp_b{i}": (d_out,)})
+    return shapes
+
+
 def load_model(path) -> ModelParams:
     """Read a model file, its data record included (None if it was saved without one)."""
     required = {"config": dict, "seed": int, "data": (dict, type(None)), "params": list}
@@ -409,23 +423,22 @@ def load_model(path) -> ModelParams:
             raise ChecksumError(f"data record's vocabulary does not fit {config.vocab_size} rows")
     except (TypeError, ValueError) as e:
         raise ChecksumError(f"malformed {FORMAT_NAME} header: {e}") from e
-    params = init_params(config, seed=0)
-    params.seed = header["seed"]
-    params.data = data
-
-    named = params.parameters()
-    if stored != {name: tensor.data.shape for name, tensor in named}:
+    shapes = _param_shapes(config)
+    if stored != shapes:
         raise ChecksumError("stored parameter shapes do not match the model config")
-    expected_bytes = params.n_parameters() * 8
+    expected_bytes = 8 * sum(math.prod(shape) for shape in shapes.values())
     if len(blob) != expected_bytes:
         raise ChecksumError(f"blob holds {len(blob)} bytes, header implies {expected_bytes}")
-    offset = 0
-    for name, tensor in named:
-        n = tensor.data.size * 8
-        tensor.data = (
-            np.frombuffer(blob[offset : offset + n], dtype="<f8")
-            .reshape(tensor.data.shape)
-            .astype(np.float64)
-        )
+    tensors, offset = {}, 0
+    for name, shape in shapes.items():
+        n = math.prod(shape) * 8
+        array = np.frombuffer(blob[offset : offset + n], dtype="<f8").reshape(shape)
+        tensors[name] = Tensor(array.astype(np.float64))
         offset += n
-    return params
+    per_width = {
+        kind: {m: tensors[f"{kind}{m}"] for m in config.widths}
+        for kind in ("conv_w", "conv_b", "attn_w", "attn_b", "attn_u")
+    }
+    mlp = [(tensors[f"mlp_w{i}"], tensors[f"mlp_b{i}"]) for i in range(len(config.mlp_layers) + 1)]
+    return ModelParams(config=config, embedding=tensors["embedding"], mlp=mlp,
+                       seed=header["seed"], data=data, **per_width)

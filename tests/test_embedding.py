@@ -1,6 +1,7 @@
 """Tests for skip-gram embedding training and its file format."""
 
 import json
+import tracemalloc
 import types
 
 import numpy as np
@@ -44,28 +45,43 @@ def paired_corpus(n=300, seed=0):
     return Corpus(records=records)
 
 
-def nested_pairs(sequences, window):
-    """The pair order of the original nested loop: i ascending, then j."""
+def nested_pairs(sequences, reach):
+    """The pair order of the original nested loop: i ascending, then j.
+
+    ``reach`` is one window for every token, or each token's own reach
+    in the order of the concatenated sequences."""
+    reach = iter(np.broadcast_to(reach, (sum(map(len, sequences)),)).tolist())
     centers, contexts = [], []
     for seq in sequences:
         for i, c in enumerate(seq):
-            for j in range(max(0, i - window), min(len(seq), i + window + 1)):
+            r = next(reach)
+            for j in range(max(0, i - r), min(len(seq), i + r + 1)):
                 if j != i:
                     centers.append(c)
                     contexts.append(seq[j])
     return np.array(centers, dtype=np.int64), np.array(contexts, dtype=np.int64)
 
 
+def drawn_reaches(seed, window, n_tokens, iters):
+    """word2vec's reduced window: each iteration draws every token's reach
+    uniformly from 1..window, from a generator seeded [seed, 1]."""
+    rng = np.random.default_rng([seed, 1])
+    return [rng.integers(1, window + 1, size=n_tokens) for _ in range(iters)]
+
+
 def per_pair_oracle(corpus, vocab, dim, iters, window=5, negatives=5, seed=0, lr=0.025):
     """The original per-pair loop: separate input and output tables, a
-    clipped logistic, one small update per vector. Returns the input
-    table and the number of steps whose output rows repeat."""
+    clipped logistic, one small update per vector, over the pairs of the
+    drawn reaches. Returns the input table, the number of steps whose
+    output rows repeat, and the number of steps."""
     sequences = [
         np.array([vocab.id_of(t) for t in r.tokens], dtype=np.int64)
         for r in corpus.records
         if r.tokens
     ]
-    centers, contexts = nested_pairs(sequences, window)
+    n_tokens = sum(map(len, sequences))
+    iteration_pairs = [nested_pairs(sequences, reach)
+              for reach in drawn_reaches(seed, window, n_tokens, iters)]
     counts = np.zeros(len(vocab))
     for seq in sequences:
         for c in seq:
@@ -81,9 +97,9 @@ def per_pair_oracle(corpus, vocab, dim, iters, window=5, negatives=5, seed=0, lr
     w_in = init_table(len(vocab), dim, seed).vectors
     w_out = np.zeros_like(w_in)
     rng = np.random.default_rng(seed)
-    total_steps = iters * len(centers)
+    total_steps = sum(len(centers) for centers, _ in iteration_pairs)
     done = repeats = 0
-    for _ in range(iters):
+    for centers, contexts in iteration_pairs:
         order = rng.permutation(len(centers))
         negs = pool[np.searchsorted(cum, rng.random((len(order), negatives)))]
         for i, pair in enumerate(order):
@@ -102,7 +118,7 @@ def per_pair_oracle(corpus, vocab, dim, iters, window=5, negatives=5, seed=0, lr
             np.subtract.at(w_out, negs[i], step * g_neg[:, None] * h)
 
     w_in[PAD_ID] = 0.0
-    return w_in, repeats
+    return w_in, repeats, total_steps
 
 
 def counting_subtract_at(monkeypatch):
@@ -118,6 +134,22 @@ def counting_subtract_at(monkeypatch):
 
         def __getattr__(self, name):
             return getattr(np, name)
+
+    monkeypatch.setattr(embedding, "np", Numpy())
+    return calls
+
+
+def counting_tanh(monkeypatch):
+    """Make ``embedding`` see a numpy whose ``tanh`` counts its calls: one per SGD step."""
+    calls = []
+
+    def tanh(*args, **kwargs):
+        calls.append(1)
+        return np.tanh(*args, **kwargs)
+
+    class Numpy:
+        def __getattr__(self, name):
+            return tanh if name == "tanh" else getattr(np, name)
 
     monkeypatch.setattr(embedding, "np", Numpy())
     return calls
@@ -140,13 +172,13 @@ class TestFusedStep:
         corpus = paired_corpus(60)
         vocab = build_vocab(corpus.records)
         table = train_skipgram(corpus, vocab, dim=16, iters=3, seed=7)
-        expected, _ = per_pair_oracle(corpus, vocab, dim=16, iters=3, seed=7)
+        expected, _, _ = per_pair_oracle(corpus, vocab, dim=16, iters=3, seed=7)
         np.testing.assert_allclose(table.vectors, expected, rtol=0, atol=1e-12)
 
     def test_matches_per_pair_loop_when_negatives_collide(self, monkeypatch):
         corpus = tiny_vocab_corpus()
         vocab = build_vocab(corpus.records)
-        expected, repeats = per_pair_oracle(corpus, vocab, dim=8, iters=2, seed=3)
+        expected, repeats, _ = per_pair_oracle(corpus, vocab, dim=8, iters=2, seed=3)
         calls = counting_subtract_at(monkeypatch)
         table = train_skipgram(corpus, vocab, dim=8, iters=2, seed=3)
         assert repeats > 0 and len(calls) == repeats
@@ -155,22 +187,69 @@ class TestFusedStep:
     def test_matches_per_pair_loop_across_a_block_boundary(self):
         corpus = paired_corpus(500, seed=4)
         vocab = build_vocab(corpus.records)
-        centers, _ = nested_pairs(
-            [np.array([vocab.id_of(t) for t in r.tokens]) for r in corpus.records], 5
-        )
-        assert len(centers) > embedding.BLOCK
         table = train_skipgram(corpus, vocab, dim=8, iters=2, seed=5)
-        expected, _ = per_pair_oracle(corpus, vocab, dim=8, iters=2, seed=5)
+        expected, _, steps = per_pair_oracle(corpus, vocab, dim=8, iters=2, seed=5)
+        assert steps > 2 * embedding.BLOCK  # so an iteration crosses a block boundary
         np.testing.assert_allclose(table.vectors, expected, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("window", [1, 2, 5])
     def test_window_pairs_keep_the_nested_loop_order(self, window):
         rng = np.random.default_rng(window)
         sequences = [rng.integers(2, 50, size=n) for n in (1, 2, 3, 7, 12, 1, 4)]
-        got = embedding._window_pairs(sequences, window)
+        got = embedding._window_pairs(sequences, np.full(30, window))
         expected = nested_pairs(sequences, window)
         for a, b in zip(got, expected):
             np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("top", [3, 12, 40], ids=["short", "longest", "past-longest"])
+    def test_window_pairs_honour_each_tokens_reach(self, top):
+        rng = np.random.default_rng(top)
+        sequences = [rng.integers(2, 50, size=n) for n in (1, 2, 3, 7, 13, 1, 4)]
+        reach = rng.integers(1, top + 1, size=31)
+        got = embedding._window_pairs(sequences, reach)
+        expected = nested_pairs(sequences, reach)
+        for a, b in zip(got, expected):
+            np.testing.assert_array_equal(a, b)
+
+    def test_window_pairs_memory_is_bounded_by_the_longest_sequence(self):
+        rng = np.random.default_rng(0)
+        sequences = [rng.integers(2, 50, size=7) for _ in range(300)]
+        tracemalloc.start()
+        try:
+            got = embedding._window_pairs(sequences, np.full(2100, 20_000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        for a, b in zip(got, nested_pairs(sequences, 6)):
+            np.testing.assert_array_equal(a, b)
+
+    def test_reaches_are_drawn_from_their_own_generator(self):
+        got = list(embedding._reaches(4, 5, 1000, 3))
+        for a, b in zip(got, drawn_reaches(4, 5, 1000, 3), strict=True):
+            np.testing.assert_array_equal(a, b)
+        assert all(set(r.tolist()) == {1, 2, 3, 4, 5} for r in got)
+        assert not np.array_equal(got[0], got[1])
+        np.testing.assert_array_equal(got[0], next(embedding._reaches(4, 5, 1000, 1)))
+        assert not np.array_equal(got[0], next(embedding._reaches(5, 5, 1000, 1)))
+
+    def test_one_step_per_pair_built_and_fewer_than_a_full_window(self, monkeypatch):
+        corpus = paired_corpus(80)
+        vocab = build_vocab(corpus.records)
+        sequences = [np.array([vocab.id_of(t) for t in r.tokens]) for r in corpus.records]
+        full = len(nested_pairs(sequences, 5)[0])
+        built = []
+        window_pairs = embedding._window_pairs
+
+        def recording(*args):
+            built.append(window_pairs(*args))
+            return built[-1]
+
+        monkeypatch.setattr(embedding, "_window_pairs", recording)
+        steps = counting_tanh(monkeypatch)
+        train_skipgram(corpus, vocab, dim=8, iters=3, seed=2)
+        assert len(built) == 3
+        assert len(steps) == sum(len(centers) for centers, _ in built) < 3 * full
 
 
 class TestTraining:

@@ -581,6 +581,16 @@ class TestPersistence:
             assert na == nb
             assert ta.data.tobytes() == tb.data.tobytes()
 
+    def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.bin"
+        save_model(init_params(tiny_config(), seed=23), path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("load_model drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        assert load_model(path).seed == 23
+
     def test_data_record_roundtrip(self, tmp_path):
         params = init_params(tiny_config(), seed=23)
         path = tmp_path / "model.bin"
