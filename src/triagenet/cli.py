@@ -18,6 +18,7 @@ import argparse
 import dataclasses
 import functools
 import html
+import inspect
 import json
 import os
 import sys
@@ -63,45 +64,28 @@ from .training import (
     train,
 )
 
-DEFAULT_CONFIG = {
+# each section starts from the defaults of the type or function it configures;
+# vocab_size comes from the corpus and the skip-gram seed from the root seed
+_SKIPGRAM_PARAMS = inspect.signature(train_skipgram).parameters
+DEFAULT_CONFIG = json.loads(json.dumps({  # as JSON values: tuples become lists
     "seed": 0,
     "cases": 1000,
     "split": [0.9, 0.05, 0.05],
     "min_count": 1,
     "generator": {},
-    "model": {
-        "max_len": 16,
-        "embedding_dim": 32,
-        "widths": [1, 2, 3],
-        "filters": 32,
-        "attention_size": 24,
-        "mlp_layers": [48],
-        "dropout": 0.2,
-        "arch": "acnn",
-    },
-    "training": {
-        "lr": 0.002,
-        "epochs": 5,
-        "batch_size": 64,
-    },
-    "embedding": {
-        "iters": 3,
-        "window": 5,
-        "negatives": 5,
-        "lr": 0.025,
-    },
-}
+    "model": {f.name: f.default for f in dataclasses.fields(ModelConfig)
+              if f.name != "vocab_size"},
+    "training": {f.name: f.default for f in dataclasses.fields(HyperParams)},
+    "embedding": {name: p.default for name, p in _SKIPGRAM_PARAMS.items()
+                  if p.default is not p.empty and name != "seed"},
+}))
 
 SPLITS = ("train", "val", "test")
 
 # each section is then checked against the type or function it configures
 _TOP_LEVEL = {"seed": int, "cases": int, "split": tuple[float, float, float], "min_count": int,
               **dict.fromkeys(("generator", "model", "training", "embedding"), dict)}
-# vocab_size comes from the corpus and n_classes from LABELS, so neither is settable
-_MODEL_SETTINGS = {
-    key: kind for key, kind in field_types(ModelConfig).items()
-    if key not in ("vocab_size", "n_classes")
-}
+_MODEL_SETTINGS = {key: field_types(ModelConfig)[key] for key in DEFAULT_CONFIG["model"]}
 _EMBEDDING_SETTINGS = {
     key: typing.get_type_hints(train_skipgram)[key]
     for key in DEFAULT_CONFIG["embedding"]
@@ -254,19 +238,13 @@ def _load_world(run: Run):
     return splits, vocab, data
 
 
-def _splits(*names):
-    """A ``pick`` for ``_load_trained``: the named splits of the model's data record."""
-    return lambda data: {name: getattr(data, name) for name in names}
+def _load_trained(run: Run):
+    """The corpus file, the vocabulary, and the model, checked against each other.
 
-
-def _load_trained(run: Run, pick):
-    """The records ``pick`` names, the vocabulary, and the model.
-
-    ``pick`` maps the model's data record to lists of record indices by
-    name; the records come back under the same names. The vocabulary comes
-    from the record, and a corpus file whose sha256 or record count differs
-    from it is refused before any record is parsed. The run records the
-    model file's own settings as its ``model`` config.
+    The vocabulary comes from the model's data record, and a corpus file
+    whose sha256 or record count differs from it is refused before any
+    record is parsed; a command then parses only the records it uses. The
+    run records the model file's own settings as its ``model`` config.
     """
     corpus_path = run.path("corpus", "corpus.jsonl")
     corpus = CorpusFile(corpus_path)
@@ -282,8 +260,7 @@ def _load_trained(run: Run, pick):
     if len(corpus) != data.n_records:
         raise ConfigError(f"{corpus_path} holds {len(corpus)} records; "
                           f"the model's data record splits {data.n_records}")
-    records = {name: corpus.records(idx) for name, idx in pick(data).items()}
-    return records, Vocabulary(data.tokens), params
+    return corpus, Vocabulary(data.tokens), params
 
 
 def _training_inputs(run: Run, splits, vocab):
@@ -301,15 +278,16 @@ def _training_inputs(run: Run, splits, vocab):
 def _report_truncation(records, max_len: int, what: str) -> int:
     """Note on stderr how many documents truncation shortens; returns that count.
 
-    The note also counts the cases that lose every planted flag, the
-    ground-truth evidence for their label.
+    The note also counts the cases that lose a planted flag, the
+    ground-truth evidence for their label: a pair cut in half is no
+    evidence, since each member alone is harmless.
     """
     cut = [r for r in records if len(r.tokens) > max_len]
     if cut:
-        lost = sum(1 for r in cut if r.planted_flags and min(r.planted_flags) >= max_len)
+        lost = sum(1 for r in cut if r.planted_flags and max(r.planted_flags) >= max_len)
         print(
             f"note: {len(cut)} of {len(records)} {what} documents are longer than "
-            f"max_len {max_len}; {lost} of them lose every planted flag",
+            f"max_len {max_len}; {lost} of them lose a planted flag",
             file=sys.stderr,
         )
     return len(cut)
@@ -375,8 +353,8 @@ def cmd_train(args, run: Run) -> dict:
 
 
 def cmd_evaluate(args, run: Run) -> dict:
-    splits, vocab, params = _load_trained(run, _splits(args.split))
-    records = splits[args.split]
+    corpus, vocab, params = _load_trained(run)
+    records = corpus.records(getattr(params.data, args.split))
     max_len = params.config.max_len
     cases = encode_corpus(records, vocab, max_len)
     metrics = evaluate(params, cases, threshold=args.confidence_threshold)
@@ -403,8 +381,9 @@ def cmd_grid_search(args, run: Run) -> dict:
 
 
 def cmd_score_symptoms(args, run: Run) -> dict:
-    splits, vocab, params = _load_trained(run, _splits(args.split))
-    scores = score_features(params, splits[args.split], vocab, args.class_name, gram_size=args.gram)
+    corpus, vocab, params = _load_trained(run)
+    records = corpus.records(getattr(params.data, args.split))
+    scores = score_features(params, records, vocab, args.class_name, gram_size=args.gram)
     out = run.output("scores", "out", f"scores_{args.class_name}_{args.gram}gram.json")
     write_json([s.to_dict() for s in scores], out)
     print(render_score_table(scores, top=args.top))
@@ -412,8 +391,9 @@ def cmd_score_symptoms(args, run: Run) -> dict:
 
 
 def cmd_pairs(args, run: Run) -> dict:
-    splits, vocab, params = _load_trained(run, _splits(args.split))
-    unigrams, bigrams = score_grams(params, splits[args.split], vocab, args.class_name, (1, 2))
+    corpus, vocab, params = _load_trained(run)
+    records = corpus.records(getattr(params.data, args.split))
+    unigrams, bigrams = score_grams(params, records, vocab, args.class_name, (1, 2))
     pairs = pair_synergy(unigrams, bigrams)
     out = run.output("pairs", "out", f"pairs_{args.class_name}.json")
     write_json([vars(p) for p in pairs], out)  # flat rows; asdict would deep-copy each value
@@ -422,11 +402,11 @@ def cmd_pairs(args, run: Run) -> dict:
 
 
 def cmd_drop_experiment(args, run: Run) -> dict:
-    splits, vocab, params = _load_trained(run, _splits("train", "test"))
+    corpus, vocab, params = _load_trained(run)
     rows = drop_experiment(
         params,
-        splits["train"],
-        splits["test"],
+        corpus.records(params.data.train),
+        corpus.records(params.data.test),
         vocab,
         max_drops=args.drops,
         class_name=args.class_name,
@@ -448,16 +428,13 @@ def cmd_explain(args, run: Run) -> dict:
     if not ids:
         raise ConfigError("no case ids given")
 
-    def pick(data):
-        bad = [i for i in ids if not 0 <= i < data.n_records]
-        if bad:
-            raise ConfigError(f"case ids out of range for {data.n_records} records: {bad}")
-        return {"cases": ids}
-
-    picked, vocab, params = _load_trained(run, pick)
+    corpus, vocab, params = _load_trained(run)
+    bad = [i for i in ids if not 0 <= i < len(corpus)]
+    if bad:
+        raise ConfigError(f"case ids out of range for {len(corpus)} records: {bad}")
     if params.config.arch != "acnn":
         raise ConfigError("explain needs a model with attention pooling")
-    records = picked["cases"]
+    records = corpus.records(ids)
     preds = predict_batch(params, encode_corpus(records, vocab, params.config.max_len))
     sections = []
     for i, rec, pred in zip(ids, records, preds):

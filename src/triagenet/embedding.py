@@ -79,8 +79,8 @@ def _reaches(seed: int, window: int, n_tokens: int, iters: int):
 def train_skipgram(
     corpus: Corpus,
     vocab: Vocabulary,
-    dim: int = 200,
-    iters: int = 25,
+    dim: int,
+    iters: int = 3,
     window: int = 5,
     negatives: int = 5,
     seed: int = 0,
@@ -127,10 +127,8 @@ def train_skipgram(
         return table
     flat = np.concatenate(sequences)
     lengths = np.array([len(s) for s in sequences])
-    total_steps = 0  # the reaches are drawn twice: here to count the steps, then to train
-    for reach in _reaches(seed, window, len(flat), iters):
-        lo, hi = _spans(lengths, reach)
-        total_steps += int((hi - lo - 1).sum())
+    reaches = list(_reaches(seed, window, len(flat), iters))
+    total_steps = sum(int((hi - lo - 1).sum()) for lo, hi in (_spans(lengths, r) for r in reaches))
     if not total_steps:
         return table
 
@@ -150,7 +148,7 @@ def train_skipgram(
     shift = np.r_[-1.0, np.ones(negatives)]  # sigma(s) - label = (tanh(s/2) + shift) / 2
     rng = np.random.default_rng(seed)
     done = 0
-    for reach in _reaches(seed, window, len(flat), iters):
+    for reach in reaches:
         centers, contexts = _window_pairs(sequences, reach)
         order = rng.permutation(len(centers))
         negs = pool[np.searchsorted(cum, rng.random((len(order), negatives)))]

@@ -39,7 +39,7 @@ from .corpus import LABELS, PAD_ID, DataContract, EncodedCase, Vocabulary
 from .embedding import EmbeddingTable
 
 FORMAT_NAME = "triagenet-model"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 DEMOGRAPHICS_DIM = 3
 ARCHITECTURES = ("acnn", "kimcnn")
 PREDICT_CHUNK = 64  # cases per inference forward pass; bounds peak memory
@@ -49,23 +49,23 @@ Activation = Tensor | np.ndarray  # a tensor in the taped pass, an array in the 
 
 @dataclass(frozen=True)
 class ModelConfig(Schema):
-    """Architecture shape knobs; defaults follow the full-scale setup.
+    """Architecture shape knobs; the defaults are the desk-scale model the
+    CLI trains, whose ``model`` config section starts from them.
 
-    ``vocab_size`` comes from the corpus and ``n_classes`` is always
-    ``len(LABELS)``; model files record both.
+    ``vocab_size`` comes from the corpus, and model files record it. The
+    output layer has one unit per label of ``LABELS``.
     """
 
     section = "model"
 
     vocab_size: int
-    max_len: int
-    embedding_dim: int = 200
-    widths: tuple[int, ...] = (1, 2, 3, 4, 5)
-    filters: int = 128
-    attention_size: int = 100
-    mlp_layers: tuple[int, ...] = (256, 64)
+    max_len: int = 16
+    embedding_dim: int = 32
+    widths: tuple[int, ...] = (1, 2, 3)
+    filters: int = 32
+    attention_size: int = 24
+    mlp_layers: tuple[int, ...] = (48,)
     dropout: float = 0.2
-    n_classes: int = 3
     arch: str = "acnn"
 
     def validate(self) -> None:
@@ -88,8 +88,6 @@ class ModelConfig(Schema):
             raise ConfigError("mlp layer sizes must be >= 1")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("dropout must be in [0, 1)")
-        if self.n_classes != len(LABELS):
-            raise ConfigError(f"n_classes must be {len(LABELS)}, one per label")
         if self.arch not in ARCHITECTURES:
             raise ConfigError(f"arch must be one of {ARCHITECTURES}")
 
@@ -130,9 +128,6 @@ class ModelParams:
     def zero_grad(self) -> None:
         for _, t in self.parameters():
             t.zero_grad()
-
-    def n_parameters(self) -> int:
-        return sum(t.data.size for _, t in self.parameters())
 
 
 @dataclass
@@ -204,7 +199,7 @@ def init_params(
         attn_u[m] = Tensor(rng.uniform(-np.sqrt(3.0 / a), np.sqrt(3.0 / a), size=a))
 
     mlp: list[tuple[Tensor, Tensor]] = []
-    dims = [config.mlp_input_dim, *config.mlp_layers, config.n_classes]
+    dims = [config.mlp_input_dim, *config.mlp_layers, len(LABELS)]
     for d_in, d_out in zip(dims, dims[1:]):
         mlp.append((Tensor(_glorot(rng, d_in, d_out, (d_in, d_out))), Tensor(np.zeros(d_out))))
 
@@ -283,7 +278,7 @@ def forward_graph(
     """Forward pass for a batch of documents, over the ops namespace ``ops``.
 
     ``ids`` is (B, max_len) and ``demographics`` (B, 3). Returns the
-    (B, n_classes) probabilities; for acnn, each width's attention over its
+    (B, len(LABELS)) probabilities; for acnn, each width's attention over its
     packed rows, the first min(len_b, max_len - m + 1) window starts of
     each document b in turn, each document's run summing to one; and each
     document's length in tokens. With ``autodiff`` (the default) the first
@@ -405,7 +400,7 @@ def _param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     for m in sorted(config.widths):
         shapes.update({f"conv_w{m}": (m * k, f), f"conv_b{m}": (f,), f"attn_w{m}": (f, a),
                        f"attn_b{m}": (a,), f"attn_u{m}": (a,)})
-    dims = [config.mlp_input_dim, *config.mlp_layers, config.n_classes]
+    dims = [config.mlp_input_dim, *config.mlp_layers, len(LABELS)]
     for i, (d_in, d_out) in enumerate(zip(dims, dims[1:])):
         shapes.update({f"mlp_w{i}": (d_in, d_out), f"mlp_b{i}": (d_out,)})
     return shapes

@@ -38,11 +38,11 @@ def derive_seed(root: int, label: str) -> int:
 
 @dataclass(frozen=True)
 class HyperParams(Schema):
-    """Optimization knobs."""
+    """Optimization knobs; the CLI's ``training`` config section starts from these defaults."""
 
     section = "training"
 
-    lr: float = 0.001
+    lr: float = 0.002
     epochs: int = 5
     batch_size: int = 64
 

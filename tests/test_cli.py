@@ -11,18 +11,21 @@ import pytest
 
 from triagenet import corpus as corpus_module
 from triagenet import explain
-from triagenet.cli import main
+from triagenet.cli import DEFAULT_CONFIG, _report_truncation, build_parser, main, resolve_config
 from triagenet.corpus import (
     URGENT,
+    GeneratorSpec,
     SpecValidationError,
     build_vocab,
+    encode_corpus,
     file_sha256,
+    generate_corpus,
     load_corpus,
     split,
 )
 from triagenet.embedding import load_table
-from triagenet.model import load_model, save_model
-from triagenet.training import derive_seed
+from triagenet.model import ModelConfig, init_params, load_model, save_model
+from triagenet.training import HyperParams, derive_seed, train
 
 CONFIG = {
     "seed": 11,
@@ -130,6 +133,13 @@ def as_version_2(header):
     fields["data"] = {"corpus_sha256": data["corpus_sha256"], "split": [0.9, 0.05, 0.05],
                       "split_seed": 3, "tokens": data["tokens"]}
     return json.dumps({**fields, "version": 2}, sort_keys=True).encode()
+
+
+def as_version_3(header):
+    """A model header as the third format wrote it: the config names ``n_classes``."""
+    fields = json.loads(header)
+    fields["config"]["n_classes"] = 3
+    return json.dumps({**fields, "version": 3}, sort_keys=True).encode()
 
 
 # a corpus whose small lexicon lets two split seeds build the same vocabulary
@@ -613,6 +623,15 @@ class TestErrorPaths:
         manifest = (tmp_path / "manifest_evaluate.json").read_text()
         assert "truncated" not in manifest
 
+    def test_truncation_counts_a_half_cut_pair_as_lost(self, capsys):
+        # a pair cut after its first member keeps a token that is harmless alone
+        records = generate_corpus(GeneratorSpec(mode="fulltext"), 2000, seed=3).records
+        flags = [r.planted_flags for r in records if r.planted_flags]
+        assert any(min(f) < 16 <= max(f) for f in flags)
+        lost = sum(1 for f in flags if not all(i < 16 for i in f))
+        _report_truncation(records, 16, "fulltext")
+        assert f"; {lost} of them lose a planted flag\n" in capsys.readouterr().err
+
     def test_stale_embeddings_rejected(self, pipeline, tmp_path, capsys):
         _, config = pipeline
         out, other_config = make_workspace(tmp_path, "other")
@@ -686,7 +705,7 @@ class TestDataRecord:
                    "--corpus", out / "corpus.jsonl", "--embeddings", table,
                    "--model", tmp_path / "new.bin") == 1
         err = capsys.readouterr().err.splitlines()
-        assert err == ["error: not a triagenet-model v3 file",
+        assert err == ["error: not a triagenet-model v4 file",
                        "error: not a triagenet-embedding v3 file"]
 
     def test_version_2_files_refused(self, pipeline, tmp_path, capsys):
@@ -700,8 +719,17 @@ class TestDataRecord:
                    "--corpus", out / "corpus.jsonl", "--embeddings", table,
                    "--model", tmp_path / "new.bin") == 1
         err = capsys.readouterr().err.splitlines()
-        assert err == ["error: not a triagenet-model v3 file",
+        assert err == ["error: not a triagenet-model v4 file",
                        "error: not a triagenet-embedding v3 file"]
+        assert not (tmp_path / "metrics.json").exists()
+
+    def test_version_3_model_refused(self, pipeline, tmp_path, capsys):
+        out, config = pipeline
+        model = with_header(out / "model.bin", tmp_path / "model.bin", as_version_3)
+        capsys.readouterr()
+        assert run("evaluate", "--config", config, "--out-dir", tmp_path,
+                   "--corpus", out / "corpus.jsonl", "--model", model) == 1
+        assert capsys.readouterr().err == "error: not a triagenet-model v4 file\n"
         assert not (tmp_path / "metrics.json").exists()
 
     def test_record_holds_the_split_in_split_order(self, pipeline):
@@ -821,11 +849,41 @@ class TestEnvironment:
         capsys.readouterr()
 
 
+class TestDefaults:
+    def test_library_defaults_reproduce_train_without_config(self, tmp_path):
+        assert run("gen-data", "--seed", 3, "--cases", 300, "--out-dir", tmp_path) == 0
+        assert run("train", "--seed", 3, "--out-dir", tmp_path) == 0
+        records = load_corpus(tmp_path / "corpus.jsonl").records
+        tr, va, _ = split(records, seed=derive_seed(3, "split"))
+        train_records = [records[i] for i in tr]
+        vocab = build_vocab(train_records)
+        config = ModelConfig(vocab_size=len(vocab))
+        params = init_params(config, seed=derive_seed(3, "init"))
+        train(params, encode_corpus(train_records, vocab, config.max_len),
+              encode_corpus([records[i] for i in va], vocab, config.max_len),
+              HyperParams(), seed=derive_seed(3, "train"))
+        saved = load_model(tmp_path / "model.bin")
+        assert saved.config == config
+        for (name, ours), (_, theirs) in zip(params.parameters(), saved.parameters(), strict=True):
+            assert ours.data.tobytes() == theirs.data.tobytes(), name
+
+
+def readme_block(heading, language):
+    """The first ``language`` code block under the README's ``## heading``."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+    return re.search(rf"```{language}\n(.*?)```", section, re.S).group(1)
+
+
 class TestReadme:
     def test_library_use_block_runs(self, capsys):
-        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
-        section = readme.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
-        code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+        code = readme_block("Library use", "python")
         exec(compile(code, "README.md", "exec"), {"__name__": "readme"})
         printed = capsys.readouterr().out
         assert "macro_f1" in printed and "seen in" in printed
+
+    def test_configuration_block_holds_the_defaults(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(readme_block("Configuration and reproducibility", "json"))
+        resolved = resolve_config(build_parser().parse_args(["train", "--config", str(config)]))
+        assert json.loads(json.dumps(resolved)) == {**DEFAULT_CONFIG, "seed": 42, "cases": 2000}

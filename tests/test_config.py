@@ -83,11 +83,6 @@ class TestDirectConstruction:
         with pytest.raises(ConfigError, match="max_len must be an integer"):
             init_params(ModelConfig(vocab_size=10, max_len=5.0), 0)
 
-    @pytest.mark.parametrize("n_classes", [2, 4])
-    def test_n_classes_is_fixed_by_the_labels(self, n_classes):
-        with pytest.raises(ConfigError, match="n_classes must be 3"):
-            ModelConfig(vocab_size=10, max_len=8, n_classes=n_classes).validate()
-
     def test_wrong_typed_hyperparams_refused(self):
         with pytest.raises(ConfigError, match="epochs must be an integer"):
             HyperParams(epochs=1.5).validate()

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from triagenet import autodiff as ad
 from triagenet import model
 from triagenet.autodiff import Tensor
-from triagenet.corpus import DataContract, EncodedCase
+from triagenet.corpus import LABELS, DataContract, EncodedCase
 from triagenet.embedding import ChecksumError, ConfigError, init_table
 from triagenet.model import (
     PREDICT_CHUNK,
@@ -125,10 +125,10 @@ class TestInit:
         for m in cfg.widths:
             expected += m * k * f + f  # conv filters and bias
             expected += f * a + a + a  # attention projection, bias, context vector
-        dims = [len(cfg.widths) * f + 3, *cfg.mlp_layers, cfg.n_classes]
+        dims = [len(cfg.widths) * f + 3, *cfg.mlp_layers, len(LABELS)]
         for d_in, d_out in zip(dims, dims[1:]):
             expected += d_in * d_out + d_out
-        assert params.n_parameters() == expected
+        assert sum(t.data.size for _, t in params.parameters()) == expected
 
     def test_width_exceeding_max_len_rejected(self):
         with pytest.raises(ConfigError):
