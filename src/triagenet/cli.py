@@ -42,7 +42,7 @@ from .corpus import (
     save_corpus,
     split,
 )
-from .embedding import ChecksumError, load_table, save_table, train_skipgram
+from .embedding import ChecksumError, load_table, save_table, train_skipgram, validate_skipgram
 from .explain import (
     drop_experiment,
     pair_synergy,
@@ -64,20 +64,26 @@ from .training import (
     train,
 )
 
-# each section starts from the defaults of the type or function it configures;
+
+def _defaults(func) -> dict:
+    """Each parameter of ``func`` that has a default, mapped to it."""
+    return {name: p.default for name, p in inspect.signature(func).parameters.items()
+            if p.default is not p.empty}
+
+
+# each setting starts from the default of the type or function it configures;
 # vocab_size comes from the corpus and the skip-gram seed from the root seed
-_SKIPGRAM_PARAMS = inspect.signature(train_skipgram).parameters
 DEFAULT_CONFIG = json.loads(json.dumps({  # as JSON values: tuples become lists
     "seed": 0,
     "cases": 1000,
-    "split": [0.9, 0.05, 0.05],
-    "min_count": 1,
+    "split": _defaults(split)["ratios"],
+    "min_count": _defaults(build_vocab)["min_count"],
     "generator": {},
     "model": {f.name: f.default for f in dataclasses.fields(ModelConfig)
               if f.name != "vocab_size"},
     "training": {f.name: f.default for f in dataclasses.fields(HyperParams)},
-    "embedding": {name: p.default for name, p in _SKIPGRAM_PARAMS.items()
-                  if p.default is not p.empty and name != "seed"},
+    "embedding": {name: value for name, value in _defaults(train_skipgram).items()
+                  if name != "seed"},
 }))
 
 SPLITS = ("train", "val", "test")
@@ -118,14 +124,15 @@ def _load_json(path):
 
 
 def resolve_config(args) -> dict:
-    """Defaults, then config file, then flags; every value is checked.
+    """Defaults, then config file, then flags, as JSON values; every value is checked.
 
-    A wrong-typed value, an unknown key, or a generator or training
-    section out of range raises ConfigError.
+    A wrong-typed value, an unknown key, or a section value out of range
+    raises ConfigError, whichever command runs.
     """
     config = _deep_copy(DEFAULT_CONFIG)
     if getattr(args, "config", None):
-        user = check(_load_json(args.config), _TOP_LEVEL)
+        user = _load_json(args.config)
+        check(user, _TOP_LEVEL)  # the values stay as the file has them
         for key, value in user.items():
             if isinstance(value, dict):
                 config[key].update(value)
@@ -144,9 +151,10 @@ def resolve_config(args) -> dict:
                 target = target[key]
             target[path[-1]] = value
     GeneratorSpec.from_dict(config["generator"])
-    check(config["model"], _MODEL_SETTINGS, "model")
+    # the corpus fixes vocab_size; 2, the smallest it allows, stands in for it
+    ModelConfig(**check(config["model"], _MODEL_SETTINGS, "model"), vocab_size=2).validate()
     HyperParams.from_dict(config["training"])
-    check(config["embedding"], _EMBEDDING_SETTINGS, "embedding")
+    validate_skipgram(**check(config["embedding"], _EMBEDDING_SETTINGS, "embedding"))
     return config
 
 
@@ -251,7 +259,7 @@ def _load_trained(run: Run):
     run.read("corpus", corpus_path, corpus.sha256)
     model_path = run.read("model", run.path("model", "model.bin"))
     params = load_model(model_path)
-    run.config["model"] = {key: getattr(params.config, key) for key in _MODEL_SETTINGS}
+    run.config["model"] = _deep_copy({key: getattr(params.config, key) for key in _MODEL_SETTINGS})
     data = params.data
     if data is None:
         raise ConfigError(f"{model_path} records no training data")

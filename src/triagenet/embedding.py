@@ -18,7 +18,7 @@ from .config import ConfigError
 from .corpus import PAD_ID, Corpus, DataContract, Vocabulary
 
 FORMAT_NAME = "triagenet-embedding"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 BLOCK = 4096  # steps whose index rows are built at once; bounds peak memory
 
 
@@ -76,6 +76,13 @@ def _reaches(seed: int, window: int, n_tokens: int, iters: int):
     return (rng.integers(1, window + 1, size=n_tokens) for _ in range(iters))
 
 
+def validate_skipgram(iters: int, window: int, negatives: int, lr: float) -> None:
+    """The range rules of skip-gram's settings, the CLI's ``embedding`` section."""
+    if iters < 0 or window < 1 or negatives < 1 or lr < 0:
+        raise ConfigError("embedding.iters and embedding.lr must be >= 0, "
+                          "embedding.window and embedding.negatives >= 1")
+
+
 def train_skipgram(
     corpus: Corpus,
     vocab: Vocabulary,
@@ -113,8 +120,7 @@ def train_skipgram(
     cannot overflow. A negative that repeats the context or another
     negative gets the sum of its updates (``np.subtract.at``).
     """
-    if iters < 0 or window < 1 or negatives < 1:
-        raise ConfigError("iters must be >= 0, window and negatives >= 1")
+    validate_skipgram(iters, window, negatives, lr)
     if len(vocab) < negatives + 1:
         raise ConfigError(f"vocabulary of {len(vocab)} cannot supply {negatives} negatives")
     table = init_table(len(vocab), dim, seed)
@@ -187,27 +193,13 @@ def train_skipgram(
 
 
 def save_table(table: EmbeddingTable, path) -> None:
-    """One JSON header line, then row-major little-endian float64."""
-    header = {
-        "format": FORMAT_NAME,
-        "version": FORMAT_VERSION,
-        "vocab_size": table.vectors.shape[0],
-        "dim": table.dim,
-        "seed": table.seed,
-        "data": None if table.data is None else vars(table.data),
-    }
-    write_artifact(path, header, np.ascontiguousarray(table.vectors, dtype="<f8").tobytes())
+    """One JSON header line, then the ``vectors`` array as row-major little-endian float64."""
+    header = {"format": FORMAT_NAME, "version": FORMAT_VERSION, "seed": table.seed}
+    write_artifact(path, header, {"vectors": table.vectors}, table.data)
 
 
 def load_table(path) -> EmbeddingTable:
-    required = {"vocab_size": int, "dim": int, "seed": int, "data": (dict, type(None))}
-    header, blob = read_artifact(path, FORMAT_NAME, FORMAT_VERSION, required)
-    shape = (header["vocab_size"], header["dim"])
-    if min(shape) < 1 or len(blob) != shape[0] * shape[1] * 8:
-        raise ChecksumError(f"blob holds {len(blob)} bytes, header implies a {shape} table")
-    try:
-        data = None if header["data"] is None else DataContract.from_dict(header["data"])
-    except (TypeError, ConfigError) as e:  # TypeError: a record field is absent
-        raise ChecksumError(f"malformed {FORMAT_NAME} header: {e}") from e
-    vectors = np.frombuffer(blob, dtype="<f8").reshape(shape)
-    return EmbeddingTable(vectors=vectors.astype(np.float64), seed=header["seed"], data=data)
+    header, arrays, data = read_artifact(path, FORMAT_NAME, FORMAT_VERSION, {"seed": int})
+    if list(arrays) != ["vectors"] or arrays["vectors"].ndim != 2:
+        raise ChecksumError(f"a {FORMAT_NAME} file holds one 2-D array, vectors")
+    return EmbeddingTable(vectors=arrays["vectors"], seed=header["seed"], data=data)

@@ -26,7 +26,6 @@ arrays from the same arithmetic, with no tape built.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -39,7 +38,7 @@ from .corpus import LABELS, PAD_ID, DataContract, EncodedCase, Vocabulary
 from .embedding import EmbeddingTable
 
 FORMAT_NAME = "triagenet-model"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 DEMOGRAPHICS_DIM = 3
 ARCHITECTURES = ("acnn", "kimcnn")
 PREDICT_CHUNK = 64  # cases per inference forward pass; bounds peak memory
@@ -98,36 +97,34 @@ class ModelConfig(Schema):
 
 @dataclass
 class ModelParams:
-    """All trainable tensors plus provenance for serialization."""
+    """All trainable tensors, by name in file order (see ``tensor_shapes``), plus provenance."""
 
     config: ModelConfig
-    embedding: Tensor
-    conv_w: dict[int, Tensor]
-    conv_b: dict[int, Tensor]
-    attn_w: dict[int, Tensor]
-    attn_b: dict[int, Tensor]
-    attn_u: dict[int, Tensor]
-    mlp: list[tuple[Tensor, Tensor]]
+    tensors: dict[str, Tensor]
     seed: int = 0
     data: DataContract | None = None  # what it was trained on; the CLI always sets it
 
-    def parameters(self) -> list[tuple[str, Tensor]]:
-        """Every tensor under a stable name; this order defines the file layout."""
-        out = [("embedding", self.embedding)]
-        for m in sorted(self.conv_w):
-            out.append((f"conv_w{m}", self.conv_w[m]))
-            out.append((f"conv_b{m}", self.conv_b[m]))
-            out.append((f"attn_w{m}", self.attn_w[m]))
-            out.append((f"attn_b{m}", self.attn_b[m]))
-            out.append((f"attn_u{m}", self.attn_u[m]))
-        for i, (w, b) in enumerate(self.mlp):
-            out.append((f"mlp_w{i}", w))
-            out.append((f"mlp_b{i}", b))
-        return out
-
     def zero_grad(self) -> None:
-        for _, t in self.parameters():
+        for t in self.tensors.values():
             t.zero_grad()
+
+
+def tensor_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Every tensor's name and shape, in file order: the model's one layout.
+
+    The embedding table, then per width in ascending order the conv
+    filters and bias and the attention projection, bias and context
+    vector, then each MLP layer's weights and bias, the output layer last.
+    """
+    k, f, a = config.embedding_dim, config.filters, config.attention_size
+    shapes = {"embedding": (config.vocab_size, k)}
+    for m in sorted(config.widths):
+        shapes.update({f"conv_w{m}": (m * k, f), f"conv_b{m}": (f,), f"attn_w{m}": (f, a),
+                       f"attn_b{m}": (a,), f"attn_u{m}": (a,)})
+    dims = [config.mlp_input_dim, *config.mlp_layers, len(LABELS)]
+    for i, (d_in, d_out) in enumerate(zip(dims, dims[1:])):
+        shapes.update({f"mlp_w{i}": (d_in, d_out), f"mlp_b{i}": (d_out,)})
+    return shapes
 
 
 @dataclass
@@ -152,11 +149,6 @@ class Prediction:
     attention: AttentionRecord | None
 
 
-def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
-
-
 def init_params(
     config: ModelConfig,
     seed: int,
@@ -164,56 +156,43 @@ def init_params(
 ) -> ModelParams:
     """Scaled-uniform init, deterministic in seed; padding row stays zero.
 
-    A pretrained embedding table replaces the random one after being
-    rescaled to the initializer's root-mean-square entry size, so the
-    layers above always start from inputs of the scale they expect.
+    Tensors are drawn in file order: the embedding uniform in ±0.05, every
+    weight matrix (conv filters, attention projections, MLP layers) Glorot
+    uniform over its two dimensions, each context vector uniform in
+    ±sqrt(3 / attention_size), and biases zero. A pretrained embedding
+    table replaces the random one after being rescaled to the
+    initializer's root-mean-square entry size, so the layers above always
+    start from inputs of the scale they expect.
     """
     config.validate()
     rng = np.random.default_rng(seed)
-    k, f, a = config.embedding_dim, config.filters, config.attention_size
+    shapes = tensor_shapes(config)
+    if pretrained is not None and pretrained.vectors.shape != shapes["embedding"]:
+        raise ConfigError(
+            f"pretrained table {pretrained.vectors.shape} does not match {shapes['embedding']}"
+        )
 
-    if pretrained is not None:
-        if pretrained.vectors.shape != (config.vocab_size, k):
-            raise ConfigError(
-                f"pretrained table {pretrained.vectors.shape} does not match "
-                f"({config.vocab_size}, {k})"
-            )
-        emb = pretrained.vectors.copy()
-        # one global scalar brings the table to the scale the layers
-        # above were initialized for; cosines and norm ratios survive
-        rms = float(np.sqrt(np.mean(np.square(emb[PAD_ID + 1 :]))))
-        if rms > 0.0:
-            emb *= (0.05 / np.sqrt(3.0)) / rms
-    else:
-        emb = rng.uniform(-0.05, 0.05, size=(config.vocab_size, k))
-    emb[PAD_ID] = 0.0
-    embedding = Tensor(emb)
-
-    conv_w, conv_b = {}, {}
-    attn_w, attn_b, attn_u = {}, {}, {}
-    for m in config.widths:
-        conv_w[m] = Tensor(_glorot(rng, m * k, f, (m * k, f)))
-        conv_b[m] = Tensor(np.zeros(f))
-        attn_w[m] = Tensor(_glorot(rng, f, a, (f, a)))
-        attn_b[m] = Tensor(np.zeros(a))
-        attn_u[m] = Tensor(rng.uniform(-np.sqrt(3.0 / a), np.sqrt(3.0 / a), size=a))
-
-    mlp: list[tuple[Tensor, Tensor]] = []
-    dims = [config.mlp_input_dim, *config.mlp_layers, len(LABELS)]
-    for d_in, d_out in zip(dims, dims[1:]):
-        mlp.append((Tensor(_glorot(rng, d_in, d_out, (d_in, d_out))), Tensor(np.zeros(d_out))))
-
-    return ModelParams(
-        config=config,
-        embedding=embedding,
-        conv_w=conv_w,
-        conv_b=conv_b,
-        attn_w=attn_w,
-        attn_b=attn_b,
-        attn_u=attn_u,
-        mlp=mlp,
-        seed=seed,
-    )
+    tensors = {}
+    for name, shape in shapes.items():
+        if name == "embedding" and pretrained is not None:
+            values = pretrained.vectors.copy()
+            # one global scalar brings the table to the scale the layers
+            # above were initialized for; cosines and norm ratios survive
+            rms = float(np.sqrt(np.mean(np.square(values[PAD_ID + 1 :]))))
+            if rms > 0.0:
+                values *= (0.05 / np.sqrt(3.0)) / rms
+        elif name == "embedding":
+            values = rng.uniform(-0.05, 0.05, size=shape)
+        elif len(shape) == 2:
+            limit = np.sqrt(6.0 / sum(shape))
+            values = rng.uniform(-limit, limit, size=shape)
+        elif name.startswith("attn_u"):
+            values = rng.uniform(-np.sqrt(3.0 / shape[0]), np.sqrt(3.0 / shape[0]), size=shape)
+        else:
+            values = np.zeros(shape)
+        tensors[name] = Tensor(values)
+    tensors["embedding"].data[PAD_ID] = 0.0
+    return ModelParams(config=config, tensors=tensors, seed=seed)
 
 
 def doc_lengths(ids: np.ndarray) -> np.ndarray:
@@ -230,10 +209,10 @@ def ngram_encode(params: ModelParams, windows: np.ndarray, ops=ad) -> Activation
     ``windows`` is an (N, m) id array, one window of width m per row; the
     result is (N, filters), one feature row per window.
     """
-    p = ops.param
+    p, t = ops.param, params.tensors
     n, m = windows.shape
-    rows = ops.reshape(ops.lookup(p(params.embedding), windows), (n, m * params.config.embedding_dim))
-    return ops.relu(ops.add(ops.matmul(rows, p(params.conv_w[m])), p(params.conv_b[m])))
+    rows = ops.reshape(ops.lookup(p(t["embedding"]), windows), (n, m * params.config.embedding_dim))
+    return ops.relu(ops.add(ops.matmul(rows, p(t[f"conv_w{m}"])), p(t[f"conv_b{m}"])))
 
 
 def attend(
@@ -245,9 +224,9 @@ def attend(
     ``seg``. Pooled is (B, filters); weights are (N,) and sum to one
     within each document.
     """
-    p = ops.param
-    u = ops.tanh(ops.add(ops.matmul(feats, p(params.attn_w[m])), p(params.attn_b[m])))
-    alpha = ops.segment_softmax(ops.matmul(u, p(params.attn_u[m])), seg)
+    p, t = ops.param, params.tensors
+    u = ops.tanh(ops.add(ops.matmul(feats, p(t[f"attn_w{m}"])), p(t[f"attn_b{m}"])))
+    alpha = ops.segment_softmax(ops.matmul(u, p(t[f"attn_u{m}"])), seg)
     return ops.segment_sum(alpha, feats, seg), alpha
 
 
@@ -325,12 +304,13 @@ def forward_graph(
         pooled.append(s)
 
     h = ops.concat(pooled + [ops.constant(demographics)])
-    for w, b in params.mlp[:-1]:
-        h = ops.relu(ops.add(ops.matmul(h, p(w)), p(b)))
+    t = params.tensors
+    for i in range(len(cfg.mlp_layers)):
+        h = ops.relu(ops.add(ops.matmul(h, p(t[f"mlp_w{i}"])), p(t[f"mlp_b{i}"])))
         if dropout_rng is not None:
             h = ops.dropout(h, cfg.dropout, dropout_rng)
-    w_out, b_out = params.mlp[-1]
-    probs = ops.softmax(ops.add(ops.matmul(h, p(w_out)), p(b_out)))
+    out = len(cfg.mlp_layers)
+    probs = ops.softmax(ops.add(ops.matmul(h, p(t[f"mlp_w{out}"])), p(t[f"mlp_b{out}"])))
     return probs, attention, lengths
 
 
@@ -379,61 +359,24 @@ def predict(params: ModelParams, case: EncodedCase) -> Prediction:
 
 
 def save_model(params: ModelParams, path) -> None:
-    """One JSON header line, then every parameter as little-endian float64."""
-    named = params.parameters()
-    blob = b"".join(np.ascontiguousarray(t.data, dtype="<f8").tobytes() for _, t in named)
-    header = {
-        "format": FORMAT_NAME,
-        "version": FORMAT_VERSION,
-        "config": asdict(params.config),
-        "seed": params.seed,
-        "data": None if params.data is None else vars(params.data),
-        "params": [[name, list(t.data.shape)] for name, t in named],
-    }
-    write_artifact(path, header, blob)
-
-
-def _param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """Every tensor's shape under its name, in ``ModelParams.parameters`` order."""
-    k, f, a = config.embedding_dim, config.filters, config.attention_size
-    shapes = {"embedding": (config.vocab_size, k)}
-    for m in sorted(config.widths):
-        shapes.update({f"conv_w{m}": (m * k, f), f"conv_b{m}": (f,), f"attn_w{m}": (f, a),
-                       f"attn_b{m}": (a,), f"attn_u{m}": (a,)})
-    dims = [config.mlp_input_dim, *config.mlp_layers, len(LABELS)]
-    for i, (d_in, d_out) in enumerate(zip(dims, dims[1:])):
-        shapes.update({f"mlp_w{i}": (d_in, d_out), f"mlp_b{i}": (d_out,)})
-    return shapes
+    """One JSON header line, then every tensor as little-endian float64, in file order."""
+    header = {"format": FORMAT_NAME, "version": FORMAT_VERSION,
+              "config": asdict(params.config), "seed": params.seed}
+    arrays = {name: t.data for name, t in params.tensors.items()}
+    write_artifact(path, header, arrays, params.data)
 
 
 def load_model(path) -> ModelParams:
     """Read a model file, its data record included (None if it was saved without one)."""
-    required = {"config": dict, "seed": int, "data": (dict, type(None)), "params": list}
-    header, blob = read_artifact(path, FORMAT_NAME, FORMAT_VERSION, required)
+    header, arrays, data = read_artifact(path, FORMAT_NAME, FORMAT_VERSION,
+                                         {"config": dict, "seed": int})
     try:  # a nested value of the wrong type surfaces here as TypeError or ValueError
         config = ModelConfig.from_dict(header["config"])
-        data = None if header["data"] is None else DataContract.from_dict(header["data"])
-        stored = {name: tuple(shape) for name, shape in header["params"]}
         if data is not None and len(Vocabulary(data.tokens)) != config.vocab_size:
             raise ChecksumError(f"data record's vocabulary does not fit {config.vocab_size} rows")
     except (TypeError, ValueError) as e:
         raise ChecksumError(f"malformed {FORMAT_NAME} header: {e}") from e
-    shapes = _param_shapes(config)
-    if stored != shapes:
-        raise ChecksumError("stored parameter shapes do not match the model config")
-    expected_bytes = 8 * sum(math.prod(shape) for shape in shapes.values())
-    if len(blob) != expected_bytes:
-        raise ChecksumError(f"blob holds {len(blob)} bytes, header implies {expected_bytes}")
-    tensors, offset = {}, 0
-    for name, shape in shapes.items():
-        n = math.prod(shape) * 8
-        array = np.frombuffer(blob[offset : offset + n], dtype="<f8").reshape(shape)
-        tensors[name] = Tensor(array.astype(np.float64))
-        offset += n
-    per_width = {
-        kind: {m: tensors[f"{kind}{m}"] for m in config.widths}
-        for kind in ("conv_w", "conv_b", "attn_w", "attn_b", "attn_u")
-    }
-    mlp = [(tensors[f"mlp_w{i}"], tensors[f"mlp_b{i}"]) for i in range(len(config.mlp_layers) + 1)]
-    return ModelParams(config=config, embedding=tensors["embedding"], mlp=mlp,
-                       seed=header["seed"], data=data, **per_width)
+    if [(name, a.shape) for name, a in arrays.items()] != list(tensor_shapes(config).items()):
+        raise ChecksumError("stored tensors do not match the model config's layout")
+    tensors = {name: Tensor(a) for name, a in arrays.items()}
+    return ModelParams(config=config, tensors=tensors, seed=header["seed"], data=data)

@@ -115,7 +115,7 @@ def train(
         raise ConfigError("train and validation sets must be nonempty")
     shuffle_rng = np.random.default_rng(derive_seed(seed, "shuffle"))
     dropout_rng = np.random.default_rng(derive_seed(seed, "dropout"))
-    tensors = [t for _, t in params.parameters()]
+    tensors = list(params.tensors.values())
     state = AdamState(tensors)
     history = TrainHistory()
     val_labels = [c.label for c in val_set]
@@ -139,7 +139,7 @@ def train(
                 )
             params.zero_grad()
             batch_loss.backward()
-            params.embedding.grad[PAD_ID] = 0.0
+            params.tensors["embedding"].grad[PAD_ID] = 0.0
             adam_step(tensors, state, hyper)
             total_loss += value * len(batch)
 

@@ -137,7 +137,7 @@ def test_criterion_01_gradient_fidelity():
         probs, _, _ = forward_graph(params, ids, demographics)
         return ad.mean_nll(probs, [c.label for c in cases])
 
-    tensors = [t for _, t in params.parameters()]
+    tensors = list(params.tensors.values())
     report = ad.grad_check(loss, tensors, eps=1e-5)
     total = sum(t.data.size for t in tensors)
     assert report.checked + len(report.excluded) == total

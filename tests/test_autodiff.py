@@ -85,7 +85,7 @@ def conv_valid(x, w, b, m):
     """
     B, L, k = x.shape
     table = Tensor(x.data.reshape(B * L, k))
-    params = SimpleNamespace(embedding=table, conv_w={m: w}, conv_b={m: b},
+    params = SimpleNamespace(tensors={"embedding": table, f"conv_w{m}": w, f"conv_b{m}": b},
                              config=SimpleNamespace(embedding_dim=k))
     feats = ngram_encode(params, unfold(B, L, m))
     return ad.reshape(feats, (B, L - m + 1, -1))

@@ -4,6 +4,7 @@ import hashlib
 import json
 import re
 import shutil
+from collections import Counter
 from html.parser import HTMLParser
 from pathlib import Path
 
@@ -11,7 +12,15 @@ import pytest
 
 from triagenet import corpus as corpus_module
 from triagenet import explain
-from triagenet.cli import DEFAULT_CONFIG, _report_truncation, build_parser, main, resolve_config
+from triagenet.cli import (
+    DEFAULT_CONFIG,
+    Run,
+    _load_trained,
+    _report_truncation,
+    build_parser,
+    main,
+    resolve_config,
+)
 from triagenet.corpus import (
     URGENT,
     GeneratorSpec,
@@ -107,9 +116,18 @@ def edit_record(key, value):
     return edit
 
 
+def edit_first_shape(shape):
+    def edit(header):
+        fields = json.loads(header)
+        fields["arrays"][0][1] = shape
+        return json.dumps(fields, sort_keys=True).encode()
+    return edit
+
+
 WRONG_TYPED_MODEL_HEADERS = {
     "max_len-string": edit_config("max_len", "16"),
-    "params-flat": edit_field("params", [1, 2]),
+    "arrays-flat": edit_field("arrays", [1, 2]),
+    "arrays-bool-dim": edit_first_shape([True, 8]),
     "widths-string": edit_config("widths", "12"),
     "filters-float": edit_config("filters", 6.0),
     "data-list": edit_field("data", []),
@@ -142,6 +160,21 @@ def as_version_3(header):
     return json.dumps({**fields, "version": 3}, sort_keys=True).encode()
 
 
+def as_version_4_model(header):
+    """A model header as the fourth format wrote it: tensor shapes under ``params``."""
+    fields = json.loads(header)
+    fields["params"] = fields.pop("arrays")
+    return json.dumps({**fields, "version": 4}, sort_keys=True).encode()
+
+
+def as_version_3_embedding(header):
+    """An embedding header as the third format wrote it: ``vocab_size`` and ``dim`` keys."""
+    fields = json.loads(header)
+    (_, (vocab_size, dim)), = fields.pop("arrays")
+    fields.update(vocab_size=vocab_size, dim=dim, version=3)
+    return json.dumps(fields, sort_keys=True).encode()
+
+
 # a corpus whose small lexicon lets two split seeds build the same vocabulary
 SMALL_LEXICON = {"cases": 600, "generator": {"n_red_flags": 2, "n_red_pairs": 1, "n_moderate": 3,
                                              "n_benign": 4, "n_filler": 2}}
@@ -166,6 +199,18 @@ MALFORMED_CONFIGS = {
     "grid-string-lr": ("grid-search", CONFIG, {"lr": ["x"]}, "lr must"),
     "grid-float-batch": ("grid-search", CONFIG, {"batch_size": [1.5]}, "batch_size must"),
     "grid-empty-list": ("grid-search", CONFIG, {"lr": []}, "grid must"),
+}
+
+
+# a section value out of range, and what the one error line must say
+OUT_OF_RANGE_SECTIONS = {
+    "generator": ({"generator": {"n_red_flags": 0}}, "n_red_flags must be >= 1"),
+    "model-max_len": ({"model": {"max_len": 0}}, "max_len must be >= 1"),
+    "model-widths": ({"model": {"widths": []}}, "widths must be nonempty"),
+    "training": ({"training": {"epochs": 0}}, "epochs and batch_size >= 1"),
+    "embedding-window": ({"embedding": {"window": 0}}, "embedding.window"),
+    "embedding-negatives": ({"embedding": {"negatives": 0}}, "embedding.negatives >= 1"),
+    "embedding-lr": ({"embedding": {"lr": -0.1}}, "embedding.lr must be >= 0"),
 }
 
 
@@ -601,6 +646,24 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["gen-data", "train"])
+    @pytest.mark.parametrize(
+        "settings, says", OUT_OF_RANGE_SECTIONS.values(), ids=OUT_OF_RANGE_SECTIONS.keys()
+    )
+    def test_every_section_is_range_checked_by_every_command(
+        self, pipeline, tmp_path, capsys, command, settings, says
+    ):
+        out, _ = pipeline
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(settings))
+        inputs = ["--corpus", out / "corpus.jsonl"] if command == "train" else []
+        capsys.readouterr()
+        assert run(command, "--config", config, "--out-dir", tmp_path, *inputs) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert says in err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
     def test_truncation_is_reported(self, pipeline, tmp_path, capsys):
         out, _ = pipeline
         config = tmp_path / "short.json"
@@ -705,8 +768,8 @@ class TestDataRecord:
                    "--corpus", out / "corpus.jsonl", "--embeddings", table,
                    "--model", tmp_path / "new.bin") == 1
         err = capsys.readouterr().err.splitlines()
-        assert err == ["error: not a triagenet-model v4 file",
-                       "error: not a triagenet-embedding v3 file"]
+        assert err == ["error: not a triagenet-model v5 file",
+                       "error: not a triagenet-embedding v4 file"]
 
     def test_version_2_files_refused(self, pipeline, tmp_path, capsys):
         out, config = pipeline
@@ -719,8 +782,8 @@ class TestDataRecord:
                    "--corpus", out / "corpus.jsonl", "--embeddings", table,
                    "--model", tmp_path / "new.bin") == 1
         err = capsys.readouterr().err.splitlines()
-        assert err == ["error: not a triagenet-model v4 file",
-                       "error: not a triagenet-embedding v3 file"]
+        assert err == ["error: not a triagenet-model v5 file",
+                       "error: not a triagenet-embedding v4 file"]
         assert not (tmp_path / "metrics.json").exists()
 
     def test_version_3_model_refused(self, pipeline, tmp_path, capsys):
@@ -729,8 +792,25 @@ class TestDataRecord:
         capsys.readouterr()
         assert run("evaluate", "--config", config, "--out-dir", tmp_path,
                    "--corpus", out / "corpus.jsonl", "--model", model) == 1
-        assert capsys.readouterr().err == "error: not a triagenet-model v4 file\n"
+        assert capsys.readouterr().err == "error: not a triagenet-model v5 file\n"
         assert not (tmp_path / "metrics.json").exists()
+
+    def test_version_4_model_and_version_3_embedding_refused(self, pipeline, tmp_path, capsys):
+        out, config = pipeline
+        model = with_header(out / "model.bin", tmp_path / "model.bin", as_version_4_model)
+        table = with_header(out / "embeddings.bin", tmp_path / "embeddings.bin",
+                            as_version_3_embedding)
+        capsys.readouterr()
+        assert run("evaluate", "--config", config, "--out-dir", tmp_path,
+                   "--corpus", out / "corpus.jsonl", "--model", model) == 1
+        assert run("train", "--config", config, "--out-dir", tmp_path,
+                   "--corpus", out / "corpus.jsonl", "--embeddings", table,
+                   "--model", tmp_path / "new.bin") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: not a triagenet-model v5 file",
+                       "error: not a triagenet-embedding v4 file"]
+        assert not (tmp_path / "metrics.json").exists()
+        assert not (tmp_path / "new.bin").exists()
 
     def test_record_holds_the_split_in_split_order(self, pipeline):
         out, _ = pipeline
@@ -856,6 +936,8 @@ class TestDefaults:
         records = load_corpus(tmp_path / "corpus.jsonl").records
         tr, va, _ = split(records, seed=derive_seed(3, "split"))
         train_records = [records[i] for i in tr]
+        # a token seen once in the train split: any min_count above 1 would drop it
+        assert 1 in Counter(t for r in train_records for t in r.tokens).values()
         vocab = build_vocab(train_records)
         config = ModelConfig(vocab_size=len(vocab))
         params = init_params(config, seed=derive_seed(3, "init"))
@@ -864,8 +946,30 @@ class TestDefaults:
               HyperParams(), seed=derive_seed(3, "train"))
         saved = load_model(tmp_path / "model.bin")
         assert saved.config == config
-        for (name, ours), (_, theirs) in zip(params.parameters(), saved.parameters(), strict=True):
-            assert ours.data.tobytes() == theirs.data.tobytes(), name
+        assert saved.data.tokens == tuple(vocab.id_to_token[2:])
+        assert saved.tensors.keys() == params.tensors.keys()
+        for name, ours in params.tensors.items():
+            assert ours.data.tobytes() == saved.tensors[name].data.tobytes(), name
+
+
+class TestResolvedConfig:
+    """A run's settings are JSON values, wherever they come from."""
+
+    def test_config_file_values_stay_lists(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"split": [0.8, 0.1, 0.1], "model": {"widths": [2, 1]}}))
+        resolved = resolve_config(build_parser().parse_args(["train", "--config", str(config)]))
+        assert resolved["split"] == [0.8, 0.1, 0.1]
+        assert resolved["model"]["widths"] == [2, 1]
+
+    def test_model_file_settings_are_lists(self, pipeline):
+        out, config = pipeline
+        args = build_parser().parse_args(["evaluate", "--config", str(config),
+                                          "--out-dir", str(out)])
+        run = Run(args, resolve_config(args))
+        _load_trained(run)
+        assert run.config["model"]["widths"] == CONFIG["model"]["widths"]
+        assert run.config["model"]["mlp_layers"] == CONFIG["model"]["mlp_layers"]
 
 
 def readme_block(heading, language):
@@ -886,4 +990,4 @@ class TestReadme:
         config = tmp_path / "config.json"
         config.write_text(readme_block("Configuration and reproducibility", "json"))
         resolved = resolve_config(build_parser().parse_args(["train", "--config", str(config)]))
-        assert json.loads(json.dumps(resolved)) == {**DEFAULT_CONFIG, "seed": 42, "cases": 2000}
+        assert resolved == {**DEFAULT_CONFIG, "seed": 42, "cases": 2000}

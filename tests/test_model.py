@@ -68,10 +68,11 @@ def runs(alpha, lengths, n_windows):
 def random_biases(params, rng):
     # a nonzero bias lets an all-padding window win the max pool
     for m in params.config.widths:
-        params.conv_b[m].data = rng.normal(size=params.config.filters)
-        params.attn_b[m].data = rng.normal(size=params.config.attention_size)
-    for _, b in params.mlp:
-        b.data = rng.normal(size=b.shape)
+        params.tensors[f"conv_b{m}"].data = rng.normal(size=params.config.filters)
+        params.tensors[f"attn_b{m}"].data = rng.normal(size=params.config.attention_size)
+    for name, t in params.tensors.items():
+        if name.startswith("mlp_b"):
+            t.data = rng.normal(size=t.shape)
 
 
 def oracle_forward(params, case):
@@ -81,41 +82,90 @@ def oracle_forward(params, case):
     over every window position, zero where a window starts in padding.
     """
     cfg = params.config
+    t = {name: tensor.data for name, tensor in params.tensors.items()}
     n_tokens = int(np.flatnonzero(case.ids)[-1]) + 1
-    emb = params.embedding.data[case.ids]
+    emb = t["embedding"][case.ids]
     pooled, alphas = [], {}
     for m in cfg.widths:
         n_windows = cfg.max_len - m + 1
         windows = np.array([emb[i : i + m].reshape(-1) for i in range(n_windows)])
-        feats = np.maximum(windows @ params.conv_w[m].data + params.conv_b[m].data, 0.0)
+        feats = np.maximum(windows @ t[f"conv_w{m}"] + t[f"conv_b{m}"], 0.0)
         if cfg.arch == "kimcnn":
             pooled.append(feats.max(axis=0))
             continue
         valid = feats[: min(n_windows, n_tokens)]
-        u = np.tanh(valid @ params.attn_w[m].data + params.attn_b[m].data)
-        logits = u @ params.attn_u[m].data
+        u = np.tanh(valid @ t[f"attn_w{m}"] + t[f"attn_b{m}"])
+        logits = u @ t[f"attn_u{m}"]
         e = np.exp(logits - logits.max())
         alphas[m] = np.zeros(n_windows)
         alphas[m][: len(valid)] = e / e.sum()
         pooled.append(alphas[m][: len(valid)] @ valid)
     h = np.concatenate(pooled + [case.demographics])
-    for w, b in params.mlp[:-1]:
-        h = np.maximum(h @ w.data + b.data, 0.0)
-    w, b = params.mlp[-1]
-    logits = h @ w.data + b.data
+    for i in range(len(cfg.mlp_layers)):
+        h = np.maximum(h @ t[f"mlp_w{i}"] + t[f"mlp_b{i}"], 0.0)
+    out = len(cfg.mlp_layers)
+    logits = h @ t[f"mlp_w{out}"] + t[f"mlp_b{out}"]
     e = np.exp(logits - logits.max())
     return e / e.sum(), alphas
 
 
+def glorot(rng, fan_in, fan_out, shape):
+    limit = np.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-limit, limit, size=shape)
+
+
+def per_kind_init(config, seed, pretrained=None):
+    """The draws of ``init_params`` as it made them kind by kind, before the named
+    layout, keyed by tensor name: the oracle for the layout-driven init."""
+    rng = np.random.default_rng(seed)
+    k, f, a = config.embedding_dim, config.filters, config.attention_size
+    if pretrained is not None:
+        emb = pretrained.vectors.copy()
+        rms = float(np.sqrt(np.mean(np.square(emb[1:]))))
+        if rms > 0.0:
+            emb *= (0.05 / np.sqrt(3.0)) / rms
+    else:
+        emb = rng.uniform(-0.05, 0.05, size=(config.vocab_size, k))
+    emb[0] = 0.0
+    tensors = {"embedding": emb}
+    for m in config.widths:
+        tensors[f"conv_w{m}"] = glorot(rng, m * k, f, (m * k, f))
+        tensors[f"conv_b{m}"] = np.zeros(f)
+        tensors[f"attn_w{m}"] = glorot(rng, f, a, (f, a))
+        tensors[f"attn_b{m}"] = np.zeros(a)
+        tensors[f"attn_u{m}"] = rng.uniform(-np.sqrt(3.0 / a), np.sqrt(3.0 / a), size=a)
+    dims = [config.mlp_input_dim, *config.mlp_layers, len(LABELS)]
+    for i, (d_in, d_out) in enumerate(zip(dims, dims[1:])):
+        tensors[f"mlp_w{i}"] = glorot(rng, d_in, d_out, (d_in, d_out))
+        tensors[f"mlp_b{i}"] = np.zeros(d_out)
+    return tensors
+
+
 class TestInit:
+    @pytest.mark.parametrize(
+        "overrides, pretrained",
+        [({}, False), ({"arch": "kimcnn"}, False), ({"mlp_layers": ()}, False),
+         ({"widths": (1, 2, 4), "mlp_layers": (7, 5)}, False), ({}, True)],
+        ids=["acnn", "kimcnn", "no-hidden-layer", "two-hidden-layers", "pretrained"],
+    )
+    def test_same_bits_as_the_per_kind_init(self, overrides, pretrained):
+        cfg = tiny_config(**overrides)
+        table = init_table(cfg.vocab_size, cfg.embedding_dim, seed=8) if pretrained else None
+        params = init_params(cfg, seed=31, pretrained=table)
+        oracle = per_kind_init(cfg, seed=31, pretrained=table)
+        assert list(params.tensors) == list(model.tensor_shapes(cfg))
+        assert params.tensors.keys() == oracle.keys()
+        for name, values in oracle.items():
+            assert params.tensors[name].data.tobytes() == values.tobytes(), name
+
     def test_deterministic_and_padding_zero(self):
         a = init_params(tiny_config(), seed=3)
         b = init_params(tiny_config(), seed=3)
-        for (_, ta), (_, tb) in zip(a.parameters(), b.parameters()):
+        for ta, tb in zip(a.tensors.values(), b.tensors.values(), strict=True):
             np.testing.assert_array_equal(ta.data, tb.data)
         c = init_params(tiny_config(), seed=4)
-        assert a.embedding.data.tobytes() != c.embedding.data.tobytes()
-        np.testing.assert_array_equal(a.embedding.data[0], np.zeros(4))
+        assert a.tensors["embedding"].data.tobytes() != c.tensors["embedding"].data.tobytes()
+        np.testing.assert_array_equal(a.tensors["embedding"].data[0], np.zeros(4))
 
     def test_parameter_count_closed_form(self):
         cfg = tiny_config()
@@ -128,7 +178,7 @@ class TestInit:
         dims = [len(cfg.widths) * f + 3, *cfg.mlp_layers, len(LABELS)]
         for d_in, d_out in zip(dims, dims[1:]):
             expected += d_in * d_out + d_out
-        assert sum(t.data.size for _, t in params.parameters()) == expected
+        assert sum(t.data.size for t in params.tensors.values()) == expected
 
     def test_width_exceeding_max_len_rejected(self):
         with pytest.raises(ConfigError):
@@ -153,7 +203,7 @@ class TestInit:
         table = init_table(cfg.vocab_size, cfg.embedding_dim, seed=8)
         table.vectors[1:] *= 40.0  # arbitrary scale must not leak downstream
         params = init_params(cfg, seed=0, pretrained=table)
-        emb = params.embedding.data
+        emb = params.tensors["embedding"].data
         target_rms = 0.05 / np.sqrt(3.0)
         assert np.isclose(np.sqrt(np.mean(np.square(emb[1:]))), target_rms)
         # geometry is untouched: one positive scalar maps table to emb
@@ -173,19 +223,19 @@ class TestNgramEncode:
 
     def test_zero_embedding_zero_bias_gives_zeros(self):
         params = init_params(tiny_config(), seed=1)
-        params.embedding.data = np.zeros((12, 4))
+        params.tensors["embedding"].data = np.zeros((12, 4))
         feats = ngram_encode(params, np.arange(10).reshape(10, 1))
         np.testing.assert_array_equal(feats.data, np.zeros((10, 3)))
 
     def test_single_filter_matches_numpy_convolution(self):
         cfg = tiny_config(filters=1)
         params = init_params(cfg, seed=2)
-        emb = params.embedding.data
+        emb = params.tensors["embedding"].data
         ids = np.random.default_rng(1).integers(1, 12, size=(2, 5))
         windows = np.array([doc[i : i + 2] for doc in ids for i in range(4)])
         feats = ngram_encode(params, windows)
-        w = params.conv_w[2].data[:, 0].reshape(2, 4)
-        b = params.conv_b[2].data[0]
+        w = params.tensors["conv_w2"].data[:, 0].reshape(2, 4)
+        b = params.tensors["conv_b2"].data[0]
         for doc in range(2):
             direct = [max(0.0, float(np.sum(w * emb[ids[doc, i : i + 2]])) + b) for i in range(4)]
             np.testing.assert_allclose(feats.data[4 * doc : 4 * doc + 4, 0], direct, atol=1e-15)
@@ -212,9 +262,9 @@ class TestAttend:
         # logits [0, ln3], so weights must be [1/4, 3/4]
         cfg = tiny_config(filters=1, attention_size=1)
         params = init_params(cfg, seed=0)
-        params.attn_w[1].data = np.array([[1.0]])
-        params.attn_b[1].data = np.array([0.0])
-        params.attn_u[1].data = np.array([np.log(3.0) / np.tanh(1.0)])
+        params.tensors["attn_w1"].data = np.array([[1.0]])
+        params.tensors["attn_b1"].data = np.array([0.0])
+        params.tensors["attn_u1"].data = np.array([np.log(3.0) / np.tanh(1.0)])
         feats = Tensor(np.array([[0.0], [1.0]]))
         s, alpha = attend(params, feats, ad.Segments([2]), 1)
         np.testing.assert_allclose(alpha.data, [0.25, 0.75], atol=1e-12)
@@ -310,7 +360,7 @@ class TestForward:
             probs, _, _ = forward(params, cases)
             return ad.mean_nll(probs, [1, 1])
 
-        report = ad.grad_check(loss, [t for _, t in params.parameters()])
+        report = ad.grad_check(loss, list(params.tensors.values()))
         assert report.max_rel_error < 1e-4
         assert report.checked > 0
 
@@ -318,21 +368,22 @@ class TestForward:
         params = init_params(tiny_config(arch="kimcnn"), seed=19)
         # filter 0 scores every real window below its bias alone, so in a
         # document with an all-padding window that window wins
-        params.embedding.data = np.abs(params.embedding.data)
+        t = params.tensors
+        t["embedding"].data = np.abs(t["embedding"].data)
         for m in params.config.widths:
-            params.conv_w[m].data[:, 0] = -np.abs(params.conv_w[m].data[:, 0])
-            params.conv_b[m].data = np.full(3, 0.5)
+            t[f"conv_w{m}"].data[:, 0] = -np.abs(t[f"conv_w{m}"].data[:, 0])
+            t[f"conv_b{m}"].data = np.full(3, 0.5)
         cases = [make_case([2, 3, 4, 5, 6], 5), make_case([7, 8], 5, age=70)]
 
         def loss():
             probs, _, _ = forward(params, cases)
             return ad.mean_nll(probs, [1, 2])
 
-        short = params.embedding.data[[7, 8, 0, 0, 0]]
+        short = t["embedding"].data[[7, 8, 0, 0, 0]]
         for m in params.config.widths:  # so relu(0.5) beats the short document's real windows
-            scores = [short[i : i + m].reshape(-1) @ params.conv_w[m].data[:, 0] for i in range(2)]
+            scores = [short[i : i + m].reshape(-1) @ t[f"conv_w{m}"].data[:, 0] for i in range(2)]
             assert max(scores) < 0.0
-        report = ad.grad_check(loss, [t for _, t in params.parameters()])
+        report = ad.grad_check(loss, list(params.tensors.values()))
         assert report.max_rel_error < 1e-4
         assert report.checked > 0
 
@@ -346,7 +397,7 @@ class TestForward:
         cases = [make_case(rng.integers(1, 12, size=n), 8, age=int(rng.integers(101)))
                  for n in (8, 2, 5, 1, 7)]
         labels = [0, 2, 1, 1, 0]
-        tensors = [t for _, t in params.parameters()]
+        tensors = list(params.tensors.values())
 
         def gradients(batch, batch_labels):
             params.zero_grad()
@@ -368,7 +419,7 @@ class TestForward:
         rng = np.random.default_rng(59)
         lengths = np.array([8, 1, 3, 7, 2])
         cases = [make_case(rng.integers(1, 12, size=n), 8) for n in lengths]
-        filters = {id(ops.param(params.conv_w[m])): m for m in cfg.widths}
+        filters = {id(ops.param(params.tensors[f"conv_w{m}"])): m for m in cfg.widths}
         rows = {}
         real_matmul = ops.matmul
 
@@ -549,15 +600,15 @@ class TestKimCNN:
         # a real window that scores exactly relu(bias) ties the all-padding
         # window and keeps the gradient; one that scores below it loses it
         params = init_params(tiny_config(arch="kimcnn", widths=(1,), filters=1), seed=19)
-        params.conv_w[1].data = np.ones((4, 1))
-        params.conv_b[1].data = np.array([0.5])
-        params.embedding.data[3] = 0.0
-        params.embedding.data[4] = -1.0
+        params.tensors["conv_w1"].data = np.ones((4, 1))
+        params.tensors["conv_b1"].data = np.array([0.5])
+        params.tensors["embedding"].data[3] = 0.0
+        params.tensors["embedding"].data[4] = -1.0
         for token, padding_wins in ((3, False), (4, True)):
             params.zero_grad()
             probs, _, _ = forward(params, [make_case([token], 5)])
             ad.mean_nll(probs, [0]).backward()
-            grad = params.embedding.grad
+            grad = params.tensors["embedding"].grad
             assert np.any(grad[token] != 0.0) != padding_wins
             assert np.any(grad[0] != 0.0) == padding_wins
 
@@ -577,7 +628,7 @@ class TestPersistence:
         loaded = load_model(path)
         assert loaded.config == params.config
         assert loaded.seed == 23
-        for (na, ta), (nb, tb) in zip(params.parameters(), loaded.parameters()):
+        for (na, ta), (nb, tb) in zip(params.tensors.items(), loaded.tensors.items(), strict=True):
             assert na == nb
             assert ta.data.tobytes() == tb.data.tobytes()
 
@@ -616,15 +667,6 @@ class TestPersistence:
         save_model(params, p1)
         save_model(load_model(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
-
-    def test_corrupt_blob_detected(self, tmp_path):
-        path = tmp_path / "model.bin"
-        save_model(init_params(tiny_config(), seed=0), path)
-        raw = bytearray(path.read_bytes())
-        raw[-3] ^= 0x01
-        path.write_bytes(bytes(raw))
-        with pytest.raises(ChecksumError):
-            load_model(path)
 
     def test_prediction_roundtrip_identical(self, tmp_path):
         params = init_params(tiny_config(), seed=29)

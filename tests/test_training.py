@@ -1,7 +1,5 @@
 """Tests for Adam, the training loop, metrics, and confidence filtering."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -198,9 +196,9 @@ class TestTrain:
     def test_zero_lr_leaves_parameters_unchanged(self, tiny_task):
         config, tr, va, _ = tiny_task
         params = init_params(config, seed=2)
-        before = [t.data.copy() for _, t in params.parameters()]
+        before = [t.data.copy() for t in params.tensors.values()]
         train(params, tr, va, HyperParams(lr=0.0, epochs=1), seed=2)
-        for b, (_, t) in zip(before, params.parameters()):
+        for b, t in zip(before, params.tensors.values(), strict=True):
             assert b.tobytes() == t.data.tobytes()
 
     def test_deterministic_in_seed(self, tiny_task):
@@ -209,7 +207,7 @@ class TestTrain:
         def run(seed):
             params = init_params(config, seed=7)
             train(params, tr, va, HyperParams(lr=0.01, epochs=2), seed=seed)
-            return b"".join(t.data.tobytes() for _, t in params.parameters())
+            return b"".join(t.data.tobytes() for t in params.tensors.values())
 
         assert run(5) == run(5)
         assert run(5) != run(6)
@@ -219,17 +217,19 @@ class TestTrain:
         config, tr, va, _ = tiny_task
         table = np.random.default_rng(3).uniform(-1, 1, (config.vocab_size, config.embedding_dim))
         table[0] = 0.0
-        by_hand = dataclasses.replace(init_params(config, seed=3), embedding=Tensor(table.copy()))
+        by_hand = init_params(config, seed=3)
+        by_hand.tensors["embedding"] = Tensor(table.copy())
         for params in (init_params(config, seed=3), by_hand):
-            before = params.embedding.data.copy()
+            emb = params.tensors["embedding"]
+            before = emb.data.copy()
             train(params, tr, va, HyperParams(lr=0.01, epochs=1), seed=3)
-            assert params.embedding.data[0].tobytes() == np.zeros(config.embedding_dim).tobytes()
-            assert np.all(params.embedding.data[1:] != before[1:])
+            assert emb.data[0].tobytes() == np.zeros(config.embedding_dim).tobytes()
+            assert np.all(emb.data[1:] != before[1:])
 
     def test_poisoned_parameters_abort(self, tiny_task):
         config, tr, va, _ = tiny_task
         params = init_params(config, seed=4)
-        params.embedding.data[2, 0] = np.nan
+        params.tensors["embedding"].data[2, 0] = np.nan
         with pytest.raises(TrainingDivergedError):
             train(params, tr, va, HyperParams(lr=0.01, epochs=1), seed=4)
 
