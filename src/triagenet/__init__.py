@@ -43,7 +43,7 @@ from .explain import (
     score_features,
 )
 from .model import ModelConfig, ModelParams, init_params, load_model, save_model
-from .model import predict, predict_batch
+from .model import predict, predict_batch, predict_probs
 from .training import (
     HyperParams,
     Metrics,
@@ -91,6 +91,7 @@ __all__ = [
     "pair_synergy",
     "predict",
     "predict_batch",
+    "predict_probs",
     "render_heatmap",
     "save_corpus",
     "save_model",

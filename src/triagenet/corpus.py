@@ -335,6 +335,17 @@ class EncodedCase:
     label: int
 
 
+def demographics_of(record: CaseRecord) -> np.ndarray:
+    """The model's demographics input: age over MAX_AGE, then male and female indicators."""
+    return np.array(
+        [
+            record.age / MAX_AGE,
+            1.0 if record.gender == "male" else 0.0,
+            1.0 if record.gender == "female" else 0.0,
+        ]
+    )
+
+
 def encode(record: CaseRecord, vocab: Vocabulary, max_len: int) -> EncodedCase:
     """Map tokens to ids (truncate/pad to ``max_len``) and pack demographics."""
     if max_len < 1:
@@ -344,14 +355,8 @@ def encode(record: CaseRecord, vocab: Vocabulary, max_len: int) -> EncodedCase:
     ids = np.zeros(max_len, dtype=np.int64)
     for i, tok in enumerate(record.tokens[:max_len]):
         ids[i] = vocab.id_of(tok)
-    demo = np.array(
-        [
-            record.age / MAX_AGE,
-            1.0 if record.gender == "male" else 0.0,
-            1.0 if record.gender == "female" else 0.0,
-        ]
-    )
-    return EncodedCase(ids=ids, demographics=demo, label=LABELS.index(record.label))
+    return EncodedCase(ids=ids, demographics=demographics_of(record),
+                       label=LABELS.index(record.label))
 
 
 def encode_corpus(

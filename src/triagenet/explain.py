@@ -15,15 +15,15 @@ Three pieces built on a trained attention model:
 from __future__ import annotations
 
 import html
-from collections import defaultdict
-from dataclasses import dataclass
+from collections import Counter, defaultdict
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .config import ConfigError
-from .corpus import LABELS, CaseRecord, Vocabulary, encode_corpus
-from .model import AttentionRecord, ModelParams, predict_batch
-from .training import Metrics, derive_seed, evaluate
+from .corpus import LABELS, PAD_ID, CaseRecord, Vocabulary, demographics_of, encode_corpus
+from .model import AttentionRecord, ModelParams, predict_batch, predict_probs
+from .training import Metrics, derive_seed, metrics_from
 
 
 @dataclass(frozen=True)
@@ -198,6 +198,40 @@ def pair_synergy(
 # -- drop experiments ---------------------------------------------------------
 
 
+def _token_codes(records: list[CaseRecord]) -> tuple[np.ndarray, list[str]]:
+    """Every record's tokens, untruncated, as an (N, longest) matrix of codes
+    into the returned list of distinct tokens; -1 pads each row past its end."""
+    index: dict[str, int] = {}
+    flat = [index.setdefault(tok, len(index)) for rec in records for tok in rec.tokens]
+    lengths = np.array([len(rec.tokens) for rec in records], dtype=np.int64)
+    codes = np.full((len(records), lengths.max(initial=0)), -1)
+    codes[np.arange(codes.shape[1]) < lengths[:, None]] = flat
+    return codes, list(index)
+
+
+def _drop_mask(
+    codes: np.ndarray, tokens: list[str], drops: int, ranking: dict[str, float] | None, seed: int
+) -> np.ndarray:
+    """Which of the coded tokens ``drop_dataset`` deletes, as a boolean matrix shaped like ``codes``."""
+    if drops < 1:
+        raise ConfigError("drops must be >= 1")
+    lengths = (codes >= 0).sum(axis=1)
+    n_drop = np.minimum(drops, lengths - 1)
+    mask = np.zeros(codes.shape, dtype=bool)
+    if ranking is None:
+        rng = np.random.default_rng(derive_seed(seed, "drop-random"))
+        for i in np.flatnonzero(n_drop > 0).tolist():
+            mask[i, rng.choice(int(lengths[i]), size=int(n_drop[i]), replace=False)] = True
+        return mask
+    # sort keys: score descending, unranked tokens and then padding (code -1,
+    # the appended last entry) below every ranked token; the stable sort
+    # breaks ties by position
+    keys = np.array([-ranking.get(tok, -np.inf) for tok in tokens] + [np.inf])[codes]
+    order = np.argsort(keys, axis=1, kind="stable")
+    np.put_along_axis(mask, order, np.arange(codes.shape[1]) < n_drop[:, None], axis=1)
+    return mask
+
+
 def drop_dataset(
     records: list[CaseRecord],
     drops: int,
@@ -207,38 +241,23 @@ def drop_dataset(
     """Delete min(drops, len - 1) tokens from every record.
 
     With a ``ranking`` (token to score, such as attention score or class
-    frequency) the highest-ranked tokens go, and tokens it does not rank
-    sort below every ranked one. Without one, the tokens are drawn at
-    random from a stream derived from ``seed``. No case ends up empty, and
-    the corpus size never changes. Planted-flag indices are remapped to
-    the surviving positions.
+    frequency) the highest-ranked tokens go, the earlier of two tied ones
+    first, and tokens it does not rank sort below every ranked one.
+    Without one, the tokens are drawn at random from a stream derived from
+    ``seed``, one draw per record that loses a token. No case ends up
+    empty, and the corpus size never changes. Planted-flag indices are
+    remapped to the surviving positions. This is the record view of the
+    deletions ``drop_experiment`` makes.
     """
-    if drops < 1:
-        raise ConfigError("drops must be >= 1")
-    rng = np.random.default_rng(derive_seed(seed, "drop-random"))
+    codes, tokens = _token_codes(records)
+    mask = _drop_mask(codes, tokens, drops, ranking, seed)
     out = []
-    for rec in records:
-        n = len(rec.tokens)
-        n_drop = min(drops, n - 1)
-        if n_drop <= 0:
-            out.append(rec)
-            continue
-        if ranking is None:
-            drop = set(rng.choice(n, size=n_drop, replace=False).tolist())
-        else:
-            order = sorted(range(n), key=lambda i: (-ranking.get(rec.tokens[i], float("-inf")), i))
-            drop = set(order[:n_drop])
-        keep = [i for i in range(n) if i not in drop]
+    for rec, dropped in zip(records, mask.tolist()):
+        keep = [i for i in range(len(rec.tokens)) if not dropped[i]]
         new_index = {old: new for new, old in enumerate(keep)}
-        out.append(
-            CaseRecord(
-                tokens=[rec.tokens[i] for i in keep],
-                label=rec.label,
-                age=rec.age,
-                gender=rec.gender,
-                planted_flags=[new_index[i] for i in rec.planted_flags if i in new_index],
-            )
-        )
+        out.append(rec if len(keep) == len(rec.tokens) else replace(
+            rec, tokens=[rec.tokens[i] for i in keep],
+            planted_flags=[new_index[i] for i in rec.planted_flags if i in new_index]))
     return out
 
 
@@ -264,46 +283,50 @@ def drop_experiment(
     """Evaluate one model on the test set under every drop condition.
 
     Produces a baseline row plus {random, frequency, attention} rows for
-    each drop count d in 1..max_drops, each one ``drop_dataset`` call
-    seeded ``derive_seed(seed, f"drop-{d}")``. Random passes no ranking;
-    both ranking tables come from the ``class_name`` cases of the training
-    split, never from test data: frequency counts token occurrences there,
-    attention uses unigram scores from the same split. The rows report
-    metrics only; deciding what the ordering means is the caller's job.
+    each drop count d in 1..max_drops, each deleting what ``drop_dataset``
+    deletes at seed ``derive_seed(seed, f"drop-{d}")``. Random passes no
+    ranking; both ranking tables come from the ``class_name`` cases of the
+    training split, never from test data: frequency counts token
+    occurrences there, attention uses unigram scores from the same split.
+    The rows report metrics only; deciding what the ordering means is the
+    caller's job.
+
+    The test split is coded once, untruncated, so a deletion pulls in
+    tokens past max_len; each condition is a deletion mask over those
+    codes, and its closed-up rows, cut to max_len, go through one
+    ``predict_probs`` pass.
     """
     if max_drops < 1:
         raise ConfigError("max_drops must be >= 1")
-    max_len = params.config.max_len
-
-    freq_rank: dict[str, float] = defaultdict(float)
-    for rec in train_records:
-        if rec.label == class_name:
-            for tok in rec.tokens:
-                freq_rank[tok] += 1.0
+    freq_rank = Counter(tok for rec in train_records if rec.label == class_name
+                        for tok in rec.tokens)
     att_rank = {
         s.feature: s.score
         for s in score_features(params, train_records, vocab, class_name, gram_size=1)
     }
 
-    rows = [
-        DropRow(
-            label="Baseline",
-            kind="baseline",
-            drops=0,
-            metrics=evaluate(params, encode_corpus(test_records, vocab, max_len)),
-        )
-    ]
+    codes, tokens = _token_codes(test_records)
+    ids_of = np.array([vocab.id_of(tok) for tok in tokens])
+    demographics = np.array([demographics_of(rec) for rec in test_records])
+    labels = np.array([LABELS.index(rec.label) for rec in test_records])
+    max_len = params.config.max_len
+
+    def metrics(drop: np.ndarray) -> Metrics:
+        """The kept tokens of each row, closed up and cut to max_len, through the model."""
+        keep = (codes >= 0) & ~drop
+        position = np.cumsum(keep, axis=1) - 1
+        keep &= position < max_len
+        ids = np.full((len(codes), max_len), PAD_ID)
+        ids[keep.nonzero()[0], position[keep]] = ids_of[codes[keep]]
+        return metrics_from(labels, predict_probs(params, ids, demographics).argmax(axis=1))
+
+    rows = [DropRow("Baseline", "baseline", 0, metrics(np.zeros(codes.shape, dtype=bool)))]
     for d in range(1, max_drops + 1):
-        for kind, ranking in (
-            ("random", None),
-            ("frequency", freq_rank),
-            ("attention", att_rank),
-        ):
-            dropped = drop_dataset(test_records, d, ranking, seed=derive_seed(seed, f"drop-{d}"))
+        for kind, ranking in (("random", None), ("frequency", freq_rank), ("attention", att_rank)):
+            drop = _drop_mask(codes, tokens, d, ranking, derive_seed(seed, f"drop-{d}"))
             word = kind.capitalize()
             label = f"{word} Drop" if d == 1 else f"{d} {word} Drops"
-            metrics = evaluate(params, encode_corpus(dropped, vocab, max_len))
-            rows.append(DropRow(label=label, kind=kind, drops=d, metrics=metrics))
+            rows.append(DropRow(label, kind, d, metrics(drop)))
     return rows
 
 

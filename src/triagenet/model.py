@@ -27,6 +27,7 @@ arrays from the same arithmetic, with no tape built.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -93,6 +94,16 @@ class ModelConfig(Schema):
     @property
     def mlp_input_dim(self) -> int:
         return len(self.widths) * self.filters + DEMOGRAPHICS_DIM
+
+    @cached_property
+    def tensor_names(self) -> tuple[dict[int, tuple[str, ...]], tuple[tuple[str, str], ...]]:
+        """``tensor_shapes``' names, looked up once per config: per width its conv filters,
+        conv bias, attention projection, bias and context vector; then per MLP layer,
+        output last, its weights and bias."""
+        names = list(tensor_shapes(self))[1:]  # the embedding comes first
+        n = 5 * len(self.widths)
+        per_width = {m: tuple(names[5 * j : 5 * j + 5]) for j, m in enumerate(sorted(self.widths))}
+        return per_width, tuple(zip(names[n::2], names[n + 1 :: 2]))
 
 
 @dataclass
@@ -211,8 +222,9 @@ def ngram_encode(params: ModelParams, windows: np.ndarray, ops=ad) -> Activation
     """
     p, t = ops.param, params.tensors
     n, m = windows.shape
+    w, b = params.config.tensor_names[0][m][:2]
     rows = ops.reshape(ops.lookup(p(t["embedding"]), windows), (n, m * params.config.embedding_dim))
-    return ops.relu(ops.add(ops.matmul(rows, p(t[f"conv_w{m}"])), p(t[f"conv_b{m}"])))
+    return ops.relu(ops.add(ops.matmul(rows, p(t[w])), p(t[b])))
 
 
 def attend(
@@ -225,8 +237,9 @@ def attend(
     within each document.
     """
     p, t = ops.param, params.tensors
-    u = ops.tanh(ops.add(ops.matmul(feats, p(t[f"attn_w{m}"])), p(t[f"attn_b{m}"])))
-    alpha = ops.segment_softmax(ops.matmul(u, p(t[f"attn_u{m}"])), seg)
+    w, b, context = params.config.tensor_names[0][m][2:]
+    u = ops.tanh(ops.add(ops.matmul(feats, p(t[w])), p(t[b])))
+    alpha = ops.segment_softmax(ops.matmul(u, p(t[context])), seg)
     return ops.segment_sum(alpha, feats, seg), alpha
 
 
@@ -305,42 +318,59 @@ def forward_graph(
 
     h = ops.concat(pooled + [ops.constant(demographics)])
     t = params.tensors
-    for i in range(len(cfg.mlp_layers)):
-        h = ops.relu(ops.add(ops.matmul(h, p(t[f"mlp_w{i}"])), p(t[f"mlp_b{i}"])))
+    *hidden, (w, b) = cfg.tensor_names[1]
+    for hidden_w, hidden_b in hidden:
+        h = ops.relu(ops.add(ops.matmul(h, p(t[hidden_w])), p(t[hidden_b])))
         if dropout_rng is not None:
             h = ops.dropout(h, cfg.dropout, dropout_rng)
-    out = len(cfg.mlp_layers)
-    probs = ops.softmax(ops.add(ops.matmul(h, p(t[f"mlp_w{out}"])), p(t[f"mlp_b{out}"])))
+    probs = ops.softmax(ops.add(ops.matmul(h, p(t[w])), p(t[b])))
     return probs, attention, lengths
 
 
-def predict_batch(params: ModelParams, cases: list[EncodedCase]) -> list[Prediction]:
-    """Inference over ``cases``: the tape-free forward, PREDICT_CHUNK cases per pass.
+def _forward_chunks(params: ModelParams, ids: np.ndarray, demographics: np.ndarray):
+    """The tape-free forward over a batch, PREDICT_CHUNK cases per pass.
 
-    Cases that fill more than one chunk are sorted by length first and
-    the predictions come back in the caller's order. Packing computes
-    the same rows in any order, but chunks of like lengths measured about
-    6% faster on fulltext documents. A prediction does not depend on its
-    batch mates beyond float rounding: each document's windows are
-    computed and pooled on their own rows.
+    Yields each chunk's row indices into the batch with ``forward_graph``'s
+    outputs for those rows. A batch that fills more than one chunk is
+    sorted by length first: packing computes the same rows in any order,
+    but chunks of like lengths measured about 6% faster on fulltext
+    documents. A case's outputs do not depend on its batch mates beyond
+    float rounding: each document's windows are computed and pooled on
+    their own rows.
+    """
+    if len(ids) <= PREDICT_CHUNK:  # one pass in the caller's order, or none
+        if len(ids):
+            yield range(len(ids)), *forward_graph(params, ids, demographics, ops=ad.TapeFree)
+        return
+    order = np.argsort(doc_lengths(ids), kind="stable")
+    for start in range(0, len(ids), PREDICT_CHUNK):
+        rows = order[start : start + PREDICT_CHUNK]
+        yield rows, *forward_graph(params, ids[rows], demographics[rows], ops=ad.TapeFree)
+
+
+def predict_probs(params: ModelParams, ids: np.ndarray, demographics: np.ndarray) -> np.ndarray:
+    """Class probabilities, (B, len(LABELS)), for (B, max_len) ids and (B, 3) demographics:
+    ``predict_batch``'s chunked forward, with no per-case records."""
+    probs = np.empty((len(ids), len(LABELS)))
+    for rows, chunk_probs, _, _ in _forward_chunks(params, ids, demographics):
+        probs[rows] = chunk_probs
+    return probs
+
+
+def predict_batch(params: ModelParams, cases: list[EncodedCase]) -> list[Prediction]:
+    """Inference over ``cases``, in the caller's order: probabilities, label and attention.
+
+    The chunked forward of ``predict_probs``, with each window's attention
+    spread over max_len - m + 1 positions per case.
     """
     cfg = params.config
-    order = range(len(cases))
-    if len(cases) > PREDICT_CHUNK:
-        order = np.argsort(doc_lengths(np.array([c.ids for c in cases])), kind="stable")
+    ids = np.array([c.ids for c in cases])
+    demographics = np.array([c.demographics for c in cases])
     preds: list[Prediction] = [None] * len(cases)
-    for start in range(0, len(cases), PREDICT_CHUNK):
-        rows = order[start : start + PREDICT_CHUNK]
-        chunk = [cases[i] for i in rows]
-        probs, attention, lengths = forward_graph(
-            params,
-            np.array([c.ids for c in chunk]),
-            np.array([c.demographics for c in chunk]),
-            ops=ad.TapeFree,
-        )
+    for rows, probs, attention, lengths in _forward_chunks(params, ids, demographics):
         starts_inside = np.arange(cfg.max_len) < lengths[:, None]
         for m, alpha in attention.items():
-            attention[m] = dense = np.zeros((len(chunk), cfg.max_len - m + 1))
+            attention[m] = dense = np.zeros((len(rows), cfg.max_len - m + 1))
             dense[starts_inside[:, : dense.shape[1]]] = alpha  # the rows are packed row-major
         for i, (row, p) in enumerate(zip(rows, probs)):
             record = None

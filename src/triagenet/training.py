@@ -13,7 +13,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .config import ConfigError, Schema
 from .corpus import LABELS, PAD_ID, EncodedCase
-from .model import ModelConfig, ModelParams, Prediction, forward_graph, init_params, predict_batch
+from .model import ModelConfig, ModelParams, forward_graph, init_params, predict_probs
 
 # Adam's fixed knobs: decoupled weight decay, moment decay rates, denominator guard
 WEIGHT_DECAY = 1e-4
@@ -82,6 +82,12 @@ def adam_step(params: list[Tensor], state: AdamState, hyper: HyperParams) -> Non
         p.data -= hyper.lr * update
 
 
+def _stack(cases: list[EncodedCase]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cases as arrays: (B, max_len) ids, (B, 3) demographics and (B,) labels."""
+    return (np.array([c.ids for c in cases]), np.array([c.demographics for c in cases]),
+            np.array([c.label for c in cases]))
+
+
 @dataclass
 class EpochStats:
     train_loss: float
@@ -118,20 +124,17 @@ def train(
     tensors = list(params.tensors.values())
     state = AdamState(tensors)
     history = TrainHistory()
-    val_labels = [c.label for c in val_set]
+    ids, demographics, labels = _stack(train_set)
+    val_ids, val_demographics, val_labels = _stack(val_set)
 
     for epoch in range(hyper.epochs):
         order = shuffle_rng.permutation(len(train_set))
         total_loss = 0.0
         for start in range(0, len(order), hyper.batch_size):
-            batch = [train_set[i] for i in order[start : start + hyper.batch_size]]
-            probs, _, _ = forward_graph(
-                params,
-                np.array([c.ids for c in batch]),
-                np.array([c.demographics for c in batch]),
-                dropout_rng=dropout_rng,
-            )
-            batch_loss = ad.mean_nll(probs, [c.label for c in batch])
+            batch = order[start : start + hyper.batch_size]
+            probs, _, _ = forward_graph(params, ids[batch], demographics[batch],
+                                        dropout_rng=dropout_rng)
+            batch_loss = ad.mean_nll(probs, labels[batch])
             value = batch_loss.item()
             if not np.isfinite(value):
                 raise TrainingDivergedError(
@@ -143,13 +146,12 @@ def train(
             adam_step(tensors, state, hyper)
             total_loss += value * len(batch)
 
-        preds = predict_batch(params, val_set)
-        val_probs = Tensor(np.array([p.probs for p in preds]))
+        val_probs = predict_probs(params, val_ids, val_demographics)
         history.epochs.append(
             EpochStats(
                 train_loss=total_loss / len(train_set),
-                val_loss=ad.mean_nll(val_probs, val_labels).item(),
-                val_macro_f1=metrics_from(val_labels, [p.predicted for p in preds]).macro_f1,
+                val_loss=ad.mean_nll(Tensor(val_probs), val_labels).item(),
+                val_macro_f1=metrics_from(val_labels, val_probs.argmax(axis=1)).macro_f1,
             )
         )
     return history
@@ -191,12 +193,11 @@ def metrics_from(
 ) -> Metrics:
     if len(true_labels) != len(predicted):
         raise ConfigError("label and prediction counts differ")
-    if not true_labels:
+    if len(true_labels) == 0:
         raise EmptyRetainedError("cannot compute metrics over zero cases")
     n = len(LABELS)
     confusion = np.zeros((n, n), dtype=np.int64)
-    for t, p in zip(true_labels, predicted):
-        confusion[t][p] += 1
+    np.add.at(confusion, (np.asarray(true_labels), np.asarray(predicted)), 1)
 
     per_class: dict[str, ClassMetrics] = {}
     zero_support = []
@@ -223,10 +224,8 @@ def metrics_from(
     )
 
 
-def confidence_filter(
-    predictions: list[Prediction], threshold: float
-) -> tuple[list[int], float]:
-    """Indices of predictions whose max probability clears the threshold.
+def confidence_filter(probs: np.ndarray, threshold: float) -> tuple[list[int], float]:
+    """Indices of the rows of ``probs`` whose max probability clears the threshold.
 
     Returns (kept indices, discarded fraction). Raises when everything
     is discarded; a threshold below 1/3 cannot discard a 3-class
@@ -234,10 +233,10 @@ def confidence_filter(
     """
     if not 1.0 / 3.0 <= threshold < 1.0:
         raise ConfigError(f"threshold must be in [1/3, 1), got {threshold}")
-    kept = [i for i, p in enumerate(predictions) if float(p.probs.max()) >= threshold]
+    kept = np.flatnonzero(probs.max(axis=1) >= threshold).tolist()
     if not kept:
         raise EmptyRetainedError(f"threshold {threshold} discarded all predictions")
-    return kept, 1.0 - len(kept) / len(predictions)
+    return kept, 1.0 - len(kept) / len(probs)
 
 
 def evaluate(
@@ -248,15 +247,13 @@ def evaluate(
     """Inference metrics over a dataset, optionally confidence-filtered."""
     if not cases:
         raise ConfigError("evaluation set must be nonempty")
-    preds = predict_batch(params, cases)
+    ids, demographics, labels = _stack(cases)
+    probs = predict_probs(params, ids, demographics)
+    predicted = probs.argmax(axis=1)
     if threshold is None:
-        return metrics_from([c.label for c in cases], [p.predicted for p in preds])
-    kept, discarded = confidence_filter(preds, threshold)
-    return metrics_from(
-        [cases[i].label for i in kept],
-        [preds[i].predicted for i in kept],
-        retained_fraction=1.0 - discarded,
-    )
+        return metrics_from(labels, predicted)
+    kept, discarded = confidence_filter(probs, threshold)
+    return metrics_from(labels[kept], predicted[kept], retained_fraction=1.0 - discarded)
 
 
 def render_metrics_table(rows: list[tuple[str, Metrics]]) -> str:

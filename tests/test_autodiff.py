@@ -33,7 +33,7 @@ from triagenet.autodiff import (
     softmax,
     tanh,
 )
-from triagenet.model import ngram_encode, window_rows
+from triagenet.model import ModelConfig, ngram_encode, window_rows
 
 
 def tsum(x, weights=None):
@@ -85,8 +85,10 @@ def conv_valid(x, w, b, m):
     """
     B, L, k = x.shape
     table = Tensor(x.data.reshape(B * L, k))
+    config = ModelConfig(vocab_size=B * L, max_len=L, embedding_dim=k, widths=(m,),
+                         filters=w.shape[1])
     params = SimpleNamespace(tensors={"embedding": table, f"conv_w{m}": w, f"conv_b{m}": b},
-                             config=SimpleNamespace(embedding_dim=k))
+                             config=config)
     feats = ngram_encode(params, unfold(B, L, m))
     return ad.reshape(feats, (B, L - m + 1, -1))
 

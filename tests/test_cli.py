@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from triagenet import corpus as corpus_module
-from triagenet import explain
+from triagenet import explain, model
 from triagenet.cli import (
     DEFAULT_CONFIG,
     Run,
@@ -407,6 +407,31 @@ class TestScoringCommands:
             "Baseline", "Random Drop", "Frequency Drop", "Attention Drop",
             "2 Random Drops", "2 Frequency Drops", "2 Attention Drops",
         ]
+
+    def test_drop_experiment_runs_the_model_once_per_condition(self, pipeline, monkeypatch):
+        out, config = pipeline
+        rows, predictions = [], []
+
+        def counting_forward_graph(params, ids, demographics, **kwargs):
+            rows.append(len(ids))
+            return forward_graph(params, ids, demographics, **kwargs)
+
+        def counting_prediction(**fields):
+            predictions.append(1)
+            return prediction(**fields)
+
+        forward_graph, prediction = model.forward_graph, model.Prediction
+        monkeypatch.setattr(model, "forward_graph", counting_forward_graph)
+        monkeypatch.setattr(model, "Prediction", counting_prediction)
+        assert run("drop-experiment", "--config", config, "--out-dir", out,
+                   "--drops", "2") == 0
+        records = load_corpus(out / "corpus.jsonl").records
+        _, _, te = split(records, (0.9, 0.05, 0.05), seed=derive_seed(CONFIG["seed"], "split"))
+        urgent = sum(r.label == URGENT for r in train_split(out, CONFIG["seed"]))
+        # the baseline and 3 conditions per drop count over the test split, then
+        # one scoring pass over the class's training cases, the only Predictions
+        assert sum(rows) == (1 + 3 * 2) * len(te) + urgent
+        assert len(predictions) == urgent
 
     def test_grid_search(self, pipeline):
         out, config = pipeline

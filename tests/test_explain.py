@@ -1,21 +1,26 @@
 """Tests for feature scoring, drop experiments, and heatmap rendering."""
 
 import dataclasses
+from collections import Counter
 from html.parser import HTMLParser
 
 import numpy as np
 import pytest
 
+from triagenet import explain, model
 from triagenet.corpus import (
+    UNK_ID,
     CaseRecord,
     GeneratorSpec,
     Vocabulary,
     build_vocab,
     encode,
+    encode_corpus,
     generate_corpus,
 )
 from triagenet.embedding import ConfigError
 from triagenet.explain import (
+    DropRow,
     PairSynergy,
     SymptomScore,
     drop_dataset,
@@ -26,8 +31,8 @@ from triagenet.explain import (
     render_score_table,
     score_features,
 )
-from triagenet.model import AttentionRecord, ModelConfig, init_params, predict
-from triagenet.training import evaluate
+from triagenet.model import AttentionRecord, ModelConfig, init_params, predict, predict_batch
+from triagenet.training import HyperParams, derive_seed, evaluate, metrics_from, train
 
 
 def brute_force_scores(params, records, vocab, class_name, n):
@@ -277,6 +282,172 @@ class TestDropDataset:
         for ranking in (None, {"a": 1.0}):
             with pytest.raises(ConfigError, match="drops must be >= 1"):
                 drop_dataset([rec(["a", "b"])], 0, ranking)
+
+
+def per_record_drop_dataset(records, drops, ranking=None, seed=0):
+    """drop_dataset as a loop that sorts or draws each record on its own: the oracle."""
+    if drops < 1:
+        raise ConfigError("drops must be >= 1")
+    rng = np.random.default_rng(derive_seed(seed, "drop-random"))
+    out = []
+    for r in records:
+        n = len(r.tokens)
+        n_drop = min(drops, n - 1)
+        if n_drop <= 0:
+            out.append(r)
+            continue
+        if ranking is None:
+            drop = set(rng.choice(n, size=n_drop, replace=False).tolist())
+        else:
+            order = sorted(range(n), key=lambda i: (-ranking.get(r.tokens[i], float("-inf")), i))
+            drop = set(order[:n_drop])
+        keep = [i for i in range(n) if i not in drop]
+        new_index = {old: new for new, old in enumerate(keep)}
+        out.append(CaseRecord(
+            tokens=[r.tokens[i] for i in keep], label=r.label, age=r.age, gender=r.gender,
+            planted_flags=[new_index[i] for i in r.planted_flags if i in new_index],
+        ))
+    return out
+
+
+def per_record_drop_experiment(params, train_records, test_records, vocab, max_drops,
+                               class_name="urgent_care", seed=0):
+    """drop_experiment as dropped records, encoded per condition and tallied one
+    Prediction per case: the oracle. Returns the rows and each condition's ids."""
+    max_len = params.config.max_len
+    freq_rank = {}
+    for r in train_records:
+        if r.label == class_name:
+            for tok in r.tokens:
+                freq_rank[tok] = freq_rank.get(tok, 0.0) + 1.0
+    att_rank = {s.feature: s.score
+                for s in score_features(params, train_records, vocab, class_name, gram_size=1)}
+
+    def tally(records):
+        cases = encode_corpus(records, vocab, max_len)
+        preds = predict_batch(params, cases)
+        ids.append(np.array([c.ids for c in cases]))
+        return metrics_from([c.label for c in cases], [p.predicted for p in preds])
+
+    ids = []
+    rows = [DropRow("Baseline", "baseline", 0, tally(test_records))]
+    for d in range(1, max_drops + 1):
+        for kind, ranking in (("random", None), ("frequency", freq_rank),
+                              ("attention", att_rank)):
+            dropped = per_record_drop_dataset(test_records, d, ranking,
+                                              seed=derive_seed(seed, f"drop-{d}"))
+            word = kind.capitalize()
+            label = f"{word} Drop" if d == 1 else f"{d} {word} Drops"
+            rows.append(DropRow(label, kind, d, tally(dropped)))
+    return rows, ids
+
+
+class TestDropDatasetOracle:
+    RECORDS = [
+        rec(["a", "b", "c", "d", "e"], flags=[1, 3]),
+        rec(["b"], flags=[0]),
+        rec(["c", "a", "c", "a", "x"], label="telecare", flags=[4]),
+        rec(["x", "y"]),
+        rec(["d", "d", "d"], flags=[2]),
+        rec(["y"]),
+        rec(["e", "x", "b", "y", "a", "c", "d"], flags=[0, 6]),
+    ]
+
+    @pytest.mark.parametrize("ranking", [
+        None,
+        {},
+        {"a": 3.0, "b": 2.0, "c": 1.0},
+        {"a": 2.0, "b": 2.0, "c": 2.0, "d": 1.0},  # ties go to the earlier position
+        {"x": 1.0, "y": 1.0, "e": -5.0},
+    ], ids=["random", "unranked", "ranked", "tied", "negative"])
+    @pytest.mark.parametrize("drops", [1, 2, 3, 9])
+    def test_same_records_as_per_record_loop(self, ranking, drops):
+        for seed in (0, 7, 12):
+            assert (drop_dataset(self.RECORDS, drops, ranking, seed=seed)
+                    == per_record_drop_dataset(self.RECORDS, drops, ranking, seed=seed))
+
+    def test_empty_corpus(self):
+        assert drop_dataset([], 2) == []
+        assert drop_dataset([], 2, {"a": 1.0}) == []
+
+
+def drop_world(max_len, min_count, extra=()):
+    corpus = generate_corpus(GeneratorSpec(), 230, seed=11)
+    train_records, test_records = corpus.records[:130], corpus.records[130:] + list(extra)
+    vocab = build_vocab(train_records, min_count=min_count)
+    config = ModelConfig(vocab_size=len(vocab), max_len=max_len, embedding_dim=8, widths=(1, 2),
+                         filters=6, attention_size=5, mlp_layers=(12,), dropout=0.0)
+    params = init_params(config, seed=3)
+    train(params, encode_corpus(train_records, vocab, max_len),
+          encode_corpus(test_records[:20], vocab, max_len), HyperParams(lr=0.01, epochs=2), seed=2)
+    return params, train_records, test_records, vocab
+
+
+class TestDropExperimentOracle:
+    """drop_experiment's rows and model inputs equal the per-record path's."""
+
+    @staticmethod
+    def check(world, max_drops, monkeypatch):
+        params, train_records, test_records, vocab = world
+        seen = []
+
+        def capturing_predict_probs(params, ids, demographics):
+            seen.append(ids)
+            return predict_probs(params, ids, demographics)
+
+        predict_probs = explain.predict_probs
+        monkeypatch.setattr(explain, "predict_probs", capturing_predict_probs)
+        rows = drop_experiment(params, train_records, test_records, vocab,
+                               max_drops=max_drops, seed=4)
+        monkeypatch.undo()
+        expected, expected_ids = per_record_drop_experiment(
+            params, train_records, test_records, vocab, max_drops, seed=4)
+        assert rows == expected
+        assert len(seen) == len(expected_ids) == 1 + 3 * max_drops
+        for got, want in zip(seen, expected_ids):
+            np.testing.assert_array_equal(got, want)
+        # the rows tell the conditions apart, so equal rows are not vacuous
+        assert len({str(r.metrics.confusion) for r in rows}) > 1
+        assert len({a.tobytes() for a in seen}) == len(seen)
+
+    def test_documents_longer_than_max_len(self, monkeypatch):
+        world = drop_world(max_len=6, min_count=1)
+        assert sum(len(r.tokens) > 6 + 2 for r in world[2]) > 10
+        self.check(world, 2, monkeypatch)
+
+    def test_unknown_tokens_rank_apart(self, monkeypatch):
+        world = drop_world(max_len=16, min_count=2)
+        params, train_records, test_records, vocab = world
+        counts = Counter(t for r in train_records for t in r.tokens)
+        urgent = {t for r in train_records if r.label == "urgent_care" for t in r.tokens}
+        ranked_unknown = sorted(t for t in urgent if counts[t] == 1)
+        unranked_known = sorted(t for t in counts if t not in urgent and counts[t] >= 2)
+        assert ranked_unknown and len(unranked_known) >= 2
+        assert {vocab.id_of(t) for t in ranked_unknown} == {UNK_ID}
+        # a ranked <unk> between known tokens that no table ranks: the drop takes the <unk>
+        crafted = [rec([unranked_known[0], t, unranked_known[1]], "telecare")
+                   for t in ranked_unknown[:5]]
+        self.check((params, train_records, test_records + crafted, vocab), 2, monkeypatch)
+
+    def test_one_token_records_draw_nothing(self, monkeypatch):
+        short = [rec([t], label) for t, label in (("mild00", "telecare"), ("crit01", "urgent_care"))]
+        pairs = [rec(["mild01", "mild02"], "telecare"), rec(["crit02", "mild03"])]
+        params, train_records, test_records, vocab = drop_world(max_len=16, min_count=1)
+        # interleaved, so a draw for a one-token record would shift every later draw
+        mixed = []
+        for i, r in enumerate(test_records):
+            mixed += [r, (short + pairs)[i % 4]]
+        self.check((params, train_records, mixed, vocab), 3, monkeypatch)
+
+    def test_tied_scores(self, monkeypatch):
+        world = drop_world(max_len=8, min_count=1)
+        params, train_records, test_records, vocab = world
+        repeats = [rec(["mild00", "mild01", "mild00", "mild01", "mild02"]),
+                   rec(["crit00", "crit00", "mild00"], "telecare")]
+        self.check((params, train_records, test_records + repeats, vocab), 2, monkeypatch)
+
+    def test_one_drop(self, monkeypatch):
+        self.check(drop_world(max_len=10, min_count=1), 1, monkeypatch)
 
 
 @pytest.fixture(scope="module")

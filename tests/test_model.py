@@ -22,6 +22,7 @@ from triagenet.model import (
     ngram_encode,
     predict,
     predict_batch,
+    predict_probs,
     save_model,
     window_rows,
 )
@@ -157,6 +158,22 @@ class TestInit:
         assert params.tensors.keys() == oracle.keys()
         for name, values in oracle.items():
             assert params.tensors[name].data.tobytes() == values.tobytes(), name
+
+    @pytest.mark.parametrize("overrides", [{}, {"mlp_layers": ()},
+                                           {"widths": (4, 1, 2), "mlp_layers": (7, 5)}])
+    def test_tensor_names_group_the_layout(self, overrides):
+        cfg = tiny_config(**overrides)
+        per_width, mlp = cfg.tensor_names
+        assert list(per_width) == sorted(cfg.widths)
+        assert len(mlp) == len(cfg.mlp_layers) + 1
+        grouped = ["embedding", *(n for m in per_width for n in per_width[m]),
+                   *(n for layer in mlp for n in layer)]
+        assert grouped == list(model.tensor_shapes(cfg))
+        shapes = model.tensor_shapes(cfg)
+        for m, (conv_w, conv_b, attn_w, attn_b, attn_u) in per_width.items():
+            assert shapes[conv_w] == (m * cfg.embedding_dim, cfg.filters)
+            assert shapes[attn_u] == (cfg.attention_size,)
+        assert shapes[mlp[-1][1]] == (len(LABELS),)
 
     def test_deterministic_and_padding_zero(self):
         a = init_params(tiny_config(), seed=3)
@@ -582,6 +599,21 @@ class TestPredictOrder:
 
     def test_no_cases_no_predictions(self):
         assert predict_batch(init_params(tiny_config(), seed=3), []) == []
+
+    def test_probs_are_predict_batchs_bit_for_bit(self):
+        cfg = tiny_config(max_len=8, widths=(1, 2, 3))
+        params = init_params(cfg, seed=5)
+        random_biases(params, np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        cases = [make_case(rng.integers(1, 12, size=k), 8, age=int(rng.integers(101)))
+                 for k in rng.integers(1, 9, size=2 * PREDICT_CHUNK + 13)]
+        probs = predict_probs(params, np.array([c.ids for c in cases]),
+                              np.array([c.demographics for c in cases]))
+        assert probs.shape == (len(cases), len(LABELS))
+        want = np.array([p.probs for p in predict_batch(params, cases)])
+        assert probs.tobytes() == want.tobytes()
+        assert predict_probs(params, np.zeros((0, 8), dtype=np.int64),
+                             np.zeros((0, 3))).shape == (0, len(LABELS))
 
 
 class TestKimCNN:

@@ -13,11 +13,14 @@ from triagenet.corpus import (
     split,
 )
 from triagenet.embedding import ConfigError
-from triagenet.model import ModelConfig, Prediction, init_params, predict_batch
+from triagenet.model import ModelConfig, doc_lengths, init_params, predict_batch
+from triagenet.corpus import LABELS
 from triagenet.training import (
     AdamState,
+    ClassMetrics,
     EmptyRetainedError,
     HyperParams,
+    Metrics,
     TrainingDivergedError,
     adam_step,
     confidence_filter,
@@ -137,37 +140,101 @@ class TestMetrics:
         assert "100.0" in text
 
 
-def fake_pred(probs):
-    p = np.array(probs)
-    return Prediction(probs=p, predicted=int(np.argmax(p)), attention=None)
-
-
 class TestConfidenceFilter:
     def test_minimum_threshold_keeps_everything(self):
-        preds = [fake_pred([0.34, 0.33, 0.33]), fake_pred([0.4, 0.3, 0.3])]
-        kept, discarded = confidence_filter(preds, 1.0 / 3.0)
+        probs = np.array([[0.34, 0.33, 0.33], [0.4, 0.3, 0.3]])
+        kept, discarded = confidence_filter(probs, 1.0 / 3.0)
         assert kept == [0, 1]
         assert discarded == 0.0
 
     def test_thresholds_nest(self):
         rng = np.random.default_rng(9)
         raw = rng.random((50, 3))
-        preds = [fake_pred(r / r.sum()) for r in raw]
-        kept_low, _ = confidence_filter(preds, 0.4)
-        kept_high, _ = confidence_filter(preds, 0.6)
+        probs = raw / raw.sum(axis=1, keepdims=True)
+        kept_low, _ = confidence_filter(probs, 0.4)
+        kept_high, _ = confidence_filter(probs, 0.6)
         assert set(kept_high) <= set(kept_low)
 
     def test_all_discarded_raises(self):
-        preds = [fake_pred([0.34, 0.33, 0.33])]
+        probs = np.array([[0.34, 0.33, 0.33]])
         with pytest.raises(EmptyRetainedError):
-            confidence_filter(preds, 0.99)
+            confidence_filter(probs, 0.99)
 
     def test_threshold_range_enforced(self):
-        preds = [fake_pred([0.5, 0.25, 0.25])]
+        probs = np.array([[0.5, 0.25, 0.25]])
         with pytest.raises(ConfigError):
-            confidence_filter(preds, 0.2)
+            confidence_filter(probs, 0.2)
         with pytest.raises(ConfigError):
-            confidence_filter(preds, 1.0)
+            confidence_filter(probs, 1.0)
+
+
+def tally_metrics(true_labels, predicted, retained_fraction=1.0):
+    """metrics_from as a per-case tally into nested lists: the oracle."""
+    n = len(LABELS)
+    confusion = [[0] * n for _ in range(n)]
+    for t, p in zip(true_labels, predicted):
+        confusion[t][p] += 1
+    per_class, zero_support, f1s = {}, [], []
+    for i, name in enumerate(LABELS):
+        support = sum(confusion[i])
+        predicted_as = sum(row[i] for row in confusion)
+        tp = confusion[i][i]
+        precision = tp / predicted_as if predicted_as else 0.0
+        recall = tp / support if support else 0.0
+        if not support:
+            zero_support.append(name)
+        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+        per_class[name] = ClassMetrics(precision, recall, f1, support)
+        f1s.append(f1)
+    return Metrics(per_class=per_class, confusion=confusion,
+                   accuracy=float(np.trace(confusion) / np.sum(confusion)),
+                   macro_f1=float(np.mean(f1s)), retained_fraction=retained_fraction,
+                   zero_support_classes=zero_support)
+
+
+def tally_evaluate(params, cases, threshold=None):
+    """evaluate as one Prediction per case, filtered and tallied: the oracle."""
+    preds = predict_batch(params, cases)
+    kept = [i for i, p in enumerate(preds)
+            if threshold is None or float(p.probs.max()) >= threshold]
+    if not kept:
+        raise EmptyRetainedError("nothing kept")
+    retained = 1.0 if threshold is None else 1.0 - (1.0 - len(kept) / len(preds))
+    return tally_metrics([cases[i].label for i in kept], [preds[i].predicted for i in kept],
+                         retained)
+
+
+class TestEvaluateOracle:
+    def test_trained_model_at_and_around_the_gate(self, tiny_task):
+        config, tr, va, te = tiny_task
+        params = init_params(config, seed=8)
+        train(params, tr, va, HyperParams(lr=0.03, epochs=3), seed=8)
+        cases = tr + va + te  # over two chunks, so sorted by length
+        confidence = sorted(float(p.probs.max()) for p in predict_batch(params, cases))
+        at_gate = min(confidence, key=lambda c: abs(c - 0.6))  # one case exactly at the gate
+        assert abs(at_gate - 0.6) < 0.05
+        thresholds = [None]
+        for gate in (0.6, at_gate):
+            thresholds += [gate, np.nextafter(gate, 0.0), np.nextafter(gate, 1.0)]
+        for threshold in thresholds:
+            assert evaluate(params, cases, threshold) == tally_evaluate(params, cases, threshold)
+        below = evaluate(params, cases, np.nextafter(at_gate, 1.0))
+        assert evaluate(params, cases, at_gate).retained_fraction > below.retained_fraction
+
+    def test_probability_exactly_at_the_gate(self, tiny_task, monkeypatch):
+        config, _, _, te = tiny_task
+        # each case's probabilities are set by its first token
+        table = np.array([[0.6, 0.3, 0.1], [0.3, 0.6, 0.1], [np.nextafter(0.6, 0.0), 0.3, 0.1],
+                          [0.2, 0.2, 0.6], [0.1, 0.7, 0.2], [0.5, 0.25, 0.25]])
+
+        def fixed_forward(params, ids, demographics, ops):
+            return table[ids[:, 0] % len(table)], {}, doc_lengths(ids)
+
+        monkeypatch.setattr(model, "forward_graph", fixed_forward)
+        params = init_params(config, seed=1)
+        assert 0.6 in table[[c.ids[0] % len(table) for c in te]].max(axis=1)
+        for threshold in (None, 0.6, np.nextafter(0.6, 0.0), np.nextafter(0.6, 1.0), 0.5):
+            assert evaluate(params, te, threshold) == tally_evaluate(params, te, threshold)
 
 
 class TestTrain:
