@@ -196,10 +196,42 @@ class Run:
         return path
 
 
+ROWS_PER_CALL = 256  # rows of a table per encoder call; bounds the text held at once
+
+
 def write_json(obj, path: Path) -> None:
+    """Write ``json.dump(obj, fh, indent=2, sort_keys=True)`` and a newline, byte for byte.
+
+    ``json`` runs its C encoder only without an indent. A list of flat
+    dicts, the shape of the large outputs (score and pair tables), goes
+    through it ROWS_PER_CALL rows per call, written as it is made: the item
+    separator carries the fields' indent, and each row boundary is
+    rewritten, which is safe because a boundary holds a raw newline and no
+    encoded string does. Anything else is small, and the indenting encoder
+    writes it faster than one C call per container would.
+    """
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        if _is_table(obj):
+            field, row = "\n    ", "\n  "
+            fh.write("[")
+            for start in range(0, len(obj), ROWS_PER_CALL):
+                text = json.dumps(obj[start : start + ROWS_PER_CALL], sort_keys=True,
+                                  separators=("," + field, ": "))
+                rows = text[2:-2].replace("}," + field + "{", row + "}," + row + "{" + field)
+                fh.write(("," if start else "") + row + "{" + field + rows + row + "}")
+            fh.write("\n]")
+        else:
+            json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _is_table(obj) -> bool:
+    """Whether ``obj`` is a nonempty list of nonempty dicts whose values hold no container."""
+    containers = (dict, list, tuple)
+    return (isinstance(obj, (list, tuple)) and bool(obj)
+            and all(isinstance(row, dict) and row for row in obj)
+            and not any(issubclass(t, containers)
+                        for t in {type(v) for row in obj for v in row.values()}))
 
 
 def write_manifest(run: Run, arguments: dict) -> Path:

@@ -458,9 +458,11 @@ class DataContract(Schema):
 
 def _validate_record(rec: CaseRecord) -> None:
     """The range rules of a record whose field types are already checked."""
-    if not rec.tokens or not {"", PAD_TOKEN, UNK_TOKEN}.isdisjoint(rec.tokens):
+    text = "".join(rec.tokens)  # n-grams are named by tokens joined with a space
+    if text.split() != [text] or not {"", PAD_TOKEN, UNK_TOKEN}.isdisjoint(rec.tokens):
         raise SpecValidationError("record tokens must be a nonempty list of nonempty strings "
-                                  f"other than the reserved {PAD_TOKEN} and {UNK_TOKEN}")
+                                  "without whitespace, other than the reserved "
+                                  f"{PAD_TOKEN} and {UNK_TOKEN}")
     if rec.label not in LABELS:
         raise SpecValidationError(f"unknown label {rec.label!r}")
     if not 0 <= rec.age <= MAX_AGE:

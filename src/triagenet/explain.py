@@ -15,14 +15,14 @@ Three pieces built on a trained attention model:
 from __future__ import annotations
 
 import html
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .config import ConfigError
-from .corpus import LABELS, PAD_ID, CaseRecord, Vocabulary, demographics_of, encode_corpus
-from .model import AttentionRecord, ModelParams, predict_batch, predict_probs
+from .corpus import LABELS, PAD_ID, CaseRecord, Vocabulary, demographics_of
+from .model import AttentionRecord, ModelParams, predict_attention, predict_probs
 from .training import Metrics, derive_seed, metrics_from
 
 
@@ -71,14 +71,6 @@ class PairSynergy:
     margin: float
 
 
-def _valid_positions(record: AttentionRecord, gram_size: int) -> np.ndarray:
-    """Attention weights at windows made entirely of real tokens."""
-    n_pos = record.n_tokens - gram_size + 1
-    if n_pos < 1:
-        return np.empty(0)
-    return record.alphas[gram_size][:n_pos]
-
-
 def score_features(
     params: ModelParams,
     records: list[CaseRecord],
@@ -119,42 +111,55 @@ def score_grams(
         raise ConfigError("feature scoring needs attention weights")
 
     records = [rec for rec in records if rec.label == class_name]
-    preds = predict_batch(params, encode_corpus(records, vocab, cfg.max_len))
-    return [_rank(records, preds, class_name, gram_size) for gram_size in gram_sizes]
+    codes, tokens = _token_codes(records)
+    ids = _closed_up_ids(codes, codes >= 0, np.array([vocab.id_of(tok) for tok in tokens]),
+                         cfg.max_len)
+    demographics = np.array([demographics_of(rec) for rec in records])
+    _, attention, lengths = predict_attention(params, ids, demographics)
+    return [_rank(codes, tokens, attention[m], lengths, class_name, m) for m in gram_sizes]
 
 
-def _rank(records, preds, class_name: str, gram_size: int) -> list[SymptomScore]:
-    """One gram size's scores from the class's records and their predictions."""
-    f_sum: dict[str, float] = defaultdict(float)
-    att_sum: dict[str, float] = defaultdict(float)
-    max_sum: dict[str, float] = defaultdict(float)
-    count: dict[str, int] = defaultdict(int)
-    for rec, pred in zip(records, preds):
-        weights = _valid_positions(pred.attention, gram_size)
-        if weights.size == 0:
-            continue
-        case_max = float(weights.max())  # softmax output, so > 0
-        best: dict[str, float] = {}
-        for t, w in enumerate(weights):
-            feat = " ".join(rec.tokens[t : t + gram_size])
-            if feat not in best or w > best[feat]:
-                best[feat] = float(w)
-        for feat, w in best.items():
-            count[feat] += 1
-            f_sum[feat] += w / case_max
-            att_sum[feat] += w
-            max_sum[feat] += case_max
+def _gram_keys(windows: np.ndarray, n_codes: int) -> np.ndarray:
+    """One integer per row of token codes, equal for equal rows: the codes in
+    mixed radix ``n_codes``, renumbered first whenever a digit could overflow."""
+    keys = windows[:, 0]
+    for digit in windows.T[1:]:
+        if keys.size and int(keys.max()) >= np.iinfo(np.int64).max // n_codes:
+            keys = np.unique(keys, return_inverse=True)[1]
+        keys = keys * n_codes + digit
+    return keys
 
+
+def _rank(codes: np.ndarray, tokens: list[str], alpha: np.ndarray, lengths: np.ndarray,
+          class_name: str, gram_size: int) -> list[SymptomScore]:
+    """One gram size's scores from the class's coded records and their attention.
+
+    The sums run over each feature's cases in record order, one ``bincount``
+    each, so they add the same floats in the same order as a per-case loop.
+    """
+    valid = np.arange(alpha.shape[1]) <= (lengths - gram_size)[:, None]
+    case, start = valid.nonzero()
+    weight = alpha[case, start]
+    case_max = alpha.max(axis=1, where=valid, initial=0.0)[case]  # softmax output, so > 0
+    windows = codes[case[:, None], start[:, None] + np.arange(gram_size)]
+    firsts, feature = np.unique(_gram_keys(windows, len(tokens)), return_index=True,
+                                return_inverse=True)[1:]
+    # each (case, feature)'s best-attended occurrence: case, then feature, then weight descending
+    pair = case * len(firsts) + feature
+    order = np.lexsort((-weight, pair))
+    best = order[np.diff(pair[order], prepend=-1) != 0]
+    feature, weight, case_max = feature[best], weight[best], case_max[best]
+
+    def sums(values: np.ndarray) -> list:
+        return np.bincount(feature, values, minlength=len(firsts)).tolist()
+
+    names = [" ".join(tokens[c] for c in row) for row in windows[firsts].tolist()]
+    counts = np.bincount(feature, minlength=len(firsts)).tolist()
     scores = [
-        SymptomScore(
-            feature=feat,
-            class_name=class_name,
-            score=f_sum[feat] / n,
-            occurrences=n,
-            mean_attention=att_sum[feat] / n,
-            mean_case_max=max_sum[feat] / n,
-        )
-        for feat, n in count.items()
+        SymptomScore(feature=name, class_name=class_name, score=f / n, occurrences=n,
+                     mean_attention=a / n, mean_case_max=c / n)
+        for name, n, f, a, c in zip(names, counts, sums(weight / case_max), sums(weight),
+                                    sums(case_max))
     ]
     scores.sort(key=lambda s: (-s.score, -s.occurrences, s.feature))
     return scores
@@ -207,6 +212,17 @@ def _token_codes(records: list[CaseRecord]) -> tuple[np.ndarray, list[str]]:
     codes = np.full((len(records), lengths.max(initial=0)), -1)
     codes[np.arange(codes.shape[1]) < lengths[:, None]] = flat
     return codes, list(index)
+
+
+def _closed_up_ids(codes: np.ndarray, keep: np.ndarray, ids_of: np.ndarray,
+                   max_len: int) -> np.ndarray:
+    """The model's (N, max_len) ids: each row's kept codes closed up, cut to
+    ``max_len``, mapped through ``ids_of`` and padded."""
+    position = np.cumsum(keep, axis=1) - 1
+    keep = keep & (position < max_len)
+    ids = np.full((len(codes), max_len), PAD_ID)
+    ids[keep.nonzero()[0], position[keep]] = ids_of[codes[keep]]
+    return ids
 
 
 def _drop_mask(
@@ -309,15 +325,9 @@ def drop_experiment(
     ids_of = np.array([vocab.id_of(tok) for tok in tokens])
     demographics = np.array([demographics_of(rec) for rec in test_records])
     labels = np.array([LABELS.index(rec.label) for rec in test_records])
-    max_len = params.config.max_len
 
     def metrics(drop: np.ndarray) -> Metrics:
-        """The kept tokens of each row, closed up and cut to max_len, through the model."""
-        keep = (codes >= 0) & ~drop
-        position = np.cumsum(keep, axis=1) - 1
-        keep &= position < max_len
-        ids = np.full((len(codes), max_len), PAD_ID)
-        ids[keep.nonzero()[0], position[keep]] = ids_of[codes[keep]]
+        ids = _closed_up_ids(codes, (codes >= 0) & ~drop, ids_of, params.config.max_len)
         return metrics_from(labels, predict_probs(params, ids, demographics).argmax(axis=1))
 
     rows = [DropRow("Baseline", "baseline", 0, metrics(np.zeros(codes.shape, dtype=bool)))]

@@ -13,7 +13,7 @@ their document's end are packed into one matrix of rows, gathered
 straight from the embedding table, and attention and pooling run over
 each document's run of rows. kimcnn's max pool also sees a document's
 first all-padding window, where it has one, as its last row. Padding is
-this module's concern: ``predict_batch`` gives windows that start in
+this module's concern: ``predict_attention`` gives windows that start in
 padding attention weight zero, and training keeps the padding embedding
 row at zero, so an all-padding window convolves to relu(bias).
 
@@ -330,7 +330,8 @@ def forward_graph(
 def _forward_chunks(params: ModelParams, ids: np.ndarray, demographics: np.ndarray):
     """The tape-free forward over a batch, PREDICT_CHUNK cases per pass.
 
-    Yields each chunk's row indices into the batch with ``forward_graph``'s
+    Yields each chunk's rows of the batch, an index array, or ``slice(None)``
+    when one pass takes the whole batch in order, with ``forward_graph``'s
     outputs for those rows. A batch that fills more than one chunk is
     sorted by length first: packing computes the same rows in any order,
     but chunks of like lengths measured about 6% faster on fulltext
@@ -340,7 +341,7 @@ def _forward_chunks(params: ModelParams, ids: np.ndarray, demographics: np.ndarr
     """
     if len(ids) <= PREDICT_CHUNK:  # one pass in the caller's order, or none
         if len(ids):
-            yield range(len(ids)), *forward_graph(params, ids, demographics, ops=ad.TapeFree)
+            yield slice(None), *forward_graph(params, ids, demographics, ops=ad.TapeFree)
         return
     order = np.argsort(doc_lengths(ids), kind="stable")
     for start in range(0, len(ids), PREDICT_CHUNK):
@@ -350,39 +351,67 @@ def _forward_chunks(params: ModelParams, ids: np.ndarray, demographics: np.ndarr
 
 def predict_probs(params: ModelParams, ids: np.ndarray, demographics: np.ndarray) -> np.ndarray:
     """Class probabilities, (B, len(LABELS)), for (B, max_len) ids and (B, 3) demographics:
-    ``predict_batch``'s chunked forward, with no per-case records."""
+    ``predict_attention``'s chunked forward, without the attention."""
     probs = np.empty((len(ids), len(LABELS)))
     for rows, chunk_probs, _, _ in _forward_chunks(params, ids, demographics):
         probs[rows] = chunk_probs
     return probs
 
 
-def predict_batch(params: ModelParams, cases: list[EncodedCase]) -> list[Prediction]:
-    """Inference over ``cases``, in the caller's order: probabilities, label and attention.
+def _batch_outputs(cfg: ModelConfig, n: int):
+    """Unfilled probabilities, attention and lengths for a batch of ``n`` cases."""
+    attention = ({m: np.empty((n, cfg.max_len - m + 1)) for m in cfg.widths}
+                 if cfg.arch == "acnn" else {})
+    return np.empty((n, len(LABELS))), attention, np.empty(n, dtype=np.int64)
 
-    The chunked forward of ``predict_probs``, with each window's attention
-    spread over max_len - m + 1 positions per case.
+
+def predict_attention(
+    params: ModelParams, ids: np.ndarray, demographics: np.ndarray
+) -> tuple[np.ndarray, dict[int, np.ndarray], np.ndarray]:
+    """The chunked forward with attention, in the caller's order.
+
+    Takes (B, max_len) ids and (B, 3) demographics; returns the (B,
+    len(LABELS)) probabilities, each width m's attention as a (B, max_len
+    - m + 1) array of window positions, zero where a window starts in
+    padding (none for kimcnn), and each case's length in tokens.
     """
     cfg = params.config
-    ids = np.array([c.ids for c in cases])
-    demographics = np.array([c.demographics for c in cases])
-    preds: list[Prediction] = [None] * len(cases)
+    out = None  # filled chunk by chunk when a pass covers part of the batch
     for rows, probs, attention, lengths in _forward_chunks(params, ids, demographics):
         starts_inside = np.arange(cfg.max_len) < lengths[:, None]
         for m, alpha in attention.items():
-            attention[m] = dense = np.zeros((len(rows), cfg.max_len - m + 1))
+            attention[m] = dense = np.zeros((len(lengths), cfg.max_len - m + 1))
             dense[starts_inside[:, : dense.shape[1]]] = alpha  # the rows are packed row-major
-        for i, (row, p) in enumerate(zip(rows, probs)):
-            record = None
-            if cfg.arch == "acnn":
-                record = AttentionRecord({m: a[i] for m, a in attention.items()}, int(lengths[i]))
-            preds[row] = Prediction(probs=p, predicted=int(p.argmax()), attention=record)
-    return preds
+        if isinstance(rows, slice):  # one pass over the whole batch, in its order
+            return probs, attention, lengths
+        out = out or _batch_outputs(cfg, len(ids))
+        out[0][rows], out[2][rows] = probs, lengths
+        for m, dense in attention.items():
+            out[1][m][rows] = dense
+    return out or _batch_outputs(cfg, 0)
+
+
+def predict_batch(params: ModelParams, cases: list[EncodedCase]) -> list[Prediction]:
+    """Inference over ``cases``, in the caller's order: one ``Prediction`` per case."""
+    return _predictions(params, np.array([c.ids for c in cases]),
+                        np.array([c.demographics for c in cases]))
 
 
 def predict(params: ModelParams, case: EncodedCase) -> Prediction:
     """Inference-mode forward for one case: probabilities, label, attention."""
-    return predict_batch(params, [case])[0]
+    # views of the case's arrays: the one-case request path skips predict_batch's copies
+    return _predictions(params, case.ids[None], case.demographics[None])[0]
+
+
+def _predictions(params: ModelParams, ids: np.ndarray, demographics: np.ndarray
+                 ) -> list[Prediction]:
+    """``predict_attention``'s probabilities, label and attention, one record per case."""
+    probs, attention, lengths = predict_attention(params, ids, demographics)
+    return [
+        Prediction(probs=p, predicted=int(p.argmax()), attention=AttentionRecord(
+            {m: a[i] for m, a in attention.items()}, n) if attention else None)
+        for i, (p, n) in enumerate(zip(probs, lengths.tolist()))
+    ]
 
 
 # -- persistence -------------------------------------------------------------

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from triagenet import cli as cli_module
 from triagenet import corpus as corpus_module
 from triagenet import explain, model
 from triagenet.cli import (
@@ -20,6 +21,7 @@ from triagenet.cli import (
     build_parser,
     main,
     resolve_config,
+    write_json,
 )
 from triagenet.corpus import (
     URGENT,
@@ -384,32 +386,9 @@ class TestScoringCommands:
                 r["pair_score"] - max(r["first_score"], r["second_score"])
             )
 
-    def test_pairs_runs_the_model_once_over_the_class(self, pipeline, monkeypatch):
-        out, config = pipeline
-        rows = []
-
-        def counting_predict_batch(params, cases):
-            rows.append(len(cases))
-            return predict_batch(params, cases)
-
-        predict_batch = explain.predict_batch
-        monkeypatch.setattr(explain, "predict_batch", counting_predict_batch)
-        assert run("pairs", "--config", config, "--out-dir", out) == 0
-        urgent = sum(r.label == URGENT for r in train_split(out, CONFIG["seed"]))
-        assert sum(rows) == urgent
-
-    def test_drop_experiment_rows(self, pipeline):
-        out, config = pipeline
-        assert run("drop-experiment", "--config", config, "--out-dir", out,
-                   "--drops", "2") == 0
-        rows = json.loads((out / "drop_experiment.json").read_text())
-        assert [r["label"] for r in rows] == [
-            "Baseline", "Random Drop", "Frequency Drop", "Attention Drop",
-            "2 Random Drops", "2 Frequency Drops", "2 Attention Drops",
-        ]
-
-    def test_drop_experiment_runs_the_model_once_per_condition(self, pipeline, monkeypatch):
-        out, config = pipeline
+    @staticmethod
+    def count_model_work(monkeypatch):
+        """Rows through ``forward_graph`` and ``Prediction``s built, as two growing lists."""
         rows, predictions = [], []
 
         def counting_forward_graph(params, ids, demographics, **kwargs):
@@ -423,15 +402,44 @@ class TestScoringCommands:
         forward_graph, prediction = model.forward_graph, model.Prediction
         monkeypatch.setattr(model, "forward_graph", counting_forward_graph)
         monkeypatch.setattr(model, "Prediction", counting_prediction)
+        return rows, predictions
+
+    def check_one_pass_over_the_class(self, pipeline, monkeypatch, *command):
+        out, config = pipeline
+        rows, predictions = self.count_model_work(monkeypatch)
+        assert run(*command, "--config", config, "--out-dir", out) == 0
+        urgent = sum(r.label == URGENT for r in train_split(out, CONFIG["seed"]))
+        assert sum(rows) == urgent
+        assert predictions == []
+
+    def test_pairs_runs_the_model_once_over_the_class(self, pipeline, monkeypatch):
+        self.check_one_pass_over_the_class(pipeline, monkeypatch, "pairs")
+
+    def test_score_symptoms_runs_the_model_once_over_the_class(self, pipeline, monkeypatch):
+        self.check_one_pass_over_the_class(pipeline, monkeypatch, "score-symptoms", "--gram", "2")
+
+    def test_drop_experiment_rows(self, pipeline):
+        out, config = pipeline
+        assert run("drop-experiment", "--config", config, "--out-dir", out,
+                   "--drops", "2") == 0
+        rows = json.loads((out / "drop_experiment.json").read_text())
+        assert [r["label"] for r in rows] == [
+            "Baseline", "Random Drop", "Frequency Drop", "Attention Drop",
+            "2 Random Drops", "2 Frequency Drops", "2 Attention Drops",
+        ]
+
+    def test_drop_experiment_runs_the_model_once_per_condition(self, pipeline, monkeypatch):
+        out, config = pipeline
+        rows, predictions = self.count_model_work(monkeypatch)
         assert run("drop-experiment", "--config", config, "--out-dir", out,
                    "--drops", "2") == 0
         records = load_corpus(out / "corpus.jsonl").records
         _, _, te = split(records, (0.9, 0.05, 0.05), seed=derive_seed(CONFIG["seed"], "split"))
         urgent = sum(r.label == URGENT for r in train_split(out, CONFIG["seed"]))
         # the baseline and 3 conditions per drop count over the test split, then
-        # one scoring pass over the class's training cases, the only Predictions
+        # one scoring pass over the class's training cases
         assert sum(rows) == (1 + 3 * 2) * len(te) + urgent
-        assert len(predictions) == urgent
+        assert predictions == []
 
     def test_grid_search(self, pipeline):
         out, config = pipeline
@@ -455,6 +463,84 @@ class TestScoringCommands:
             notes.append(capsys.readouterr().err)
         assert notes[0].startswith("note: ") and "train and val documents" in notes[0]
         assert notes[1] == notes[0]
+
+
+def indented_json(obj) -> bytes:
+    """What ``write_json`` writes: the standard library's indented encoding."""
+    return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
+
+
+def rows(n, **extra):
+    return [{"feature": f"tok{i}", "score": i / 7, "occurrences": i, "flag": i % 2 == 0,
+             "note": None, **extra} for i in range(n)]
+
+
+ODD_STRINGS = ["},\n    {", "},\n      {", '"quoted"', "back\\slash\\", "caf\u00e9 \u2192 \U0001f600",
+               "tab\tand\rreturn", ""]
+ODD_FLOATS = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e300, 0.1]
+
+
+class TestWriteJson:
+    """``write_json`` writes what ``json.dump(obj, indent=2, sort_keys=True)`` does, and a newline."""
+
+    def test_every_file_of_a_tour_run(self, tmp_path, monkeypatch):
+        written = []
+
+        def recording_write_json(obj, path):
+            write_json(obj, path)
+            written.append((obj, Path(path), Path(path).read_bytes()))
+
+        monkeypatch.setattr(cli_module, "write_json", recording_write_json)
+        out, config = make_workspace(tmp_path, "tour")
+        run_pipeline(out, config)
+        for command in (("score-symptoms", "--gram", "1"), ("pairs",),
+                        ("drop-experiment", "--drops", "2"),
+                        ("explain", "--cases", "0,2", "--format", "ansi"),
+                        ("explain", "--cases", "0,2")):
+            assert run(*command, "--config", config, "--out-dir", out) == 0
+        names = {path.name for _, path, _ in written}
+        assert {"metrics.json", "scores_urgent_care_1gram.json", "pairs_urgent_care.json",
+                "drop_experiment.json", "manifest_explain.json"} <= names
+        assert len(written) == 13 and len(names) == 12  # explain runs twice
+        for obj, path, text in written:
+            assert text == indented_json(obj), path.name
+
+    @pytest.mark.parametrize("n", [1, 256, 257, 600])
+    def test_lists_of_flat_dicts(self, tmp_path, n):
+        for obj in (rows(n), tuple(rows(n)), {"outer": {"rows": rows(n)}, "z": 1}, [[rows(n)]]):
+            write_json(obj, tmp_path / "rows.json")
+            assert (tmp_path / "rows.json").read_bytes() == indented_json(obj)
+
+    def test_odd_strings_and_floats(self, tmp_path):
+        values = ODD_STRINGS + ODD_FLOATS
+        objs = [
+            values,
+            {s: v for s, v in zip(ODD_STRINGS, ODD_FLOATS)},
+            [{"text": s, "value": v, s: s} for s in ODD_STRINGS for v in ODD_FLOATS],
+            {"nested": [{"rows": [{"k": s}]} for s in ODD_STRINGS], "floats": ODD_FLOATS},
+        ]
+        for obj in objs:
+            write_json(obj, tmp_path / "odd.json")
+            assert (tmp_path / "odd.json").read_bytes() == indented_json(obj)
+
+    @pytest.mark.parametrize("obj", [
+        [], {}, (), 0, -3, 2.5, "text", None, True, False,
+        [[], {}, ()], {"a": [], "b": {}, "c": ()},
+        {"t": (1, 2.0, "x"), "b": [True, False, None], "n": None, "i": 7},
+        [{"a": 1}, {}, {"b": 2}],  # an empty row: not a list of flat dicts
+        [{"a": 1}, {"b": [1, 2]}],  # a nested value in one row
+        [{"a": (1, 2)}],
+        [{2: "b", 1: True, 0.5: None}, {None: 1.5}, {False: "f"}],  # keys the encoder converts
+        [{"a": 1}, 2, "three"],
+        {1: "a", 3: {"x": []}},
+        {"x": {2.5: [1], 0.5: {"y": ()}}},
+        {"x": {True: [1], False: {"y": None}}},
+        {"x": {None: [1]}},
+        [[[1, [2, [3, []]]]]],
+    ], ids=lambda obj: repr(obj)[:40])
+    def test_scalars_and_containers(self, tmp_path, obj):
+        write_json(obj, tmp_path / "obj.json")
+        assert (tmp_path / "obj.json").read_bytes() == indented_json(obj)
 
 
 class _Balance(HTMLParser):

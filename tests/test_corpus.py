@@ -283,6 +283,18 @@ class TestSerialization:
         with pytest.raises(SpecValidationError, match=f"^line 2: .*reserved {PAD_TOKEN}"):
             load_corpus(path)
 
+    @pytest.mark.parametrize("token", ["x y", " x", "x\t", "x\ny", "x\u00a0y"])
+    def test_tokens_with_whitespace_refused(self, tmp_path, token):
+        # scoring joins a bigram's tokens with a space: ("x y", "z") would merge with ("x", "y z")
+        record = CaseRecord(["fieber", token], TELECARE, 30, "male")
+        with pytest.raises(SpecValidationError, match="without whitespace"):
+            save_corpus(Corpus([record]), tmp_path / "c.jsonl")
+        path = tmp_path / "ext.jsonl"
+        path.write_text(json.dumps({**vars(record), "tokens": ["fieber"]}) + "\n"
+                        + json.dumps(vars(record)) + "\n")
+        with pytest.raises(SpecValidationError, match="^line 2: .*without whitespace"):
+            load_corpus(path)
+
     def test_malformed_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"tokens": [], "label": "telecare", "age": 1, "gender": "male"}\n')

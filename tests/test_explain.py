@@ -1,7 +1,7 @@
 """Tests for feature scoring, drop experiments, and heatmap rendering."""
 
 import dataclasses
-from collections import Counter
+from collections import Counter, defaultdict
 from html.parser import HTMLParser
 
 import numpy as np
@@ -30,8 +30,16 @@ from triagenet.explain import (
     render_pair_table,
     render_score_table,
     score_features,
+    score_grams,
 )
-from triagenet.model import AttentionRecord, ModelConfig, init_params, predict, predict_batch
+from triagenet.model import (
+    PREDICT_CHUNK,
+    AttentionRecord,
+    ModelConfig,
+    init_params,
+    predict,
+    predict_batch,
+)
 from triagenet.training import HyperParams, derive_seed, evaluate, metrics_from, train
 
 
@@ -371,11 +379,11 @@ class TestDropDatasetOracle:
         assert drop_dataset([], 2, {"a": 1.0}) == []
 
 
-def drop_world(max_len, min_count, extra=()):
+def drop_world(max_len, min_count, extra=(), widths=(1, 2)):
     corpus = generate_corpus(GeneratorSpec(), 230, seed=11)
     train_records, test_records = corpus.records[:130], corpus.records[130:] + list(extra)
     vocab = build_vocab(train_records, min_count=min_count)
-    config = ModelConfig(vocab_size=len(vocab), max_len=max_len, embedding_dim=8, widths=(1, 2),
+    config = ModelConfig(vocab_size=len(vocab), max_len=max_len, embedding_dim=8, widths=widths,
                          filters=6, attention_size=5, mlp_layers=(12,), dropout=0.0)
     params = init_params(config, seed=3)
     train(params, encode_corpus(train_records, vocab, max_len),
@@ -448,6 +456,144 @@ class TestDropExperimentOracle:
 
     def test_one_drop(self, monkeypatch):
         self.check(drop_world(max_len=10, min_count=1), 1, monkeypatch)
+
+
+def per_window_attention(params, cases):
+    """The attention records of the dense per-case predictions score_grams once read."""
+    cfg = params.config
+    ids = np.array([c.ids for c in cases])
+    demographics = np.array([c.demographics for c in cases])
+    records = [None] * len(cases)
+    for rows, _, attention, lengths in model._forward_chunks(params, ids, demographics):
+        rows = np.arange(len(cases))[rows]  # a slice when one pass takes the whole batch
+        starts_inside = np.arange(cfg.max_len) < lengths[:, None]
+        for m, alpha in attention.items():
+            attention[m] = dense = np.zeros((len(rows), cfg.max_len - m + 1))
+            dense[starts_inside[:, : dense.shape[1]]] = alpha
+        for i, row in enumerate(rows):
+            records[row] = AttentionRecord({m: a[i] for m, a in attention.items()}, int(lengths[i]))
+    return records
+
+
+def per_window_score_grams(params, records, vocab, class_name, gram_sizes):
+    """score_grams as a loop over every case's valid windows: the oracle."""
+    records = [r for r in records if r.label == class_name]
+    attention = per_window_attention(params, encode_corpus(records, vocab, params.config.max_len))
+    out = []
+    for m in gram_sizes:
+        f_sum, att_sum, max_sum = (defaultdict(float) for _ in range(3))
+        count = defaultdict(int)
+        for r, record in zip(records, attention):
+            weights = record.alphas[m][: max(record.n_tokens - m + 1, 0)]
+            if weights.size == 0:
+                continue
+            case_max = float(weights.max())
+            best = {}
+            for t, w in enumerate(weights):
+                feat = " ".join(r.tokens[t : t + m])
+                if feat not in best or w > best[feat]:
+                    best[feat] = float(w)
+            for feat, w in best.items():
+                count[feat] += 1
+                f_sum[feat] += w / case_max
+                att_sum[feat] += w
+                max_sum[feat] += case_max
+        scores = [SymptomScore(feat, class_name, f_sum[feat] / n, n, att_sum[feat] / n,
+                               max_sum[feat] / n) for feat, n in count.items()]
+        scores.sort(key=lambda s: (-s.score, -s.occurrences, s.feature))
+        out.append(scores)
+    return out
+
+
+class TestScoreGramsOracle:
+    """score_grams equals the per-window loop, float for float."""
+
+    GRAM_SIZES = [(1,), (2,), (1, 2), (3,)]
+
+    @staticmethod
+    def world(max_len, min_count, extra=()):
+        params, train_records, test_records, vocab = drop_world(max_len, min_count,
+                                                                widths=(1, 2, 3))
+        return params, train_records + test_records + list(extra), vocab
+
+    def check(self, world, class_name="urgent_care"):
+        params, records, vocab = world
+        for gram_sizes in self.GRAM_SIZES:
+            got = score_grams(params, records, vocab, class_name, gram_sizes)
+            assert got == per_window_score_grams(params, records, vocab, class_name, gram_sizes)
+            assert all(got)  # not vacuous: every gram size scores something
+
+    def test_documents_longer_than_max_len(self):
+        world = self.world(max_len=6, min_count=1)
+        assert sum(len(r.tokens) > 6 + 2 for r in world[1] if r.label == "urgent_care") > 10
+        self.check(world)
+
+    def test_more_than_one_chunk(self):
+        world = self.world(max_len=16, min_count=1)
+        for class_name in ("urgent_care", "telecare"):
+            assert sum(r.label == class_name for r in world[1]) > PREDICT_CHUNK
+            self.check(world, class_name)
+
+    def test_repeated_tokens_count_their_best_occurrence(self, monkeypatch):
+        repeats = [rec(["mild00", "mild01", "mild00", "crit00", "mild00"]),
+                   rec(["crit00", "mild02", "crit00", "mild02", "crit00", "mild02"]),
+                   rec(["mild03", "mild03", "mild03", "mild03"]),
+                   rec(["mild04", "crit01", "mild05", "mild04", "crit01", "mild05"])]
+        params, records, vocab = world = self.world(max_len=16, min_count=1, extra=repeats)
+        forward_chunks = model._forward_chunks
+
+        def uneven_chunks(params, ids, demographics):
+            """Equal windows get equal attention; scaling each packed row apart makes the
+            occurrences of a repeated feature differ, for both paths alike."""
+            for rows, probs, attention, lengths in forward_chunks(params, ids, demographics):
+                yield rows, probs, {m: a * (1.0 + 0.1 * (np.arange(a.size) % 7))
+                                    for m, a in attention.items()}, lengths
+
+        monkeypatch.setattr(model, "_forward_chunks", uneven_chunks)
+        # not vacuous: some repeated token's best occurrence comes after its first
+        urgent = [r for r in records if r.label == "urgent_care"]
+        attention = per_window_attention(params, encode_corpus(urgent, vocab, 16))
+        later = 0
+        for r, att in zip(repeats, attention[-len(repeats) :]):
+            weights = att.alphas[1][: len(r.tokens)]
+            for tok in set(r.tokens):
+                at = [i for i, t in enumerate(r.tokens) if t == tok]
+                later += len(at) > 1 and weights[at].argmax() > 0
+        assert later
+        self.check(world)
+
+    def test_one_token_records(self):
+        short = [rec([t]) for t in ("crit00", "mild00", "crit01", "mild00")]
+        world = self.world(max_len=16, min_count=1, extra=short)
+        self.check(world)
+
+    def test_unknown_tokens_rank_apart(self):
+        world = self.world(max_len=16, min_count=2)
+        params, records, vocab = world
+        unknown = {t for r in records if r.label == "urgent_care" for t in r.tokens
+                   if vocab.id_of(t) == UNK_ID}
+        assert len(unknown) >= 2
+        self.check(world)
+        assert unknown <= {s.feature for s in score_features(params, records, vocab,
+                                                              "urgent_care", 1)}
+
+    @pytest.mark.parametrize("n_codes", [3, 2**21, 2**40])
+    def test_gram_keys_match_equal_windows_only(self, n_codes):
+        # at 2**21 and above, three or more digits leave int64 unless renumbered first
+        rng = np.random.default_rng(n_codes)
+        rows = rng.integers(max(n_codes - 4, 0), n_codes, size=(300, 5))
+        keys = explain._gram_keys(rows, n_codes)
+        _, by_row = np.unique(rows, axis=0, return_inverse=True)
+        _, by_key = np.unique(keys, return_inverse=True)
+        np.testing.assert_array_equal(by_key, by_row)
+
+    def test_class_with_no_records(self):
+        params, records, vocab = self.world(max_len=16, min_count=1)
+        others = [r for r in records if r.label != "telecare"]
+        for gram_sizes in self.GRAM_SIZES:
+            assert score_grams(params, others, vocab, "telecare", gram_sizes) == [
+                [] for _ in gram_sizes] == per_window_score_grams(
+                    params, others, vocab, "telecare", gram_sizes)
 
 
 @pytest.fixture(scope="module")
