@@ -128,6 +128,35 @@ def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b
 
 
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # x @ w + b, the bias added in the matmul's own output
+    out = _matmul(x, w)
+    if b.shape != out.shape[1:]:
+        raise ShapeError(f"bias {b.shape} does not fit the product's rows {out.shape[1:]}")
+    out += b
+    return out
+
+
+def _leading_columns(windows: np.ndarray, w: np.ndarray) -> np.ndarray:
+    # the first w.shape[0] / k token vectors of each (M, k) window, as one row each
+    if windows.ndim != 3 or w.ndim != 2:
+        raise ShapeError(f"conv needs (N, M, k) windows and 2-D filters, got {windows.shape}, {w.shape}")
+    n, widest, k = windows.shape
+    if w.shape[0] % k or not 0 < w.shape[0] <= widest * k:
+        raise ShapeError(f"filters of {w.shape[0]} rows do not span 1 to {widest} tokens of {k}")
+    return windows.reshape(n, widest * k)[:, : w.shape[0]]  # a strided view, no copy
+
+
+def _conv(windows: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    out = _affine(_leading_columns(windows, w), w, b)
+    return np.maximum(out, 0.0, out=out)
+
+
+def _tanh_affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    out = _affine(x, w, b)
+    return np.tanh(out, out=out)
+
+
 def _reshape(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return x.reshape(shape)
 
@@ -203,6 +232,8 @@ class TapeFree:
 
     lookup = staticmethod(_lookup)
     matmul = staticmethod(_matmul)
+    conv = staticmethod(_conv)
+    tanh_affine = staticmethod(_tanh_affine)
     add = staticmethod(np.add)
     relu = staticmethod(_relu)
     tanh = staticmethod(np.tanh)
@@ -280,6 +311,53 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(_matmul(A, Bd), (a, b), grad_fn)
 
 
+def conv(windows: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Relu convolution of token windows: relu(X @ w + b), one output row per window.
+
+    ``windows`` is (N, M, k), each row M token vectors of k; X holds each
+    row's first m = w.shape[0] / k vectors, so filters of any width up to
+    M read one shared block. The value is computed in place in the
+    matmul's output, and the gradient adds into the block gradient's
+    leading columns.
+    """
+    X = _leading_columns(windows.data, w.data)
+    W = w.data
+    out = _affine(X, W, b.data)
+    if _RELU_TRACE is not None:
+        _RELU_TRACE.append(out.copy())
+    np.maximum(out, 0.0, out=out)
+
+    def grad_fn(g: np.ndarray) -> None:
+        g *= out > 0.0  # out > 0 exactly where the pre-activation was
+        _accumulate(w, X.T @ g)
+        _accumulate(b, g.sum(axis=0))
+        if windows.grad is None:  # the first filter back writes its columns and zeros the rest
+            windows.grad = np.empty_like(windows.data)
+            rows = windows.grad.reshape(len(X), -1)
+            np.matmul(g, W.T, out=rows[:, : W.shape[0]])
+            rows[:, W.shape[0] :] = 0.0
+        else:
+            windows.grad.reshape(len(X), -1)[:, : W.shape[0]] += g @ W.T
+
+    return Tensor(out, (windows, w, b), grad_fn)
+
+
+def tanh_affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """tanh(x @ w + b), computed in place in the matmul's output."""
+    A, W = x.data, w.data
+    y = _tanh_affine(A, W, b.data)
+
+    def grad_fn(g: np.ndarray) -> None:
+        ga = y * y
+        np.subtract(1.0, ga, out=ga)
+        ga *= g
+        _accumulate(b, ga.sum(axis=0))
+        _accumulate(x, ga @ W.T)
+        _accumulate(w, A.T @ ga)
+
+    return Tensor(y, (x, w, b), grad_fn)
+
+
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     def grad_fn(g: np.ndarray) -> None:
         _accumulate(x, g.reshape(x.shape))
@@ -303,12 +381,11 @@ def lookup(table: Tensor, ids: np.ndarray) -> Tensor:
     ids = np.asarray(ids)
 
     def grad_fn(g: np.ndarray) -> None:
-        if table.grad is None:
-            table.grad = np.zeros_like(table.data)
-        # one 1-D scatter-add over (row, column) cells: numpy's fast path for ufunc.at
+        # one count over (row, column) cells, summed in input order into a fresh array
         k = table.shape[1]
         cells = (ids[..., None] * k + np.arange(k)).reshape(-1)
-        np.add.at(table.grad.reshape(-1), cells, g.reshape(-1))
+        _accumulate(table, np.bincount(cells, weights=g.reshape(-1),
+                                       minlength=table.data.size).reshape(table.shape))
 
     return Tensor(_lookup(table.data, ids), (table,), grad_fn)
 

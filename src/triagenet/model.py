@@ -9,13 +9,17 @@ widths, concatenated with a small demographics vector, feed a relu MLP
 with a softmax head.
 
 Only real windows are computed: a batch's windows that start before
-their document's end are packed into one matrix of rows, gathered
-straight from the embedding table, and attention and pooling run over
-each document's run of rows. kimcnn's max pool also sees a document's
-first all-padding window, where it has one, as its last row. Padding is
-this module's concern: ``predict_attention`` gives windows that start in
-padding attention weight zero, and training keeps the padding embedding
-row at zero, so an all-padding window convolves to relu(bias).
+their document's end are packed one document after another, and
+attention and pooling run over each document's run of rows. Widths whose
+windows fit every document share one packing. Its windows of the widest
+such width are gathered from the embedding table once, as one block, and
+each width's fused convolution (``autodiff.conv``) reads the block's
+leading m tokens: im2col's shared unfolding. kimcnn's max pool also sees
+a document's first all-padding window, where it has one, as its last
+row. Padding is this module's concern: ``predict_attention`` gives
+windows that start in padding attention weight zero, and training keeps
+the padding embedding row at zero, so an all-padding window convolves to
+relu(bias).
 
 One forward pass, ``forward_graph``, serves training and inference. It
 takes a batch of documents as a (B, max_len) id array and is written
@@ -214,19 +218,6 @@ def doc_lengths(ids: np.ndarray) -> np.ndarray:
     return real.shape[1] - real[:, ::-1].argmax(axis=1)
 
 
-def ngram_encode(params: ModelParams, windows: np.ndarray, ops=ad) -> Activation:
-    """Relu convolution of token windows gathered straight from the embedding table.
-
-    ``windows`` is an (N, m) id array, one window of width m per row; the
-    result is (N, filters), one feature row per window.
-    """
-    p, t = ops.param, params.tensors
-    n, m = windows.shape
-    w, b = params.config.tensor_names[0][m][:2]
-    rows = ops.reshape(ops.lookup(p(t["embedding"]), windows), (n, m * params.config.embedding_dim))
-    return ops.relu(ops.add(ops.matmul(rows, p(t[w])), p(t[b])))
-
-
 def attend(
     params: ModelParams, feats: Activation, seg: ad.Segments, m: int, ops=ad
 ) -> tuple[Activation, Activation]:
@@ -238,7 +229,7 @@ def attend(
     """
     p, t = ops.param, params.tensors
     w, b, context = params.config.tensor_names[0][m][2:]
-    u = ops.tanh(ops.add(ops.matmul(feats, p(t[w])), p(t[b])))
+    u = ops.tanh_affine(feats, p(t[w]), p(t[b]))
     alpha = ops.segment_softmax(ops.matmul(u, p(t[context])), seg)
     return ops.segment_sum(alpha, feats, seg), alpha
 
@@ -279,11 +270,13 @@ def forward_graph(
     hidden MLP layer exactly when ``dropout_rng`` is given, drawing from it.
 
     Only real windows are computed, plus for kimcnn one all-padding window
-    per document that has one, last in its run so a real window wins ties:
-    those of each width are gathered from the embedding table as one packed
-    batch of rows, and attention and pooling run per document over segments
-    of those rows. The row layout depends on the width only through
-    max_len - m + 1, so widths whose windows all fit share one layout.
+    per document that has one, last in its run so a real window wins ties.
+    The row layout depends on the width only through max_len - m + 1, so
+    widths whose windows all fit share one layout. Each layout's windows
+    of its widest width are gathered from the embedding table once, as one
+    (N, widest, embedding_dim) block; each width's convolution reads its
+    leading m tokens. Attention and pooling run per document over segments
+    of the rows.
     """
     cfg = params.config
     ids = np.asarray(ids)
@@ -291,25 +284,23 @@ def forward_graph(
         raise ad.ShapeError(f"ids must have shape (B, {cfg.max_len}), got {ids.shape}")
     lengths = doc_lengths(ids)
 
-    B, L = ids.shape
-    widest = max(cfg.widths)
-    # padded so that every layout's rows can take windows of the widest width
-    padded = np.zeros((B, L + widest - 1), dtype=ids.dtype)
-    padded[:, :L] = ids
+    L = ids.shape[1]
     counts = lengths + (cfg.arch == "kimcnn")  # kimcnn also pools one all-padding window
     longest = int(np.maximum.reduce(counts))
+    keys = {m: min(L - m + 1, longest) for m in cfg.widths}  # every longer cap gives the same rows
+    p, t = ops.param, params.tensors
     layouts = {}
-    p = ops.param
+    for key in dict.fromkeys(keys.values()):
+        widest = max(m for m in cfg.widths if keys[m] == key)
+        seg, first = window_rows(counts, key, L)
+        windows = ids.ravel()[first[:, None] + np.arange(widest)]  # key <= L - widest + 1: in row
+        layouts[key] = seg, ops.lookup(p(t["embedding"]), windows)
     pooled: list[Activation] = []
     attention: dict[int, Activation] = {}
     for m in cfg.widths:
-        n_windows = L - m + 1
-        key = min(n_windows, longest)  # every longer cap gives the same rows
-        if key not in layouts:
-            seg, first = window_rows(counts, n_windows, padded.shape[1])
-            layouts[key] = seg, padded.ravel()[first[:, None] + np.arange(widest)]
-        seg, windows = layouts[key]
-        feats = ngram_encode(params, windows[:, :m], ops)
+        seg, block = layouts[keys[m]]
+        w, b = cfg.tensor_names[0][m][:2]
+        feats = ops.conv(block, p(t[w]), p(t[b]))
         if cfg.arch == "kimcnn":
             pooled.append(ops.segment_max(feats, seg))
             continue
@@ -317,7 +308,6 @@ def forward_graph(
         pooled.append(s)
 
     h = ops.concat(pooled + [ops.constant(demographics)])
-    t = params.tensors
     *hidden, (w, b) = cfg.tensor_names[1]
     for hidden_w, hidden_b in hidden:
         h = ops.relu(ops.add(ops.matmul(h, p(t[hidden_w])), p(t[hidden_b])))

@@ -53,11 +53,14 @@ class HyperParams(Schema):
 
 
 class AdamState:
-    """First and second moment buffers, one pair per parameter."""
+    """First and second moment buffers, one pair per parameter, and per
+    parameter one scratch buffer of two arrays of its shape for the step's
+    intermediates."""
 
     def __init__(self, params: list[Tensor]):
         self.m = [np.zeros_like(p.data) for p in params]
         self.v = [np.zeros_like(p.data) for p in params]
+        self.scratch = [np.empty((2, *p.data.shape)) for p in params]
         self.t = 0
 
 
@@ -65,21 +68,31 @@ def adam_step(params: list[Tensor], state: AdamState, hyper: HyperParams) -> Non
     """Bias-corrected Adam update with decoupled weight decay ``WEIGHT_DECAY``.
 
     The decay term joins the update directly rather than entering the
-    moment estimates.
+    moment estimates. Per entry the step computes
+
+        m = BETA1 m + (1 - BETA1) g,  v = BETA2 v + ((1 - BETA2) g) g,
+        p -= lr (m / (1 - BETA1^t) / (sqrt(v / (1 - BETA2^t)) + EPS) + WEIGHT_DECAY p),
+
+    each operation in place in the moments or the scratch buffer.
     """
     state.t += 1
     t = state.t
-    for i, p in enumerate(params):
+    for p, m, v, (a, b) in zip(params, state.m, state.v, state.scratch):
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        m, v = state.m[i], state.v[i]
         m *= BETA1
-        m += (1 - BETA1) * g
+        m += np.multiply(g, 1 - BETA1, out=a)
         v *= BETA2
-        v += (1 - BETA2) * g * g
-        m_hat = m / (1 - BETA1**t)
-        v_hat = v / (1 - BETA2**t)
-        update = m_hat / (np.sqrt(v_hat) + EPS) + WEIGHT_DECAY * p.data
-        p.data -= hyper.lr * update
+        np.multiply(g, 1 - BETA2, out=a)
+        a *= g
+        v += a
+        np.divide(m, 1 - BETA1**t, out=a)  # m_hat
+        np.divide(v, 1 - BETA2**t, out=b)  # v_hat
+        np.sqrt(b, out=b)
+        b += EPS
+        a /= b
+        a += np.multiply(p.data, WEIGHT_DECAY, out=b)  # the update
+        a *= hyper.lr
+        p.data -= a
 
 
 def _stack(cases: list[EncodedCase]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -7,7 +7,7 @@ difference oracle that is independent of the library's own grad_check.
 import ast
 import inspect
 from pathlib import Path
-from types import FunctionType, SimpleNamespace
+from types import FunctionType
 
 import numpy as np
 import pytest
@@ -21,19 +21,22 @@ from triagenet.autodiff import (
     ShapeError,
     Tensor,
     concat,
+    conv,
     dropout,
     grad_check,
     lookup,
     matmul,
     mean_nll,
+    record_relu_inputs,
     relu,
     segment_max,
     segment_softmax,
     segment_sum,
     softmax,
     tanh,
+    tanh_affine,
 )
-from triagenet.model import ModelConfig, ngram_encode, window_rows
+from triagenet.model import window_rows
 
 
 def tsum(x, weights=None):
@@ -77,7 +80,7 @@ def unfold(B, L, m):
 
 
 def conv_valid(x, w, b, m):
-    """Valid convolution plus relu as the model builds it: window gather, matmul, add, relu.
+    """Valid convolution plus relu as the model builds it: a window gather, then ``conv``.
 
     ``x`` is (B, L, k), ``w`` holds the filters flattened to (m * k, f)
     and ``b`` is (f,). The windows are gathered from the rows of ``x``
@@ -85,11 +88,7 @@ def conv_valid(x, w, b, m):
     """
     B, L, k = x.shape
     table = Tensor(x.data.reshape(B * L, k))
-    config = ModelConfig(vocab_size=B * L, max_len=L, embedding_dim=k, widths=(m,),
-                         filters=w.shape[1])
-    params = SimpleNamespace(tensors={"embedding": table, f"conv_w{m}": w, f"conv_b{m}": b},
-                             config=config)
-    feats = ngram_encode(params, unfold(B, L, m))
+    feats = conv(lookup(table, unfold(B, L, m)), w, b)
     return ad.reshape(feats, (B, L - m + 1, -1))
 
 
@@ -151,6 +150,130 @@ class TestUnfold:
         loss.backward()
         # middle row participates in both windows
         np.testing.assert_array_equal(x.grad, [[1.0, 1.0], [2.0, 2.0], [1.0, 1.0]])
+
+
+class TestFusedOps:
+    """``conv`` and ``tanh_affine`` against the op chains they fuse."""
+
+    def test_conv_matches_a_gather_per_width(self):
+        # widths 1 and 3 read one gathered block of 3-token windows; ids repeat
+        rng = np.random.default_rng(61)
+        table = Tensor(rng.normal(size=(5, 2)))
+        ids = rng.integers(0, 5, size=(6, 3))
+        filters = {m: (Tensor(rng.normal(size=(2 * m, 4))), Tensor(rng.normal(size=4)))
+                   for m in (1, 3)}
+        weights = rng.normal(size=(6, 4))
+        tensors = [table, *(t for pair in filters.values() for t in pair)]
+
+        def fused():
+            block = lookup(table, ids)
+            return [conv(block, w, b) for w, b in filters.values()]
+
+        def per_width():
+            return [relu(ad.add(matmul(ad.reshape(lookup(table, ids[:, :m]), (6, 2 * m)), w), b))
+                    for m, (w, b) in filters.items()]
+
+        results = []
+        for build in (fused, per_width):
+            for t in tensors:
+                t.zero_grad()
+            outs = build()
+            ad.add(tsum(outs[0], weights), tsum(outs[1], weights)).backward()
+            results.append(([o.data for o in outs], [t.grad for t in tensors]))
+        (got, got_grads), (want, want_grads) = results
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+            assert np.any(w == 0.0) and np.any(w > 0.0)  # both sides of the kink
+        for g, w in zip(got_grads, want_grads):
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
+
+    def test_tanh_affine_is_the_chain_bit_for_bit(self):
+        rng = np.random.default_rng(67)
+        x, w, b = (Tensor(rng.normal(size=shape)) for shape in [(5, 3), (3, 4), (4,)])
+        weights = rng.normal(size=(5, 4))
+        results = []
+        for build in (lambda: tanh_affine(x, w, b), lambda: tanh(ad.add(matmul(x, w), b))):
+            for t in (x, w, b):
+                t.zero_grad()
+            out = build()
+            tsum(out, weights).backward()
+            results.append([out.data, x.grad, w.grad, b.grad])
+        for got, want in zip(*results):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("op", ["conv", "tanh_affine"])
+    def test_tape_free_twin_has_the_same_bits(self, op):
+        rng = np.random.default_rng(71)
+        x = rng.normal(size=(4, 3, 2) if op == "conv" else (4, 4))
+        w, b = rng.normal(size=(4, 5)), rng.normal(size=5)  # conv: the first 2 of 3 tokens
+        taped = getattr(ad, op)(Tensor(x), Tensor(w), Tensor(b)).data
+        np.testing.assert_array_equal(getattr(ad.TapeFree, op)(x, w, b), taped)
+
+    def test_conv_grad_check_with_two_widths_reading_one_block(self):
+        rng = np.random.default_rng(73)
+        table = Tensor(rng.normal(size=(5, 2)))
+        ids = np.array([[1, 2, 1], [2, 1, 1], [1, 1, 3], [3, 0, 4], [4, 4, 2]])
+        w1, b1 = Tensor(rng.normal(size=(2, 3))), Tensor(rng.normal(size=3))
+        w3, b3 = Tensor(rng.normal(size=(6, 3))), Tensor(rng.normal(size=3))
+        weights = rng.normal(size=(2, 5, 3))
+
+        def f():
+            block = lookup(table, ids)
+            return ad.add(tsum(conv(block, w1, b1), weights[0]), tsum(conv(block, w3, b3), weights[1]))
+
+        report = grad_check(f, [table, w1, b1, w3, b3])
+        assert report.checked + len(report.excluded) == 10 + 6 + 3 + 18 + 3
+        assert report.checked >= 30
+        assert report.max_rel_error < 1e-8
+
+    def test_tanh_affine_grad_check(self):
+        rng = np.random.default_rng(79)
+        x, w, b = (Tensor(rng.normal(size=shape)) for shape in [(4, 3), (3, 2), (2,)])
+        weights = rng.normal(size=(4, 2))
+        report = grad_check(lambda: tsum(tanh_affine(x, w, b), weights), [x, w, b])
+        assert report.checked == 12 + 6 + 2
+        assert report.max_rel_error < 1e-8
+
+    def test_relu_trace_sees_conv_pre_activations(self):
+        rng = np.random.default_rng(83)
+        windows, w, b = rng.normal(size=(6, 3, 2)), rng.normal(size=(4, 3)), rng.normal(size=3)
+        with record_relu_inputs() as trace:
+            out = conv(Tensor(windows), Tensor(w), Tensor(b))
+        pre = windows.reshape(6, 6)[:, :4] @ w + b
+        assert len(trace) == 1
+        np.testing.assert_array_equal(trace[0], pre)
+        assert np.any(pre < 0.0)
+        np.testing.assert_array_equal(out.data, np.maximum(pre, 0.0))
+
+    def test_grad_check_excludes_conv_kinks(self):
+        # zero filters and bias put every pre-activation on the kink, where
+        # the central difference reads half the slope: nothing may be checked
+        windows = Tensor(np.ones((3, 2, 1)))
+        w, b = Tensor(np.zeros((2, 2))), Tensor(np.zeros(2))
+        report = grad_check(lambda: tsum(conv(windows, w, b)), [b])
+        assert report.checked == 0
+        assert report.excluded == [(0, 0), (0, 1)]
+
+    @pytest.mark.parametrize("ops", [ad, ad.TapeFree], ids=["taped", "tape-free"])
+    @pytest.mark.parametrize("windows, w, b", [
+        ((4, 6), (4, 2), (2,)),  # windows must be (N, M, k)
+        ((4, 3, 2), (3, 2), (2,)),  # filter rows not whole tokens
+        ((4, 3, 2), (8, 2), (2,)),  # filters wider than the windows
+        ((4, 3, 2), (0, 2), (2,)),  # filters of no token
+        ((4, 3, 2), (4, 2), (3,)),  # a bias per filter
+    ], ids=["2-d", "partial-token", "too-wide", "empty", "bias"])
+    def test_conv_refuses_misfit_shapes(self, ops, windows, w, b):
+        args = [np.ones(windows), np.ones(w), np.ones(b)]
+        with pytest.raises(ShapeError):
+            ops.conv(*(args if ops is ad.TapeFree else map(Tensor, args)))
+
+    @pytest.mark.parametrize("ops", [ad, ad.TapeFree], ids=["taped", "tape-free"])
+    @pytest.mark.parametrize("x, w, b", [((4, 3), (2, 5), (5,)), ((4, 3), (3, 5), (4,))],
+                             ids=["inner", "bias"])
+    def test_tanh_affine_refuses_misfit_shapes(self, ops, x, w, b):
+        args = [np.ones(x), np.ones(w), np.ones(b)]
+        with pytest.raises(ShapeError):
+            ops.tanh_affine(*(args if ops is ad.TapeFree else map(Tensor, args)))
 
 
 class TestSoftmax:
@@ -375,6 +498,17 @@ class TestOps:
         np.testing.assert_array_equal(
             table.grad, [[3.0, 3.0], [1.0, 1.0], [0.0, 0.0], [2.0, 2.0]]
         )
+
+    def test_lookup_gradient_sums_in_order_from_zero(self):
+        # the same sums, in the same order, as a scatter-add into zeros
+        rng = np.random.default_rng(89)
+        table = Tensor(rng.normal(size=(6, 3)))
+        ids = rng.integers(0, 6, size=(40, 4))
+        g = rng.normal(size=(40, 4, 3))
+        tsum(lookup(table, ids), g).backward()
+        want = np.zeros((6, 3))
+        np.add.at(want, ids, g)
+        np.testing.assert_array_equal(table.grad, want)
 
     def test_lookup_out_of_range(self):
         with pytest.raises(IndexError):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triagenet import autodiff as ad
-from triagenet import model
+from triagenet import model, training
 from triagenet.autodiff import Tensor
 from triagenet.corpus import LABELS, DataContract, EncodedCase
 from triagenet.embedding import ChecksumError, ConfigError, init_table
@@ -19,7 +19,6 @@ from triagenet.model import (
     forward_graph,
     init_params,
     load_model,
-    ngram_encode,
     predict,
     predict_batch,
     predict_probs,
@@ -108,6 +107,39 @@ def oracle_forward(params, case):
     logits = h @ t[f"mlp_w{out}"] + t[f"mlp_b{out}"]
     e = np.exp(logits - logits.max())
     return e / e.sum(), alphas
+
+
+def per_width_forward_graph(params, ids, demographics, *, dropout_rng=None, ops=ad):
+    """``forward_graph`` as each width once ran it: the oracle for the shared window
+    block and the fused ops.
+
+    Each width gathers its own (N, m) windows and runs lookup -> reshape ->
+    matmul -> add -> relu; attention projects with tanh(add(matmul)).
+    """
+    cfg, t, p = params.config, params.tensors, ops.param
+    lengths = model.doc_lengths(ids)
+    L = ids.shape[1]
+    counts = lengths + (cfg.arch == "kimcnn")
+    pooled, attention = [], {}
+    for m in cfg.widths:
+        seg, first = window_rows(counts, L - m + 1, L)
+        windows = ids.ravel()[first[:, None] + np.arange(m)]
+        rows = ops.reshape(ops.lookup(p(t["embedding"]), windows), (len(windows), m * cfg.embedding_dim))
+        feats = ops.relu(ops.add(ops.matmul(rows, p(t[f"conv_w{m}"])), p(t[f"conv_b{m}"])))
+        if cfg.arch == "kimcnn":
+            pooled.append(ops.segment_max(feats, seg))
+            continue
+        u = ops.tanh(ops.add(ops.matmul(feats, p(t[f"attn_w{m}"])), p(t[f"attn_b{m}"])))
+        attention[m] = ops.segment_softmax(ops.matmul(u, p(t[f"attn_u{m}"])), seg)
+        pooled.append(ops.segment_sum(attention[m], feats, seg))
+    h = ops.concat(pooled + [ops.constant(demographics)])
+    out = len(cfg.mlp_layers)
+    for i in range(out):
+        h = ops.relu(ops.add(ops.matmul(h, p(t[f"mlp_w{i}"])), p(t[f"mlp_b{i}"])))
+        if dropout_rng is not None:
+            h = ops.dropout(h, cfg.dropout, dropout_rng)
+    probs = ops.softmax(ops.add(ops.matmul(h, p(t[f"mlp_w{out}"])), p(t[f"mlp_b{out}"])))
+    return probs, attention, lengths
 
 
 def glorot(rng, fan_in, fan_out, shape):
@@ -231,17 +263,24 @@ class TestInit:
             init_params(cfg, seed=0, pretrained=bad)
 
 
+def encode_windows(params, windows):
+    """Width m's n-gram features as ``forward_graph`` computes them: the (N, m) windows
+    gathered from the embedding table as one block, then ``conv``."""
+    t, m = params.tensors, windows.shape[1]
+    return ad.conv(ad.lookup(t["embedding"], windows), t[f"conv_w{m}"], t[f"conv_b{m}"])
+
+
 class TestNgramEncode:
     def test_feature_map_shape(self):
         params = init_params(tiny_config(), seed=1)
         windows = np.random.default_rng(0).integers(0, 12, size=(7, 2))
-        feats = ngram_encode(params, windows)
+        feats = encode_windows(params, windows)
         assert feats.shape == (7, 3)
 
     def test_zero_embedding_zero_bias_gives_zeros(self):
         params = init_params(tiny_config(), seed=1)
         params.tensors["embedding"].data = np.zeros((12, 4))
-        feats = ngram_encode(params, np.arange(10).reshape(10, 1))
+        feats = encode_windows(params, np.arange(10).reshape(10, 1))
         np.testing.assert_array_equal(feats.data, np.zeros((10, 3)))
 
     def test_single_filter_matches_numpy_convolution(self):
@@ -250,7 +289,7 @@ class TestNgramEncode:
         emb = params.tensors["embedding"].data
         ids = np.random.default_rng(1).integers(1, 12, size=(2, 5))
         windows = np.array([doc[i : i + 2] for doc in ids for i in range(4)])
-        feats = ngram_encode(params, windows)
+        feats = encode_windows(params, windows)
         w = params.tensors["conv_w2"].data[:, 0].reshape(2, 4)
         b = params.tensors["conv_b2"].data[0]
         for doc in range(2):
@@ -438,17 +477,115 @@ class TestForward:
         cases = [make_case(rng.integers(1, 12, size=n), 8) for n in lengths]
         filters = {id(ops.param(params.tensors[f"conv_w{m}"])): m for m in cfg.widths}
         rows = {}
-        real_matmul = ops.matmul
+        real_conv = ops.conv
 
-        def recording(a, b):
-            if id(b) in filters:
-                rows[filters[id(b)]] = a.shape[0]
-            return real_matmul(a, b)
+        def recording(windows, w, b):
+            rows[filters[id(w)]] = windows.shape[0]
+            return real_conv(windows, w, b)
 
-        monkeypatch.setattr(ops, "matmul", staticmethod(recording) if ops is ad.TapeFree else recording)
+        monkeypatch.setattr(ops, "conv", staticmethod(recording) if ops is ad.TapeFree else recording)
         forward(params, cases, ops=ops)
         counts = lengths + (arch == "kimcnn")
         assert rows == {m: int(np.minimum(counts, 8 - m + 1).sum()) for m in cfg.widths}
+
+    @pytest.mark.parametrize("arch", ["acnn", "kimcnn"])
+    @pytest.mark.parametrize("ops", [ad, ad.TapeFree], ids=["taped", "tape-free"])
+    @pytest.mark.parametrize("lengths, widest", [
+        ([3, 2, 5], {"acnn": [3], "kimcnn": [3]}),  # every width's windows fit every document
+        ([6, 2], {"acnn": [3], "kimcnn": [2, 3]}),  # kimcnn's padding window: width 3 has one less
+        ([8, 1, 3], {"acnn": [1, 2, 3], "kimcnn": [1, 2, 3]}),  # a document reaches max_len
+    ], ids=["one-layout", "kimcnn-two", "three-layouts"])
+    def test_one_window_gather_per_layout(self, arch, ops, lengths, widest, monkeypatch):
+        cfg = tiny_config(max_len=8, widths=(1, 2, 3), arch=arch)
+        params = init_params(cfg, seed=61)
+        rng = np.random.default_rng(61)
+        cases = [make_case(rng.integers(1, 12, size=n), 8) for n in lengths]
+        gathers = []
+        real_lookup = ops.lookup
+
+        def recording(table, ids):
+            gathers.append(ids)
+            return real_lookup(table, ids)
+
+        monkeypatch.setattr(ops, "lookup", staticmethod(recording) if ops is ad.TapeFree else recording)
+        forward(params, cases, ops=ops)
+        assert sorted(ids.shape[1] for ids in gathers) == widest[arch]
+        counts = np.array(lengths) + (arch == "kimcnn")
+        for ids in gathers:  # each layout's rows: the windows of its widest width that fit
+            m = ids.shape[1]
+            assert len(ids) == int(np.minimum(counts, 8 - m + 1).sum())
+
+    @pytest.mark.parametrize("arch", ["acnn", "kimcnn"])
+    @pytest.mark.parametrize("ops", [ad, ad.TapeFree], ids=["taped", "tape-free"])
+    @pytest.mark.parametrize("lengths", [[5, 1, 3, 4, 2], [8, 1, 7, 3, 8, 6]],
+                             ids=["one-layout", "three-layouts"])
+    def test_same_bits_as_the_per_width_path(self, arch, ops, lengths):
+        cfg = tiny_config(max_len=8, widths=(1, 2, 3), arch=arch)
+        params = init_params(cfg, seed=67)
+        rng = np.random.default_rng(67)
+        random_biases(params, rng)
+        ids = np.array([make_case(rng.integers(1, 12, size=n), 8).ids for n in lengths])
+        demographics = rng.random((len(lengths), 3))
+        probs, attention, got_lengths = forward_graph(params, ids, demographics, ops=ops)
+        want, want_attention, want_lengths = per_width_forward_graph(params, ids, demographics, ops=ops)
+        value = (lambda x: x) if ops is ad.TapeFree else (lambda x: x.data)
+        np.testing.assert_array_equal(value(probs), value(want))
+        assert set(attention) == set(want_attention)
+        for m in attention:
+            np.testing.assert_array_equal(value(attention[m]), value(want_attention[m]))
+        np.testing.assert_array_equal(got_lengths, want_lengths)
+
+    @pytest.mark.parametrize("arch", ["acnn", "kimcnn"])
+    @pytest.mark.parametrize("lengths", [[5, 1, 3, 4, 2], [8, 1, 7, 3, 8, 6]],
+                             ids=["one-layout", "three-layouts"])
+    def test_gradients_match_the_per_width_path(self, arch, lengths):
+        cfg = tiny_config(max_len=8, widths=(1, 2, 3), arch=arch, dropout=0.3)
+        params = init_params(cfg, seed=71)
+        rng = np.random.default_rng(71)
+        random_biases(params, rng)
+        ids = np.array([make_case(rng.integers(1, 12, size=n), 8).ids for n in lengths])
+        ids[0, :2] = 5  # a repeated token, so windows overlap on one embedding row
+        demographics = rng.random((len(lengths), 3))
+        labels = rng.integers(0, 3, size=len(lengths))
+        tensors = list(params.tensors.values())
+
+        def gradients(forward_pass):
+            params.zero_grad()
+            probs, _, _ = forward_pass(params, ids, demographics, dropout_rng=np.random.default_rng(5))
+            ad.mean_nll(probs, labels).backward()
+            return [t.grad for t in tensors]
+
+        got, want = gradients(forward_graph), gradients(per_width_forward_graph)
+        for name, g, w in zip(params.tensors, got, want):
+            if w is None:  # kimcnn has no attention
+                assert g is None, name
+            else:
+                np.testing.assert_allclose(g, w, rtol=0, atol=1e-12, err_msg=name)
+        assert np.any(got[0] != 0.0)  # the embedding gradient is compared, not two zero arrays
+
+    @pytest.mark.parametrize("arch", ["acnn", "kimcnn"])
+    def test_training_matches_the_per_width_path(self, arch, monkeypatch):
+        cfg = tiny_config(max_len=8, widths=(1, 2, 3), arch=arch, dropout=0.2)
+        rng = np.random.default_rng(73)
+        cases = [make_case(rng.integers(1, 12, size=n), 8, age=int(rng.integers(101)))
+                 for n in rng.integers(1, 9, size=48)]
+        for c in cases:
+            c.label = int(rng.integers(3))
+        hyper = training.HyperParams(lr=0.01, epochs=3, batch_size=16)
+
+        def trained():
+            params = init_params(cfg, seed=73)
+            training.train(params, cases[:40], cases[40:], hyper, seed=7)
+            return params
+
+        got = trained()
+        monkeypatch.setattr(training, "forward_graph", per_width_forward_graph)
+        want = trained()
+        for name, t in got.tensors.items():
+            np.testing.assert_allclose(t.data, want.tensors[name].data, rtol=0, atol=1e-12,
+                                       err_msg=name)
+        start = init_params(cfg, seed=73).tensors
+        assert not np.array_equal(got.tensors["conv_w1"].data, start["conv_w1"].data)  # it trained
 
     @given(
         arch=st.sampled_from(["acnn", "kimcnn"]),

@@ -52,7 +52,46 @@ def tiny_task():
     return config, [encoded[i] for i in tr], [encoded[i] for i in va], [encoded[i] for i in te]
 
 
+def allocating_adam_step(params, state, hyper):
+    """Adam with a fresh array for every intermediate, as the step was first written:
+    the oracle for the in-place step."""
+    state.t += 1
+    t = state.t
+    for i, p in enumerate(params):
+        g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        m, v = state.m[i], state.v[i]
+        m *= training.BETA1
+        m += (1 - training.BETA1) * g
+        v *= training.BETA2
+        v += (1 - training.BETA2) * g * g
+        m_hat = m / (1 - training.BETA1**t)
+        v_hat = v / (1 - training.BETA2**t)
+        update = m_hat / (np.sqrt(v_hat) + training.EPS) + training.WEIGHT_DECAY * p.data
+        p.data -= hyper.lr * update
+
+
 class TestAdam:
+    def test_in_place_step_matches_the_allocating_one(self):
+        # 50 steps on every tensor of a fulltext-sized model (max_len 96, default sizes)
+        rng = np.random.default_rng(31)
+        shapes = model.tensor_shapes(ModelConfig(vocab_size=700, max_len=96))
+        ours = [Tensor(rng.normal(size=shape)) for shape in shapes.values()]
+        theirs = [Tensor(t.data.copy()) for t in ours]
+        state, oracle_state = AdamState(ours), AdamState(theirs)
+        hyper = HyperParams(lr=0.01)
+        for step in range(50):
+            for a, b in zip(ours, theirs):
+                # some steps leave a tensor without a gradient, as kimcnn's attention is
+                a.grad = None if rng.random() < 0.1 else rng.normal(size=a.shape) * rng.random()
+                b.grad = None if a.grad is None else a.grad.copy()
+            adam_step(ours, state, hyper)
+            allocating_adam_step(theirs, oracle_state, hyper)
+        assert state.t == oracle_state.t == 50
+        pairs = zip([t.data for t in ours] + state.m + state.v,
+                    [t.data for t in theirs] + oracle_state.m + oracle_state.v)
+        for got, want in pairs:  # bit for bit
+            assert got.tobytes() == want.tobytes()
+
     def test_zero_gradient_applies_only_decay(self):
         before = np.array([1.0, -2.0])
         w = Tensor(before.copy())
