@@ -3,11 +3,10 @@
 The toolkit covers the full experiment loop: generate a seeded corpus
 with planted red-flag ground truth (:mod:`triagenet.corpus`), pretrain
 skip-gram embeddings (:mod:`triagenet.embedding`), train and evaluate
-an attention-pooling CNN built on a from-scratch reverse-mode autodiff
-core (:mod:`triagenet.model`, :mod:`triagenet.training`,
-:mod:`triagenet.autodiff`), then rank warning symptoms by attention,
-validate them with drop experiments, and render heatmaps
-(:mod:`triagenet.explain`). ``python3 -m triagenet`` exposes the same
+an attention-pooling CNN whose forward and backward passes are written
+out over numpy arrays (:mod:`triagenet.model`, :mod:`triagenet.training`),
+then rank warning symptoms by attention, validate them with drop
+experiments, and render heatmaps (:mod:`triagenet.explain`). ``python3 -m triagenet`` exposes the same
 steps as a reproducible command-line pipeline (:mod:`triagenet.cli`).
 """
 

@@ -26,7 +26,6 @@ import typing
 from pathlib import Path
 
 from . import __version__
-from .autodiff import NoTapeError, ShapeError
 from .config import ConfigError, check, field_types
 from .corpus import (
     LABELS,
@@ -52,7 +51,7 @@ from .explain import (
     score_features,
     score_grams,
 )
-from .model import ModelConfig, init_params, load_model, predict_batch, save_model
+from .model import ModelConfig, ShapeError, init_params, load_model, predict_batch, save_model
 from .training import (
     EmptyRetainedError,
     HyperParams,
@@ -101,7 +100,6 @@ _USER_ERRORS = (
     ConfigError,
     ChecksumError,
     ShapeError,
-    NoTapeError,
     EmptyRetainedError,
     TrainingDivergedError,
 )

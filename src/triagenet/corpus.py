@@ -122,8 +122,15 @@ def build_lexicon(spec: GeneratorSpec) -> Lexicon:
 
 
 def oracle_label(tokens: Sequence[str], lexicon: Lexicon) -> str:
-    """Rule the generator plants: red single or adjacent complete pair means
-    urgent, else any moderate symptom means general practice, else telecare."""
+    """Rule the generator plants: a red-flag token, or both members of one pair
+    anywhere in the tokens, means urgent; else any moderate symptom means general
+    practice; else telecare.
+
+    The pair test is co-occurrence, not adjacency. On generated corpora the
+    two agree: a pair case plants its pair side by side (filler never lands
+    between them), and every other case holds at most one pair member,
+    because ``_lone_member`` never plants a partner.
+    """
     toks = set(tokens)
     if toks & set(lexicon.red_flags):
         return URGENT

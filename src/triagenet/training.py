@@ -9,11 +9,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Tensor
 from .config import ConfigError, Schema
 from .corpus import LABELS, PAD_ID, EncodedCase
-from .model import ModelConfig, ModelParams, forward_graph, init_params, predict_probs
+from .model import ModelConfig, ModelParams, init_params, loss_and_grads, mean_nll, predict_probs
 
 # Adam's fixed knobs: decoupled weight decay, moment decay rates, denominator guard
 WEIGHT_DECAY = 1e-4
@@ -55,17 +53,19 @@ class HyperParams(Schema):
 class AdamState:
     """First and second moment buffers, one pair per parameter, and per
     parameter one scratch buffer of two arrays of its shape for the step's
-    intermediates."""
+    intermediates, each by the parameter's name."""
 
-    def __init__(self, params: list[Tensor]):
-        self.m = [np.zeros_like(p.data) for p in params]
-        self.v = [np.zeros_like(p.data) for p in params]
-        self.scratch = [np.empty((2, *p.data.shape)) for p in params]
+    def __init__(self, params: dict[str, np.ndarray]):
+        self.m = {name: np.zeros_like(p) for name, p in params.items()}
+        self.v = {name: np.zeros_like(p) for name, p in params.items()}
+        self.scratch = {name: np.empty((2, *p.shape)) for name, p in params.items()}
         self.t = 0
 
 
-def adam_step(params: list[Tensor], state: AdamState, hyper: HyperParams) -> None:
-    """Bias-corrected Adam update with decoupled weight decay ``WEIGHT_DECAY``.
+def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state: AdamState,
+              hyper: HyperParams) -> None:
+    """Bias-corrected Adam update of each array of ``params`` in place, with decoupled
+    weight decay ``WEIGHT_DECAY``; a parameter missing from ``grads`` has gradient zero.
 
     The decay term joins the update directly rather than entering the
     moment estimates. Per entry the step computes
@@ -77,8 +77,9 @@ def adam_step(params: list[Tensor], state: AdamState, hyper: HyperParams) -> Non
     """
     state.t += 1
     t = state.t
-    for p, m, v, (a, b) in zip(params, state.m, state.v, state.scratch):
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
+    for name, p in params.items():
+        m, v, (a, b) = state.m[name], state.v[name], state.scratch[name]
+        g = grads[name] if name in grads else np.zeros_like(p)
         m *= BETA1
         m += np.multiply(g, 1 - BETA1, out=a)
         v *= BETA2
@@ -90,9 +91,9 @@ def adam_step(params: list[Tensor], state: AdamState, hyper: HyperParams) -> Non
         np.sqrt(b, out=b)
         b += EPS
         a /= b
-        a += np.multiply(p.data, WEIGHT_DECAY, out=b)  # the update
+        a += np.multiply(p, WEIGHT_DECAY, out=b)  # the update
         a *= hyper.lr
-        p.data -= a
+        p -= a
 
 
 def _stack(cases: list[EncodedCase]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -134,8 +135,7 @@ def train(
         raise ConfigError("train and validation sets must be nonempty")
     shuffle_rng = np.random.default_rng(derive_seed(seed, "shuffle"))
     dropout_rng = np.random.default_rng(derive_seed(seed, "dropout"))
-    tensors = list(params.tensors.values())
-    state = AdamState(tensors)
+    state = AdamState(params.tensors)
     history = TrainHistory()
     ids, demographics, labels = _stack(train_set)
     val_ids, val_demographics, val_labels = _stack(val_set)
@@ -145,25 +145,21 @@ def train(
         total_loss = 0.0
         for start in range(0, len(order), hyper.batch_size):
             batch = order[start : start + hyper.batch_size]
-            probs, _, _ = forward_graph(params, ids[batch], demographics[batch],
-                                        dropout_rng=dropout_rng)
-            batch_loss = ad.mean_nll(probs, labels[batch])
-            value = batch_loss.item()
+            value, grads = loss_and_grads(params, ids[batch], demographics[batch],
+                                          labels[batch], dropout_rng)
             if not np.isfinite(value):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch + 1}, step {start // hyper.batch_size}"
                 )
-            params.zero_grad()
-            batch_loss.backward()
-            params.tensors["embedding"].grad[PAD_ID] = 0.0
-            adam_step(tensors, state, hyper)
+            grads["embedding"][PAD_ID] = 0.0
+            adam_step(params.tensors, grads, state, hyper)
             total_loss += value * len(batch)
 
         val_probs = predict_probs(params, val_ids, val_demographics)
         history.epochs.append(
             EpochStats(
                 train_loss=total_loss / len(train_set),
-                val_loss=ad.mean_nll(Tensor(val_probs), val_labels).item(),
+                val_loss=mean_nll(val_probs, val_labels),
                 val_macro_f1=metrics_from(val_labels, val_probs.argmax(axis=1)).macro_f1,
             )
         )

@@ -18,7 +18,7 @@ def save_model_file(path):
                                      filters=3, attention_size=3, mlp_layers=(6,)), seed=23)
     params.data = RECORD
     save_model(params, path)
-    return {name: t.data for name, t in params.tensors.items()}
+    return dict(params.tensors)
 
 
 def save_table_file(path):
@@ -30,7 +30,7 @@ def save_table_file(path):
 
 def loaded_model(path):
     params = load_model(path)
-    return {name: t.data for name, t in params.tensors.items()}, params.data
+    return dict(params.tensors), params.data
 
 
 def loaded_table(path):

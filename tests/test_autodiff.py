@@ -1,11 +1,18 @@
-"""Tests for the reverse-mode autodiff core.
+"""Tests for the model's array kernels, for the reverse-mode tape that checks
+the model's backward (``tests/tape.py``), and for rules every module of
+``src/`` keeps.
 
 Expected values are hand-derived or come from a test-local central
 difference oracle that is independent of the library's own grad_check.
+Where a test runs both the tape's op and the model's kernel, the ids
+"taped" and "tape-free" name them.
 """
 
 import ast
+import importlib
 import inspect
+import pkgutil
+import sys
 from pathlib import Path
 from types import FunctionType
 
@@ -14,40 +21,67 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from triagenet import autodiff as ad
-from triagenet.autodiff import (
-    NoTapeError,
-    Segments,
-    ShapeError,
+import tape as ad
+from tape import (
     Tensor,
     concat,
     conv,
     dropout,
-    grad_check,
     lookup,
     matmul,
     mean_nll,
-    record_relu_inputs,
     relu,
     segment_max,
     segment_softmax,
     segment_sum,
     softmax,
-    tanh,
     tanh_affine,
 )
-from triagenet.model import window_rows
+import triagenet
+from triagenet import model
+from triagenet.model import Segments, ShapeError, grad_check, window_rows
+
+KERNELS = {"conv": model._conv, "tanh_affine": model._tanh_affine, "matmul": model._matmul,
+           "segment_softmax": model._segment_softmax, "segment_sum": model._segment_sum,
+           "segment_max": model._segment_max}
+
+
+def op(name, taped):
+    """The tape's op ``name``, over tensors, or the model's kernel of it, over arrays."""
+    if taped:
+        return lambda *args: getattr(ad, name)(*(Tensor(a) if isinstance(a, np.ndarray) else a
+                                                 for a in args))
+    return KERNELS[name]
 
 
 def tsum(x, weights=None):
-    """Sum of the entries of ``x``, each times its weight (default 1), as a scalar tensor.
+    """Sum of the entries of ``x``, each times its weight (default 1), as a scalar tensor."""
+    w = np.broadcast_to(np.ones(1) if weights is None else np.asarray(weights, dtype=float),
+                        x.shape)
 
-    Built from library ops: the flattened tensor as one row, times a
-    constant column of weights.
+    def grad_fn(g):
+        ad._accumulate(x, g * w)
+
+    return Tensor(np.sum(x.data * w), (x,), grad_fn)
+
+
+def tape_grad_check(build, leaves):
+    """``grad_check`` of ``build()``'s scalar over the named leaf tensors.
+
+    ``build`` returns the loss tensor and the tensors its relus (``conv``
+    and ``relu``) made; the analytic gradients come from the tape.
     """
-    n = x.data.size
-    w = np.ones(n) if weights is None else np.broadcast_to(weights, x.shape).reshape(n)
-    return ad.reshape(matmul(ad.reshape(x, (1, n)), Tensor(w)), ())
+    loss, _ = build()
+    for t in leaves.values():
+        t.zero_grad()
+    loss.backward()
+
+    def f():
+        loss, relus = build()
+        return loss.item(), [r.data for r in relus]
+
+    return grad_check(f, {name: t.data for name, t in leaves.items()},
+                      {name: t.grad for name, t in leaves.items() if t.grad is not None})
 
 
 def central_difference(f, arrays, eps=1e-5):
@@ -80,46 +114,48 @@ def unfold(B, L, m):
 
 
 def conv_valid(x, w, b, m):
-    """Valid convolution plus relu as the model builds it: a window gather, then ``conv``.
+    """Valid convolution plus relu as the model computes it: a window gather, then ``_conv``.
 
     ``x`` is (B, L, k), ``w`` holds the filters flattened to (m * k, f)
     and ``b`` is (f,). The windows are gathered from the rows of ``x``
     as from an embedding table; the result is (B, L - m + 1, f).
     """
     B, L, k = x.shape
-    table = Tensor(x.data.reshape(B * L, k))
-    feats = conv(lookup(table, unfold(B, L, m)), w, b)
-    return ad.reshape(feats, (B, L - m + 1, -1))
+    feats = model._conv(model._lookup(x.reshape(B * L, k), unfold(B, L, m)), w, b)
+    return feats.reshape(B, L - m + 1, -1)
+
+
+def flatten(x):
+    """(N, m, k) windows as (N, m * k) rows, as a taped node."""
+    def grad_fn(g):
+        ad._accumulate(x, g.reshape(x.shape))
+
+    return Tensor(x.data.reshape(len(x.data), -1), (x,), grad_fn)
 
 
 class TestConvValid:
     def test_hand_computed_relu_affine(self):
         # filter [[2]], bias -3 over columns [1, 2, 3] and [0, 3, 1]: relu(2x - 3)
-        x = Tensor([[[1.0], [2.0], [3.0]], [[0.0], [3.0], [1.0]]])
-        out = conv_valid(x, Tensor([[2.0]]), Tensor([-3.0]), 1)
-        np.testing.assert_array_equal(out.data[..., 0], [[0.0, 1.0, 3.0], [0.0, 3.0, 0.0]])
+        x = np.array([[[1.0], [2.0], [3.0]], [[0.0], [3.0], [1.0]]])
+        out = conv_valid(x, np.array([[2.0]]), np.array([-3.0]), 1)
+        np.testing.assert_array_equal(out[..., 0], [[0.0, 1.0, 3.0], [0.0, 3.0, 0.0]])
 
     def test_output_length(self):
-        x = Tensor(np.ones((2, 4, 3)))
-        out = conv_valid(x, Tensor(np.ones((6, 5))), Tensor(np.zeros(5)), 2)
+        out = conv_valid(np.ones((2, 4, 3)), np.ones((6, 5)), np.zeros(5), 2)
         assert out.shape == (2, 3, 5)
 
     def test_zero_input_zero_filter(self):
-        out = conv_valid(
-            Tensor(np.zeros((2, 5, 2))), Tensor(np.zeros((6, 1))), Tensor(np.zeros(1)), 3
-        )
-        np.testing.assert_array_equal(out.data, np.zeros((2, 3, 1)))
+        out = conv_valid(np.zeros((2, 5, 2)), np.zeros((6, 1)), np.zeros(1), 3)
+        np.testing.assert_array_equal(out, np.zeros((2, 3, 1)))
 
     def test_column_mismatch_raises(self):
         # a 2 x 2 filter flattened to 4 rows cannot slide over 3 columns
         with pytest.raises(ShapeError):
-            conv_valid(Tensor(np.ones((1, 4, 3))), Tensor(np.ones((4, 1))), Tensor(np.zeros(1)), 2)
+            conv_valid(np.ones((1, 4, 3)), np.ones((4, 1)), np.zeros(1), 2)
 
     def test_window_too_large_raises(self):
         with pytest.raises(ShapeError):
-            conv_valid(
-                Tensor(np.ones((1, 2, 3))), Tensor(np.ones((15, 1))), Tensor(np.zeros(1)), 5
-            )
+            conv_valid(np.ones((1, 2, 3)), np.ones((15, 1)), np.zeros(1), 5)
 
     @given(
         B=st.integers(min_value=1, max_value=4),
@@ -130,19 +166,18 @@ class TestConvValid:
     @settings(max_examples=60, deadline=None)
     def test_length_property(self, B, L, k, data):
         m = data.draw(st.integers(min_value=1, max_value=L))
-        x = Tensor(np.ones((B, L, k)))
-        out = conv_valid(x, Tensor(np.ones((m * k, 2))), Tensor(np.zeros(2)), m)
+        out = conv_valid(np.ones((B, L, k)), np.ones((m * k, 2)), np.zeros(2), m)
         assert out.shape == (B, L - m + 1, 2)
 
 
 class TestUnfold:
     def test_windows_content(self):
         x = np.arange(16.0).reshape(2, 4, 2)
-        out = lookup(Tensor(x.reshape(8, 2)), unfold(2, 4, 2))
+        out = model._lookup(x.reshape(8, 2), unfold(2, 4, 2))
         expected = np.array(
             [[0.0, 1.0, 2.0, 3.0], [2.0, 3.0, 4.0, 5.0], [4.0, 5.0, 6.0, 7.0]]
         )
-        np.testing.assert_array_equal(out.data.reshape(2, 3, 4), [expected, expected + 8.0])
+        np.testing.assert_array_equal(out.reshape(2, 3, 4), [expected, expected + 8.0])
 
     def test_gradient_overlap_accumulates(self):
         x = Tensor(np.arange(6.0).reshape(3, 2))
@@ -153,7 +188,8 @@ class TestUnfold:
 
 
 class TestFusedOps:
-    """``conv`` and ``tanh_affine`` against the op chains they fuse."""
+    """The tape's ``conv`` and ``tanh_affine`` against the op chains they fuse,
+    and the model's kernels against the tape."""
 
     def test_conv_matches_a_gather_per_width(self):
         # widths 1 and 3 read one gathered block of 3-token windows; ids repeat
@@ -170,7 +206,7 @@ class TestFusedOps:
             return [conv(block, w, b) for w, b in filters.values()]
 
         def per_width():
-            return [relu(ad.add(matmul(ad.reshape(lookup(table, ids[:, :m]), (6, 2 * m)), w), b))
+            return [relu(ad.add(matmul(flatten(lookup(table, ids[:, :m])), w), b))
                     for m, (w, b) in filters.items()]
 
         results = []
@@ -188,26 +224,27 @@ class TestFusedOps:
             np.testing.assert_allclose(g, w, rtol=0, atol=1e-12)
 
     def test_tanh_affine_is_the_chain_bit_for_bit(self):
+        # the kernel against numpy's tanh(add(matmul)), the tape's gradients
+        # against that chain's reverse mode written out
         rng = np.random.default_rng(67)
         x, w, b = (Tensor(rng.normal(size=shape)) for shape in [(5, 3), (3, 4), (4,)])
         weights = rng.normal(size=(5, 4))
-        results = []
-        for build in (lambda: tanh_affine(x, w, b), lambda: tanh(ad.add(matmul(x, w), b))):
-            for t in (x, w, b):
-                t.zero_grad()
-            out = build()
-            tsum(out, weights).backward()
-            results.append([out.data, x.grad, w.grad, b.grad])
-        for got, want in zip(*results):
+        y = np.tanh(np.add(x.data @ w.data, b.data))
+        np.testing.assert_array_equal(model._tanh_affine(x.data, w.data, b.data), y)
+        out = tanh_affine(x, w, b)
+        tsum(out, weights).backward()
+        g = (1.0 - y * y) * weights
+        for got, want in [(out.data, y), (b.grad, g.sum(axis=0)), (x.grad, g @ w.data.T),
+                          (w.grad, x.data.T @ g)]:
             np.testing.assert_array_equal(got, want)
 
-    @pytest.mark.parametrize("op", ["conv", "tanh_affine"])
-    def test_tape_free_twin_has_the_same_bits(self, op):
+    @pytest.mark.parametrize("name", ["conv", "tanh_affine"])
+    def test_tape_free_twin_has_the_same_bits(self, name):
+        # the model's kernel and the tape's op compute the same value
         rng = np.random.default_rng(71)
-        x = rng.normal(size=(4, 3, 2) if op == "conv" else (4, 4))
+        x = rng.normal(size=(4, 3, 2) if name == "conv" else (4, 4))
         w, b = rng.normal(size=(4, 5)), rng.normal(size=5)  # conv: the first 2 of 3 tokens
-        taped = getattr(ad, op)(Tensor(x), Tensor(w), Tensor(b)).data
-        np.testing.assert_array_equal(getattr(ad.TapeFree, op)(x, w, b), taped)
+        np.testing.assert_array_equal(op(name, False)(x, w, b), op(name, True)(x, w, b).data)
 
     def test_conv_grad_check_with_two_widths_reading_one_block(self):
         rng = np.random.default_rng(73)
@@ -217,11 +254,12 @@ class TestFusedOps:
         w3, b3 = Tensor(rng.normal(size=(6, 3))), Tensor(rng.normal(size=3))
         weights = rng.normal(size=(2, 5, 3))
 
-        def f():
+        def build():
             block = lookup(table, ids)
-            return ad.add(tsum(conv(block, w1, b1), weights[0]), tsum(conv(block, w3, b3), weights[1]))
+            outs = [conv(block, w1, b1), conv(block, w3, b3)]
+            return ad.add(tsum(outs[0], weights[0]), tsum(outs[1], weights[1])), outs
 
-        report = grad_check(f, [table, w1, b1, w3, b3])
+        report = tape_grad_check(build, dict(table=table, w1=w1, b1=b1, w3=w3, b3=b3))
         assert report.checked + len(report.excluded) == 10 + 6 + 3 + 18 + 3
         assert report.checked >= 30
         assert report.max_rel_error < 1e-8
@@ -230,31 +268,26 @@ class TestFusedOps:
         rng = np.random.default_rng(79)
         x, w, b = (Tensor(rng.normal(size=shape)) for shape in [(4, 3), (3, 2), (2,)])
         weights = rng.normal(size=(4, 2))
-        report = grad_check(lambda: tsum(tanh_affine(x, w, b), weights), [x, w, b])
+        report = tape_grad_check(lambda: (tsum(tanh_affine(x, w, b), weights), []),
+                                 dict(x=x, w=w, b=b))
         assert report.checked == 12 + 6 + 2
         assert report.max_rel_error < 1e-8
-
-    def test_relu_trace_sees_conv_pre_activations(self):
-        rng = np.random.default_rng(83)
-        windows, w, b = rng.normal(size=(6, 3, 2)), rng.normal(size=(4, 3)), rng.normal(size=3)
-        with record_relu_inputs() as trace:
-            out = conv(Tensor(windows), Tensor(w), Tensor(b))
-        pre = windows.reshape(6, 6)[:, :4] @ w + b
-        assert len(trace) == 1
-        np.testing.assert_array_equal(trace[0], pre)
-        assert np.any(pre < 0.0)
-        np.testing.assert_array_equal(out.data, np.maximum(pre, 0.0))
 
     def test_grad_check_excludes_conv_kinks(self):
         # zero filters and bias put every pre-activation on the kink, where
         # the central difference reads half the slope: nothing may be checked
         windows = Tensor(np.ones((3, 2, 1)))
         w, b = Tensor(np.zeros((2, 2))), Tensor(np.zeros(2))
-        report = grad_check(lambda: tsum(conv(windows, w, b)), [b])
-        assert report.checked == 0
-        assert report.excluded == [(0, 0), (0, 1)]
 
-    @pytest.mark.parametrize("ops", [ad, ad.TapeFree], ids=["taped", "tape-free"])
+        def build():
+            out = conv(windows, w, b)
+            return tsum(out), [out]
+
+        report = tape_grad_check(build, dict(b=b))
+        assert report.checked == 0
+        assert report.excluded == [("b", 0), ("b", 1)]
+
+    @pytest.mark.parametrize("taped", [True, False], ids=["taped", "tape-free"])
     @pytest.mark.parametrize("windows, w, b", [
         ((4, 6), (4, 2), (2,)),  # windows must be (N, M, k)
         ((4, 3, 2), (3, 2), (2,)),  # filter rows not whole tokens
@@ -262,37 +295,35 @@ class TestFusedOps:
         ((4, 3, 2), (0, 2), (2,)),  # filters of no token
         ((4, 3, 2), (4, 2), (3,)),  # a bias per filter
     ], ids=["2-d", "partial-token", "too-wide", "empty", "bias"])
-    def test_conv_refuses_misfit_shapes(self, ops, windows, w, b):
-        args = [np.ones(windows), np.ones(w), np.ones(b)]
+    def test_conv_refuses_misfit_shapes(self, taped, windows, w, b):
         with pytest.raises(ShapeError):
-            ops.conv(*(args if ops is ad.TapeFree else map(Tensor, args)))
+            op("conv", taped)(np.ones(windows), np.ones(w), np.ones(b))
 
-    @pytest.mark.parametrize("ops", [ad, ad.TapeFree], ids=["taped", "tape-free"])
+    @pytest.mark.parametrize("taped", [True, False], ids=["taped", "tape-free"])
     @pytest.mark.parametrize("x, w, b", [((4, 3), (2, 5), (5,)), ((4, 3), (3, 5), (4,))],
                              ids=["inner", "bias"])
-    def test_tanh_affine_refuses_misfit_shapes(self, ops, x, w, b):
-        args = [np.ones(x), np.ones(w), np.ones(b)]
+    def test_tanh_affine_refuses_misfit_shapes(self, taped, x, w, b):
         with pytest.raises(ShapeError):
-            ops.tanh_affine(*(args if ops is ad.TapeFree else map(Tensor, args)))
+            op("tanh_affine", taped)(np.ones(x), np.ones(w), np.ones(b))
 
 
 class TestSoftmax:
     def test_uniform(self):
-        out = softmax(Tensor([0.0, 0.0, 0.0]))
-        np.testing.assert_allclose(out.data, [1 / 3] * 3, atol=1e-15)
+        out = model._softmax(np.array([0.0, 0.0, 0.0]))
+        np.testing.assert_allclose(out, [1 / 3] * 3, atol=1e-15)
 
     def test_large_logits_no_overflow(self):
-        out = softmax(Tensor([1000.0, 1000.0]))
-        np.testing.assert_allclose(out.data, [0.5, 0.5], atol=1e-15)
+        out = model._softmax(np.array([1000.0, 1000.0]))
+        np.testing.assert_allclose(out, [0.5, 0.5], atol=1e-15)
 
     def test_log_odds(self):
         # softmax([ln 1, ln 3]) = [1/4, 3/4]
-        out = softmax(Tensor([np.log(1.0), np.log(3.0)]))
-        np.testing.assert_allclose(out.data, [0.25, 0.75], atol=1e-12)
+        out = model._softmax(np.array([np.log(1.0), np.log(3.0)]))
+        np.testing.assert_allclose(out, [0.25, 0.75], atol=1e-12)
 
     def test_empty_raises(self):
         with pytest.raises(ShapeError):
-            softmax(Tensor(np.empty(0)))
+            model._softmax(np.empty(0))
 
     @given(
         st.lists(
@@ -304,18 +335,16 @@ class TestSoftmax:
     @settings(max_examples=100, deadline=None)
     def test_simplex_and_shift_invariance(self, logits):
         v = np.array(logits)
-        out = softmax(Tensor(v))
-        assert np.all(out.data > 0)
-        assert abs(out.data.sum() - 1.0) < 1e-12
-        shifted = softmax(Tensor(v + 7.5))
-        np.testing.assert_allclose(out.data, shifted.data, atol=1e-12)
-
+        out = model._softmax(v)
+        assert np.all(out > 0)
+        assert abs(out.sum() - 1.0) < 1e-12
+        np.testing.assert_allclose(out, model._softmax(v + 7.5), atol=1e-12)
 
     def test_segment_softmax_is_softmax_per_run(self):
         # two documents' logits, [1, 2] and [0.5], attended per document
         v = Tensor([1.0, 2.0, 0.5])
         out = segment_softmax(v, Segments([2, 1]))
-        np.testing.assert_allclose(out.data[:2], softmax(Tensor([1.0, 2.0])).data, atol=1e-15)
+        np.testing.assert_allclose(out.data[:2], model._softmax(np.array([1.0, 2.0])), atol=1e-15)
         assert out.data[2] == 1.0
         tsum(out, [0.0, 1.0, 2.0]).backward()
         y = out.data[:2]
@@ -325,26 +354,26 @@ class TestSoftmax:
 
 class TestCrossEntropy:
     def test_certain_correct_is_zero(self):
-        assert mean_nll(Tensor([[1.0, 0.0, 0.0]]), [0]).item() == 0.0
+        assert model.mean_nll(np.array([[1.0, 0.0, 0.0]]), [0]) == 0.0
 
     def test_even_split(self):
-        loss = mean_nll(Tensor([[0.5, 0.5]]), [1])
-        assert abs(loss.item() - np.log(2.0)) < 1e-15
+        loss = model.mean_nll(np.array([[0.5, 0.5]]), [1])
+        assert abs(loss - np.log(2.0)) < 1e-15
         # the batch loss is the mean over rows
-        loss = mean_nll(Tensor([[0.5, 0.5], [1.0, 0.0]]), [1, 0])
-        assert abs(loss.item() - np.log(2.0) / 2) < 1e-15
+        loss = model.mean_nll(np.array([[0.5, 0.5], [1.0, 0.0]]), [1, 0])
+        assert abs(loss - np.log(2.0) / 2) < 1e-15
 
     def test_zero_probability_clamped(self):
+        loss = model.mean_nll(np.array([[0.0, 1.0]]), [0])
+        assert np.isfinite(loss)
+        assert abs(loss - (-np.log(1e-12))) < 1e-9
         probs = Tensor([[0.0, 1.0]])
-        loss = mean_nll(probs, [0])
-        assert np.isfinite(loss.item())
-        assert abs(loss.item() - (-np.log(1e-12))) < 1e-9
-        loss.backward()
+        mean_nll(probs, [0]).backward()
         np.testing.assert_array_equal(probs.grad, [[0.0, 0.0]])
 
     def test_label_out_of_range(self):
         with pytest.raises(IndexError):
-            mean_nll(Tensor([[0.5, 0.5]]), [2])
+            model.mean_nll(np.array([[0.5, 0.5]]), [2])
 
 
 class TestBackward:
@@ -387,9 +416,9 @@ class TestBackward:
         weights = rng.normal(size=(2, 6))
 
         def loss():
-            # add hands one array to both operands, reshape and concat views of theirs
+            # add hands one array to both operands, concat views of its own
             s = ad.add(ad.add(x, y), b)
-            h = concat([s, ad.reshape(ad.reshape(z, (3, 2)), (2, 3))])
+            h = concat([s, z])
             return tsum(ad.add(h, h), weights)
 
         loss().backward()
@@ -410,10 +439,10 @@ class TestBackward:
 
     def test_detached_raises(self):
         x = Tensor(5.0)
-        with pytest.raises(NoTapeError):
+        with pytest.raises(RuntimeError):
             x.backward()
         y = Tensor(tsum(relu(Tensor([1.0, 2.0]))).data)  # a computed value, as a new leaf
-        with pytest.raises(NoTapeError):
+        with pytest.raises(RuntimeError):
             y.backward()
 
     def test_mlp_matches_central_difference_oracle(self):
@@ -426,7 +455,7 @@ class TestBackward:
 
         def forward():
             h = relu(ad.add(matmul(Tensor(x), w1), b1))
-            return tsum(tanh(ad.add(matmul(h, w2), b2)))
+            return tsum(tanh_affine(h, w2, b2))
 
         loss = forward()
         loss.backward()
@@ -456,16 +485,13 @@ class TestOps:
         with pytest.raises(ShapeError):
             matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))))
 
-    @pytest.mark.parametrize("ops", [ad, ad.TapeFree], ids=["taped", "tape-free"])
+    @pytest.mark.parametrize("taped", [True, False], ids=["taped", "tape-free"])
     @pytest.mark.parametrize("left, right",
                              [((3,), (3, 2)), ((2, 3, 4), (4, 2)), ((3, 4), (2, 4, 2))],
                              ids=["vector-left", "batch-left", "batch-right"])
-    def test_matmul_refuses_anything_but_matrix_times_matrix_or_vector(self, ops, left, right):
-        a, b = np.ones(left), np.ones(right)
-        if ops is ad:
-            a, b = Tensor(a), Tensor(b)
+    def test_matmul_refuses_anything_but_matrix_times_matrix_or_vector(self, taped, left, right):
         with pytest.raises(ShapeError, match="matrix times a matrix or vector"):
-            ops.matmul(a, b)
+            op("matmul", taped)(np.ones(left), np.ones(right))
 
     def test_concat_roundtrip_grads(self):
         a = Tensor([[1.0, 2.0], [4.0, 5.0]])
@@ -512,7 +538,9 @@ class TestOps:
 
     def test_lookup_out_of_range(self):
         with pytest.raises(IndexError):
-            lookup(Tensor(np.ones((2, 2))), np.array([2]))
+            model._lookup(np.ones((2, 2)), np.array([2]))
+        with pytest.raises(IndexError):
+            model._lookup(np.ones((2, 2)), np.array([-1]))
 
     def test_dropout_zero_rate_is_identity(self):
         x = Tensor([1.0, 2.0])
@@ -537,15 +565,16 @@ class TestSegmentOps:
         rng = np.random.default_rng(41)
         seg = Segments([3, 1, 2])
         x = Tensor(rng.normal(size=(6, 4)))
-        u = Tensor(rng.normal(size=4))
+        w, b = Tensor(rng.normal(size=(4, 2))), Tensor(rng.normal(size=2))
+        u = Tensor(rng.normal(size=2))
         weights = rng.normal(size=(3, 4))
 
-        def f():
-            alpha = segment_softmax(tanh(matmul(x, u)), seg)
-            return tsum(segment_sum(alpha, x, seg), weights)
+        def build():
+            alpha = segment_softmax(matmul(tanh_affine(x, w, b), u), seg)
+            return tsum(segment_sum(alpha, x, seg), weights), []
 
-        report = grad_check(f, [x, u])
-        assert report.checked == 28
+        report = tape_grad_check(build, dict(x=x, w=w, b=b, u=u))
+        assert report.checked == 24 + 8 + 2 + 2
         assert report.max_rel_error < 1e-8
 
     def test_segment_max_grad_check_with_the_last_row_winning(self):
@@ -558,7 +587,7 @@ class TestSegmentOps:
         y = segment_max(x, seg)
         assert y.data[0, 0] == y.data[2, 0] == 5.0
 
-        report = grad_check(lambda: tsum(segment_max(x, seg), weights), [x])
+        report = tape_grad_check(lambda: (tsum(segment_max(x, seg), weights), []), dict(x=x))
         assert report.checked == 18
         assert report.max_rel_error < 1e-8
 
@@ -566,30 +595,28 @@ class TestSegmentOps:
         # the windows of a document [1, 2, 1, 1] and of [3]: ids repeat across and within rows
         rng = np.random.default_rng(47)
         table = Tensor(rng.normal(size=(4, 2)))
-        w = Tensor(rng.normal(size=(4, 3)))
+        w, b = Tensor(rng.normal(size=(4, 3))), Tensor(rng.normal(size=3))
         windows = np.array([[1, 2], [2, 1], [1, 1], [3, 0]])
         weights = rng.normal(size=(4, 3))
 
-        def f():
-            rows = ad.reshape(lookup(table, windows), (4, 4))
-            return tsum(tanh(matmul(rows, w)), weights)
+        def build():
+            return tsum(tanh_affine(flatten(lookup(table, windows)), w, b), weights), []
 
-        report = grad_check(f, [table, w])
+        report = tape_grad_check(build, dict(table=table, w=w))
         assert report.checked == 20
         assert report.max_rel_error < 1e-8
 
-    @pytest.mark.parametrize("ops", [ad, ad.TapeFree], ids=["taped", "tape-free"])
-    def test_rows_must_fit_the_segments(self, ops):
+    @pytest.mark.parametrize("taped", [True, False], ids=["taped", "tape-free"])
+    def test_rows_must_fit_the_segments(self, taped):
         seg = Segments([2, 1])
-        p = ops.param
         with pytest.raises(ShapeError):
-            ops.segment_softmax(p(Tensor(np.zeros(4))), seg)
+            op("segment_softmax", taped)(np.zeros(4), seg)
         with pytest.raises(ShapeError):
-            ops.segment_sum(p(Tensor(np.zeros(3))), p(Tensor(np.zeros((2, 2)))), seg)
+            op("segment_sum", taped)(np.zeros(3), np.zeros((2, 2)), seg)
         with pytest.raises(ShapeError):
-            ops.segment_max(p(Tensor(np.zeros((4, 2)))), seg)
+            op("segment_max", taped)(np.zeros((4, 2)), seg)
         with pytest.raises(ShapeError):
-            ops.segment_max(p(Tensor(np.zeros(3))), seg)
+            op("segment_max", taped)(np.zeros(3), seg)
 
     @pytest.mark.parametrize("counts", [[], [2, 0], [[1, 2]]])
     def test_segments_need_positive_lengths(self, counts):
@@ -599,24 +626,21 @@ class TestSegmentOps:
 
 class TestGradCheck:
     def test_quadratic_is_tight(self):
-        x = Tensor([1.5, -0.5, 2.0])
-
-        def f():  # the sum of squares, as x times itself
-            return ad.reshape(matmul(ad.reshape(x, (1, 3)), x), ())
-
-        report = grad_check(f, [x])
+        x = np.array([1.5, -0.5, 2.0])
+        report = grad_check(lambda: (float(x @ x), []), {"x": x}, {"x": 2.0 * x})
         assert report.max_rel_error < 1e-8
         assert report.checked == 3
         assert report.excluded == []
 
     def test_relu_kink_coordinate_excluded(self):
-        x = Tensor([0.0, 1.0])
+        x = np.array([0.0, 1.0])
 
         def f():
-            return tsum(relu(x))
+            out = np.maximum(x, 0.0)
+            return float(out.sum()), [out]
 
-        report = grad_check(f, [x])
-        assert (0, 0) in report.excluded
+        report = grad_check(f, {"x": x}, {"x": np.array([0.0, 1.0])})
+        assert ("x", 0) in report.excluded
         assert report.checked == 1
         assert report.max_rel_error < 1e-8
 
@@ -626,44 +650,117 @@ class TestGradCheck:
         b = Tensor(rng.normal(size=3))
         x = np.array([[0.5, -0.25, 1.0, 0.75], [-0.5, 0.3, 0.2, 1.5]])
 
-        def f():
+        def build():
             h = relu(ad.add(matmul(Tensor(x), w), b))
-            return mean_nll(softmax(h), [1, 0])
+            return mean_nll(softmax(h), [1, 0]), [h]
 
-        report = grad_check(f, [w, b])
+        report = tape_grad_check(build, dict(w=w, b=b))
         assert report.max_rel_error < 1e-4
+
+    def test_negative_side_of_the_kink_is_checked(self):
+        # a relu unit that stays off on both sides moves no output: its
+        # coordinate is exact and counts; a gradient of the wrong sign fails
+        x = np.array([-5e-5, 2.0])  # within 10 * eps of the kink, below it on both sides
+
+        def f():
+            out = np.maximum(x, 0.0)
+            return float(out.sum()), [out]
+
+        report = grad_check(f, {"x": x}, {"x": np.array([0.0, 1.0])})
+        assert report.checked == 2 and report.excluded == []
+        assert report.max_rel_error < 1e-8
+        assert grad_check(f, {"x": x}, {"x": np.array([0.0, -1.0])}).max_rel_error > 1.0
+
+    def test_missing_gradient_is_zero(self):
+        x, y = np.array([1.0, 2.0]), np.array([3.0])
+        report = grad_check(lambda: (float(x.sum()), []), {"x": x, "y": y}, {"x": np.ones(2)})
+        assert report.checked == 3
+        assert report.max_rel_error < 1e-8
+
+
+def module_uses(package):
+    """Every public function and method a module of ``package`` defines, mapped to
+    whether code in the package uses it.
+
+    A function counts as used when another module imports it by name
+    (``from .model import forward_graph``), reaches it through an alias of
+    its module (``from . import model as m`` and then ``m.forward_graph``),
+    its own module names it, or the package exports it in ``__all__``. A
+    method, whose receiver's type is not known before run time, counts when
+    some module reads an attribute of its name off anything but a module.
+    Keys are ``module.function`` and ``module.Class.method``.
+    """
+    root = Path(package.__file__).parent
+    imported, aliased, named, attributes = set(), set(), set(), set()
+    for path in sorted(root.glob("*.py")):
+        own = path.stem
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules, siblings = set(), {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules.update((a.asname or a.name).split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None:
+                siblings.update({a.asname or a.name: a.name for a in node.names})
+            elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                imported.update((node.module, a.name) for a in node.names)
+            elif isinstance(node, ast.Assign) and own == "__init__" and any(
+                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                named.update(("__all__", elt.value) for elt in node.value.elts)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                named.add((own, node.id))
+            elif isinstance(node, ast.Attribute):
+                receiver = node.value.id if isinstance(node.value, ast.Name) else None
+                if receiver in siblings:
+                    aliased.add((siblings[receiver], node.attr))
+                elif receiver not in modules:
+                    attributes.add(node.attr)
+
+    uses = {}
+    for info in pkgutil.iter_modules(package.__path__):
+        if info.name == "__main__":  # importing it runs the program
+            continue
+        mod = importlib.import_module(f"{package.__name__}.{info.name}")
+        for name, obj in vars(mod).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            if inspect.isfunction(obj):
+                uses[f"{info.name}.{name}"] = ((info.name, name) in imported | aliased | named
+                                               or ("__all__", name) in named)
+            elif inspect.isclass(obj):
+                for attr, raw in vars(obj).items():
+                    if not attr.startswith("_") and isinstance(
+                            raw, (staticmethod, classmethod, FunctionType)):
+                        uses[f"{info.name}.{name}.{attr}"] = attr in attributes
+    return uses
 
 
 class TestNoTestOnlyCode:
-    # the finite-difference oracle is the one part of the module only tests call
-    ORACLES = {"grad_check", "record_relu_inputs", "GradCheckReport"}
+    # the finite-difference oracle is the one part of src/ only tests call
+    ORACLES = {"model.grad_check"}
+    # the benchmark's request loop reads vocab.json (ROADMAP item 1 retires both)
+    BENCHMARK_ONLY = {"corpus.Vocabulary.load"}
 
     def test_every_public_function_is_used_in_src(self):
-        """Each public function or method of autodiff is named by another module in src/.
+        """Each public function and method of every src/ module is used by src/ code."""
+        uses = module_uses(triagenet)
+        assert {"model.forward_graph", "training.adam_step", "corpus.Vocabulary.id_of",
+                *self.ORACLES} <= set(uses)
+        unused = {name for name, used in uses.items() if not used}
+        assert sorted(unused) == sorted(self.ORACLES | self.BENCHMARK_ONLY)
 
-        A use is ``alias.name`` (the ops namespaces are reached that way)
-        or an import by name from ``.autodiff``.
-        """
-        src = Path(ad.__file__).parent
-        used = set()
-        for path in src.glob("*.py"):
-            if path.name == "autodiff.py":
-                continue
+    def test_src_imports_only_the_stdlib_and_numpy(self):
+        """Every import in src/ is relative, from the standard library, or numpy:
+        the one runtime dependency, whatever else the environment holds."""
+        root = Path(triagenet.__file__).parent
+        for path in sorted(root.glob("*.py")):
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if isinstance(node, ast.Attribute):
-                    used.add(node.attr)
-                elif isinstance(node, ast.ImportFrom) and node.module == "autodiff":
-                    used.update(alias.name for alias in node.names)
-        public = set()
-        for name, obj in vars(ad).items():
-            if name.startswith("_") or getattr(obj, "__module__", None) != ad.__name__:
-                continue
-            if inspect.isfunction(obj):
-                public.add(name)
-            elif inspect.isclass(obj):
-                public.update(
-                    attr for attr, raw in vars(obj).items()
-                    if not attr.startswith("_") and isinstance(raw, (staticmethod, FunctionType))
-                )
-        assert public >= {"add", "matmul", "softmax", "param", "backward"}
-        assert sorted(public - used - self.ORACLES) == []
+                if isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                for name in names:
+                    top = name.split(".")[0]
+                    assert top == "numpy" or top in sys.stdlib_module_names, (path.name, name)

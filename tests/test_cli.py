@@ -1060,7 +1060,7 @@ class TestDefaults:
         assert saved.data.tokens == tuple(vocab.id_to_token[2:])
         assert saved.tensors.keys() == params.tensors.keys()
         for name, ours in params.tensors.items():
-            assert ours.data.tobytes() == saved.tensors[name].data.tobytes(), name
+            assert ours.tobytes() == saved.tensors[name].tobytes(), name
 
 
 class TestResolvedConfig:

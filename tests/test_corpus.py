@@ -91,6 +91,23 @@ class TestGenerator:
         for r in default_corpus.records:
             assert oracle_label(r.tokens, lex) == r.label
 
+    @pytest.mark.parametrize("mode", ["symptoms", "fulltext"])
+    def test_oracle_pairs_are_planted_adjacent(self, mode):
+        # oracle_label tests co-occurrence; on generated corpora every urgent
+        # case without a red flag holds its one pair side by side, at planted_flags
+        spec = GeneratorSpec(mode=mode, p_noise=0.5, pair_case_rate=0.5, label_noise=0.1)
+        lex = build_lexicon(spec)
+        red = set(lex.red_flags)
+        pair_cases = [r for r in generate_corpus(spec, 1500, seed=21).records
+                      if oracle_label(r.tokens, lex) == URGENT and not red & set(r.tokens)]
+        assert len(pair_cases) > 150
+        for r in pair_cases:
+            i, j = r.planted_flags
+            assert j == i + 1
+            assert (r.tokens[i], r.tokens[j]) in lex.pairs
+            members = [t for t in r.tokens if t.startswith("duo")]
+            assert members == [r.tokens[i], r.tokens[j]]  # no other pair member anywhere
+
     def test_label_noise_flips_some_labels(self):
         spec = GeneratorSpec(label_noise=0.2)
         corpus = generate_corpus(spec, 1000, seed=7)

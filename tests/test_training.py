@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from triagenet import model, training
-from triagenet.autodiff import Tensor
 from triagenet.corpus import (
     GeneratorSpec,
     build_vocab,
@@ -52,22 +51,22 @@ def tiny_task():
     return config, [encoded[i] for i in tr], [encoded[i] for i in va], [encoded[i] for i in te]
 
 
-def allocating_adam_step(params, state, hyper):
+def allocating_adam_step(params, grads, state, hyper):
     """Adam with a fresh array for every intermediate, as the step was first written:
     the oracle for the in-place step."""
     state.t += 1
     t = state.t
-    for i, p in enumerate(params):
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        m, v = state.m[i], state.v[i]
+    for name, p in params.items():
+        g = grads[name] if name in grads else np.zeros_like(p)
+        m, v = state.m[name], state.v[name]
         m *= training.BETA1
         m += (1 - training.BETA1) * g
         v *= training.BETA2
         v += (1 - training.BETA2) * g * g
         m_hat = m / (1 - training.BETA1**t)
         v_hat = v / (1 - training.BETA2**t)
-        update = m_hat / (np.sqrt(v_hat) + training.EPS) + training.WEIGHT_DECAY * p.data
-        p.data -= hyper.lr * update
+        update = m_hat / (np.sqrt(v_hat) + training.EPS) + training.WEIGHT_DECAY * p
+        p -= hyper.lr * update
 
 
 class TestAdam:
@@ -75,60 +74,56 @@ class TestAdam:
         # 50 steps on every tensor of a fulltext-sized model (max_len 96, default sizes)
         rng = np.random.default_rng(31)
         shapes = model.tensor_shapes(ModelConfig(vocab_size=700, max_len=96))
-        ours = [Tensor(rng.normal(size=shape)) for shape in shapes.values()]
-        theirs = [Tensor(t.data.copy()) for t in ours]
+        ours = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        theirs = {name: a.copy() for name, a in ours.items()}
         state, oracle_state = AdamState(ours), AdamState(theirs)
         hyper = HyperParams(lr=0.01)
         for step in range(50):
-            for a, b in zip(ours, theirs):
-                # some steps leave a tensor without a gradient, as kimcnn's attention is
-                a.grad = None if rng.random() < 0.1 else rng.normal(size=a.shape) * rng.random()
-                b.grad = None if a.grad is None else a.grad.copy()
-            adam_step(ours, state, hyper)
-            allocating_adam_step(theirs, oracle_state, hyper)
+            # some steps leave a tensor without a gradient, as kimcnn's attention is
+            grads = {name: rng.normal(size=a.shape) * rng.random() for name, a in ours.items()
+                     if rng.random() >= 0.1}
+            adam_step(ours, grads, state, hyper)
+            allocating_adam_step(theirs, {name: g.copy() for name, g in grads.items()},
+                                 oracle_state, hyper)
         assert state.t == oracle_state.t == 50
-        pairs = zip([t.data for t in ours] + state.m + state.v,
-                    [t.data for t in theirs] + oracle_state.m + oracle_state.v)
-        for got, want in pairs:  # bit for bit
-            assert got.tobytes() == want.tobytes()
+        for name in shapes:  # bit for bit
+            for got, want in [(ours, theirs), (state.m, oracle_state.m), (state.v, oracle_state.v)]:
+                assert got[name].tobytes() == want[name].tobytes(), name
 
     def test_zero_gradient_applies_only_decay(self):
         before = np.array([1.0, -2.0])
-        w = Tensor(before.copy())
-        w.grad = np.zeros(2)
+        params = {"w": before.copy()}
         hyper = HyperParams(lr=0.1)
-        adam_step([w], AdamState([w]), hyper)
-        np.testing.assert_array_equal(w.data, before - hyper.lr * (training.WEIGHT_DECAY * before))
+        adam_step(params, {"w": np.zeros(2)}, AdamState(params), hyper)
+        np.testing.assert_array_equal(params["w"], before - hyper.lr * (training.WEIGHT_DECAY * before))
 
     def test_quadratic_converges(self):
         # f(theta) = theta^2 from theta=1, lr=0.1: near zero in 200 steps
-        theta = Tensor(np.array([1.0]))
-        state = AdamState([theta])
+        params = {"theta": np.array([1.0])}
+        state = AdamState(params)
         hyper = HyperParams(lr=0.1)
         for _ in range(200):
-            theta.grad = 2.0 * theta.data
-            adam_step([theta], state, hyper)
-        assert abs(float(theta.data[0])) < 0.05
+            adam_step(params, {"theta": 2.0 * params["theta"]}, state, hyper)
+        assert abs(float(params["theta"][0])) < 0.05
 
     def test_zero_row_with_zero_gradient_never_moves(self):
         # how train pins the padding embedding row: moments and decay stay zero there
-        w = Tensor(np.zeros((3, 2)))
-        state = AdamState([w])
+        params = {"w": np.zeros((3, 2))}
+        state = AdamState(params)
         for _ in range(3):
-            w.grad = np.ones((3, 2))
-            w.grad[0] = 0.0
-            adam_step([w], state, HyperParams(lr=0.05))
-        assert w.data[0].tobytes() == np.zeros(2).tobytes()
-        assert np.all(w.data[1:] != 0)
+            g = np.ones((3, 2))
+            g[0] = 0.0
+            adam_step(params, {"w": g}, state, HyperParams(lr=0.05))
+        assert params["w"][0].tobytes() == np.zeros(2).tobytes()
+        assert np.all(params["w"][1:] != 0)
 
     def test_deterministic(self):
         def run():
-            w = Tensor(np.array([0.5, -1.5]))
-            state = AdamState([w])
+            params = {"w": np.array([0.5, -1.5])}
+            state = AdamState(params)
             for i in range(10):
-                w.grad = np.array([1.0, -2.0]) * (i + 1)
-                adam_step([w], state, HyperParams())
-            return w.data.tobytes()
+                adam_step(params, {"w": np.array([1.0, -2.0]) * (i + 1)}, state, HyperParams())
+            return params["w"].tobytes()
 
         assert run() == run()
 
@@ -266,7 +261,7 @@ class TestEvaluateOracle:
         table = np.array([[0.6, 0.3, 0.1], [0.3, 0.6, 0.1], [np.nextafter(0.6, 0.0), 0.3, 0.1],
                           [0.2, 0.2, 0.6], [0.1, 0.7, 0.2], [0.5, 0.25, 0.25]])
 
-        def fixed_forward(params, ids, demographics, ops):
+        def fixed_forward(params, ids, demographics, **kwargs):
             return table[ids[:, 0] % len(table)], {}, doc_lengths(ids)
 
         monkeypatch.setattr(model, "forward_graph", fixed_forward)
@@ -293,8 +288,7 @@ class TestTrain:
             rows.append(len(ids))
             return real_forward(params, ids, *args, **kwargs)
 
-        monkeypatch.setattr(model, "forward_graph", counting)
-        monkeypatch.setattr(training, "forward_graph", counting)
+        monkeypatch.setattr(model, "forward_graph", counting)  # training's pass calls it too
         history = train(init_params(config, seed=1), tr, va, HyperParams(epochs=2), seed=1)
         assert len(history.epochs) == 2
         assert sum(rows) == 2 * (len(tr) + len(va))
@@ -302,10 +296,10 @@ class TestTrain:
     def test_zero_lr_leaves_parameters_unchanged(self, tiny_task):
         config, tr, va, _ = tiny_task
         params = init_params(config, seed=2)
-        before = [t.data.copy() for t in params.tensors.values()]
+        before = [t.copy() for t in params.tensors.values()]
         train(params, tr, va, HyperParams(lr=0.0, epochs=1), seed=2)
         for b, t in zip(before, params.tensors.values(), strict=True):
-            assert b.tobytes() == t.data.tobytes()
+            assert b.tobytes() == t.tobytes()
 
     def test_deterministic_in_seed(self, tiny_task):
         config, tr, va, _ = tiny_task
@@ -313,7 +307,7 @@ class TestTrain:
         def run(seed):
             params = init_params(config, seed=7)
             train(params, tr, va, HyperParams(lr=0.01, epochs=2), seed=seed)
-            return b"".join(t.data.tobytes() for t in params.tensors.values())
+            return b"".join(t.tobytes() for t in params.tensors.values())
 
         assert run(5) == run(5)
         assert run(5) != run(6)
@@ -324,18 +318,18 @@ class TestTrain:
         table = np.random.default_rng(3).uniform(-1, 1, (config.vocab_size, config.embedding_dim))
         table[0] = 0.0
         by_hand = init_params(config, seed=3)
-        by_hand.tensors["embedding"] = Tensor(table.copy())
+        by_hand.tensors["embedding"] = table.copy()
         for params in (init_params(config, seed=3), by_hand):
             emb = params.tensors["embedding"]
-            before = emb.data.copy()
+            before = emb.copy()
             train(params, tr, va, HyperParams(lr=0.01, epochs=1), seed=3)
-            assert emb.data[0].tobytes() == np.zeros(config.embedding_dim).tobytes()
-            assert np.all(emb.data[1:] != before[1:])
+            assert emb[0].tobytes() == np.zeros(config.embedding_dim).tobytes()
+            assert np.all(emb[1:] != before[1:])
 
     def test_poisoned_parameters_abort(self, tiny_task):
         config, tr, va, _ = tiny_task
         params = init_params(config, seed=4)
-        params.tensors["embedding"].data[2, 0] = np.nan
+        params.tensors["embedding"][2, 0] = np.nan
         with pytest.raises(TrainingDivergedError):
             train(params, tr, va, HyperParams(lr=0.01, epochs=1), seed=4)
 
