@@ -281,8 +281,10 @@ def _load_trained(run: Run):
 
     The vocabulary comes from the model's data record, and a corpus file
     whose sha256 or record count differs from it is refused before any
-    record is parsed; a command then parses only the records it uses. The
-    run records the model file's own settings as its ``model`` config.
+    record is parsed; a command then parses only the records it uses. Since
+    ``train`` checked every record of these bytes, a command that scores one
+    class may skip the others' records unchecked. The run records the model
+    file's own settings as its ``model`` config.
     """
     corpus_path = run.path("corpus", "corpus.jsonl")
     corpus = CorpusFile(corpus_path)
@@ -420,7 +422,7 @@ def cmd_grid_search(args, run: Run) -> dict:
 
 def cmd_score_symptoms(args, run: Run) -> dict:
     corpus, vocab, params = _load_trained(run)
-    records = corpus.records(getattr(params.data, args.split))
+    records = corpus.records(getattr(params.data, args.split), args.class_name)
     scores = score_features(params, records, vocab, args.class_name, gram_size=args.gram)
     out = run.output("scores", "out", f"scores_{args.class_name}_{args.gram}gram.json")
     write_json([s.to_dict() for s in scores], out)
@@ -430,7 +432,7 @@ def cmd_score_symptoms(args, run: Run) -> dict:
 
 def cmd_pairs(args, run: Run) -> dict:
     corpus, vocab, params = _load_trained(run)
-    records = corpus.records(getattr(params.data, args.split))
+    records = corpus.records(getattr(params.data, args.split), args.class_name)
     unigrams, bigrams = score_grams(params, records, vocab, args.class_name, (1, 2))
     pairs = pair_synergy(unigrams, bigrams)
     out = run.output("pairs", "out", f"pairs_{args.class_name}.json")
@@ -443,7 +445,7 @@ def cmd_drop_experiment(args, run: Run) -> dict:
     corpus, vocab, params = _load_trained(run)
     rows = drop_experiment(
         params,
-        corpus.records(params.data.train),
+        corpus.records(params.data.train, args.class_name),  # the rankings read only these
         corpus.records(params.data.test),
         vocab,
         max_drops=args.drops,

@@ -491,13 +491,19 @@ def save_corpus(corpus: Corpus, path) -> None:
             fh.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-def _parse_record(line_no: int, line: str) -> CaseRecord:
-    """One nonblank, stripped line of a corpus file as a checked record; errors name the line."""
+def _decode(line_no: int, line: str):
+    """One nonblank, stripped line of a corpus file as a JSON value; errors name the line."""
     try:
-        rec = CaseRecord(**check(json.loads(line), field_types(CaseRecord), "record"))
-        _validate_record(rec)
+        return json.loads(line)
     except json.JSONDecodeError as e:
         raise SpecValidationError(f"line {line_no}: not valid JSON ({e})") from e
+
+
+def _parse_record(line_no: int, value) -> CaseRecord:
+    """One decoded line of a corpus file as a checked record; errors name the line."""
+    try:
+        rec = CaseRecord(**check(value, field_types(CaseRecord), "record"))
+        _validate_record(rec)
     except TypeError as e:  # a required field is absent
         raise SpecValidationError(f"line {line_no}: missing field ({e})") from e
     except ConfigError as e:
@@ -538,8 +544,15 @@ class CorpusFile:
     def __len__(self) -> int:
         return len(self._rows)
 
-    def records(self, indices: Sequence[int] | None = None) -> list[CaseRecord]:
-        """The records at ``indices`` (every record for None), in that order."""
+    def records(self, indices: Sequence[int] | None = None,
+                label: str | None = None) -> list[CaseRecord]:
+        """The records at ``indices`` (every record for None), in that order.
+
+        With a ``label``, only the records of that class. Every named line is
+        still decoded, but one that decodes to an object whose ``label`` names
+        another class in LABELS is skipped unchecked; every other line gets the
+        full check, so a malformed record still fails with its line's error.
+        """
         if not self._rows:
             raise SpecValidationError("corpus file holds no records")
         if indices is None:
@@ -548,7 +561,10 @@ class CorpusFile:
             if indices and not 0 <= min(indices) <= max(indices) < len(self._rows):
                 raise SpecValidationError(f"record indices out of range for {len(self)} records")
             rows = [self._rows[i] for i in indices]
-        return [_parse_record(n, line) for n, line in rows]
+        others = () if label is None else tuple(c for c in LABELS if c != label)
+        values = ((n, _decode(n, line)) for n, line in rows)
+        return [_parse_record(n, value) for n, value in values
+                if not (isinstance(value, dict) and value.get("label") in others)]
 
 
 def load_corpus(path) -> Corpus:

@@ -26,7 +26,7 @@ from .model import AttentionRecord, ModelParams, predict_attention, predict_prob
 from .training import Metrics, derive_seed, metrics_from
 
 
-@dataclass(frozen=True)
+@dataclass
 class SymptomScore:
     """Attention-derived importance of one n-gram for one class.
 
@@ -35,6 +35,9 @@ class SymptomScore:
     [0, 1] and hits 1.0 only for features that top every case they
     appear in. ``mean_attention`` and ``mean_case_max`` keep the raw
     ingredients around for auditing.
+
+    Not frozen, so not hashable: a table holds thousands of rows, and a
+    frozen dataclass takes about five times as long to build.
     """
 
     feature: str
@@ -55,12 +58,13 @@ class SymptomScore:
         }
 
 
-@dataclass(frozen=True)
+@dataclass
 class PairSynergy:
     """A scored bigram next to its members' unigram scores.
 
     ``margin`` is pair score minus the better member score; a positive
     margin marks a combination more alarming than either part alone.
+    Not frozen, like ``SymptomScore``.
     """
 
     first: str
@@ -150,19 +154,28 @@ def _rank(codes: np.ndarray, tokens: list[str], alpha: np.ndarray, lengths: np.n
     best = order[np.diff(pair[order], prepend=-1) != 0]
     feature, weight, case_max = feature[best], weight[best], case_max[best]
 
-    def sums(values: np.ndarray) -> list:
-        return np.bincount(feature, values, minlength=len(firsts)).tolist()
+    counts = np.bincount(feature, minlength=len(firsts))
+    score, mean_attention, mean_case_max = (
+        np.bincount(feature, values, minlength=len(firsts)) / counts
+        for values in (weight / case_max, weight, case_max))
+    # names as Python strings: a numpy str array drops trailing NULs, and a per-token
+    # order differs from the joined name's once a token holds a character below " "
+    text = np.array(tokens, dtype=object)
+    names = text[windows[firsts, 0]]
+    for column in windows[firsts, 1:].T:
+        names = names + " " + text[column]
+    order = np.lexsort((_ranks(names), -counts, -score))
+    return [SymptomScore(name, class_name, s, n, a, c)  # positional: keywords cost a third more
+            for name, s, n, a, c in zip(names[order].tolist(), score[order].tolist(),
+                                        counts[order].tolist(), mean_attention[order].tolist(),
+                                        mean_case_max[order].tolist())]
 
-    names = [" ".join(tokens[c] for c in row) for row in windows[firsts].tolist()]
-    counts = np.bincount(feature, minlength=len(firsts)).tolist()
-    scores = [
-        SymptomScore(feature=name, class_name=class_name, score=f / n, occurrences=n,
-                     mean_attention=a / n, mean_case_max=c / n)
-        for name, n, f, a, c in zip(names, counts, sums(weight / case_max), sums(weight),
-                                    sums(case_max))
-    ]
-    scores.sort(key=lambda s: (-s.score, -s.occurrences, s.feature))
-    return scores
+
+def _ranks(values: np.ndarray) -> np.ndarray:
+    """Each value's place in ``values`` sorted, ties in their given order."""
+    ranks = np.empty(len(values), dtype=np.int64)
+    ranks[np.argsort(values, kind="stable")] = np.arange(len(values))
+    return ranks
 
 
 def pair_synergy(
@@ -172,32 +185,30 @@ def pair_synergy(
 
     Both lists must come from the same class and data; every bigram
     member then has a unigram score, because it occurred in the same
-    cases. Returns all pairs sorted by margin descending.
+    cases. Returns all pairs sorted by margin descending, then by first
+    and then second token.
     """
     if not bigram_scores:
         return []
     classes = {s.class_name for s in unigram_scores} | {s.class_name for s in bigram_scores}
     if len(classes) != 1:
         raise ConfigError(f"score lists span classes {sorted(classes)}")
-    by_token = {s.feature: s.score for s in unigram_scores}
-    pairs = []
-    for s in bigram_scores:
-        first, second = s.feature.split(" ", 1)
-        if first not in by_token or second not in by_token:
-            raise ConfigError(f"no unigram score for a member of {s.feature!r}")
-        a, b = by_token[first], by_token[second]
-        pairs.append(
-            PairSynergy(
-                first=first,
-                second=second,
-                first_score=a,
-                second_score=b,
-                pair_score=s.score,
-                margin=s.score - max(a, b),
-            )
-        )
-    pairs.sort(key=lambda p: (-p.margin, p.first, p.second))
-    return pairs
+    index = {s.feature: i for i, s in enumerate(unigram_scores)}
+    firsts, _, seconds = zip(*(s.feature.partition(" ") for s in bigram_scores))
+    members = np.array([[index.get(token, -1) for token in side] for side in (firsts, seconds)])
+    missing = (members < 0).any(axis=0)
+    if missing.any():
+        raise ConfigError(f"no unigram score for a member of "
+                          f"{bigram_scores[int(missing.argmax())].feature!r}")
+    unigram = np.array([s.score for s in unigram_scores])
+    a, b = unigram[members]
+    pair = np.array([s.score for s in bigram_scores])
+    margin = pair - np.maximum(a, b)
+    ranks = _ranks(np.array([s.feature for s in unigram_scores], dtype=object))[members]
+    order = np.lexsort((ranks[1], ranks[0], -margin))
+    firsts, seconds = (np.array(side, dtype=object)[order].tolist() for side in (firsts, seconds))
+    return [PairSynergy(*row) for row in zip(firsts, seconds, a[order].tolist(), b[order].tolist(),
+                                             pair[order].tolist(), margin[order].tolist())]
 
 
 # -- drop experiments ---------------------------------------------------------

@@ -962,9 +962,37 @@ class TestCorpusReads:
         assert run("explain", *common, "--cases", "0,3") == 0
         assert opened.count(corpus) == 1
         assert parsed == [1, 4]
+        # the explain stages check only the scored class's training records
+        labels = [r.label for r in load_corpus(corpus).records]
+        urgent = [i + 1 for i in data.train if labels[i] == URGENT]
+        assert 0 < len(urgent) < len(data.train)
+        for command in ("score-symptoms", "pairs"):
+            parsed.clear()
+            assert run(command, *common) == 0
+            assert parsed == urgent
         parsed.clear()
         assert run("drop-experiment", *common) == 0
-        assert len(parsed) == len(data.train) + len(data.test)
+        assert parsed == urgent + [i + 1 for i in data.test]
+
+    def test_class_absent_from_split_gives_empty_tables(self, tmp_path, capsys):
+        out, config = make_workspace(tmp_path, "small")
+        common = ("--config", config, "--out-dir", out, "--seed", 3)
+        assert run("gen-data", *common, "--cases", 40) == 0
+        assert run("train", *common) == 0
+        data = load_model(out / "model.bin").data
+        labels = [r.label for r in load_corpus(out / "corpus.jsonl").records]
+        assert "general_practice" not in {labels[i] for i in data.val + data.test}
+        capsys.readouterr()
+        for command, split_name, name, header in (
+            ("score-symptoms", "val", "scores_general_practice_1gram.json",
+             "feature   score  occurrences"),
+            ("pairs", "test", "pairs_general_practice.json",
+             "pair   first  second    pair  margin"),
+        ):
+            assert run(command, *common, "--class", "general_practice",
+                       "--split", split_name) == 0
+            assert (out / name).read_text() == "[]\n"
+            assert capsys.readouterr().out == header + "\n"
 
     def test_train_records_the_bytes_it_parsed(self, pipeline, tmp_path, monkeypatch):
         out, config = pipeline

@@ -388,10 +388,46 @@ class TestSelectiveRead:
             assert len(CorpusFile(path)) == n
             assert CorpusFile(path).records(others) == [full[i] for i in others]
         assert CorpusFile(clean_path).records(picked) == [full[i] for i in picked]
+        for label in LABELS:
+            assert CorpusFile(clean_path).records(picked, label) == [
+                r for r in CorpusFile(clean_path).records(picked) if r.label == label]
         with_bad = others[: len(others) // 2] + [bad] + others[len(others) // 2 :]
         with pytest.raises(SpecValidationError) as part:
             CorpusFile(broken_path).records(with_bad)
         assert str(part.value) == str(whole.value)
+
+    def test_one_class_read_checks_every_record_it_keeps(self, tmp_path):
+        corpus = generate_corpus(GeneratorSpec(), 30, seed=2)
+        path = tmp_path / "c.jsonl"
+        save_corpus(corpus, path)
+        lines = path.read_text().splitlines()
+        urgent = next(i for i, r in enumerate(corpus.records) if r.label == URGENT)
+        other = next(i for i, r in enumerate(corpus.records) if r.label != URGENT)
+
+        def read(i, edit, label=URGENT):
+            """The class's records from the file with line i + 1 edited."""
+            broken = lines.copy()
+            broken[i] = edit(lines[i])
+            path.write_text("\n".join(broken) + "\n")
+            return CorpusFile(path).records(None, label)
+
+        def field(key, value):
+            return lambda line: json.dumps({**json.loads(line), key: value})
+
+        with pytest.raises(SpecValidationError, match=f"^line {urgent + 1}: age must be"):
+            read(urgent, field("age", -1))
+        with pytest.raises(SpecValidationError, match=f"^line {other + 1}: not valid JSON"):
+            read(other, lambda line: line[:-1])
+        for value in ("[1, 2]", '"telecare"', "{}"):
+            with pytest.raises(SpecValidationError, match=f"^line {other + 1}: "):
+                read(other, lambda line: value)
+        with pytest.raises(SpecValidationError, match=f"^line {other + 1}: unknown label 'er'"):
+            read(other, field("label", "er"))
+        # only an object labelled with another class goes unchecked
+        wrong_typed = field("age", "old")
+        assert read(other, wrong_typed) == [r for r in corpus.records if r.label == URGENT]
+        with pytest.raises(SpecValidationError, match=f"^line {other + 1}: .*age"):
+            read(other, wrong_typed, corpus.records[other].label)
 
     def test_non_utf8_names_its_line(self, tmp_path):
         path = tmp_path / "c.jsonl"

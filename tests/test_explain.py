@@ -203,7 +203,7 @@ class TestPairSynergy:
         assert len(pairs) == 1
         p = pairs[0]
         assert (p.first, p.second) == ("a", "b")
-        assert p.margin == pytest.approx(0.1)
+        assert p.margin == 1.0 - 0.9
         assert p.pair_score == 1.0 and p.first_score == 0.9 and p.second_score == 0.4
 
     def test_saturated_members_cannot_be_beaten(self):
@@ -232,9 +232,24 @@ class TestPairSynergy:
         assert len(pairs) == len(bis)
         uni_scores = {s.feature: s.score for s in unis}
         for p in pairs:
-            assert p.margin == pytest.approx(
-                p.pair_score - max(uni_scores[p.first], uni_scores[p.second])
-            )
+            assert p.margin == p.pair_score - max(uni_scores[p.first], uni_scores[p.second])
+
+    def test_order_against_sorted(self):
+        # equal margins leave the order to the member tokens, compared one by one:
+        # "a" < "a\x00" although the joined "a\x00 b" < "a b", and a numpy str
+        # array would read "a\x00" as "a"
+        firsts, seconds = ("a\x01", "a", "a\x00"), ("b\x00", "b", "c")
+        unis = [self.uni(t, score) for t, score in zip(firsts + seconds,
+                                                        (0.5, 0.5, 0.5, 0.5, 0.25, 0.5))]
+        bis = [self.bi(f"{a} {b}", 0.75 if (i + j) % 2 else 1.0)
+               for i, a in enumerate(firsts) for j, b in enumerate(seconds)]
+        by_token = {s.feature: s.score for s in unis}
+        expected = sorted(((a, b, s.score - max(by_token[a], by_token[b]))
+                           for s in bis for a, b in [s.feature.split(" ")]),
+                          key=lambda row: (-row[2], row[0], row[1]))
+        got = [(p.first, p.second, p.margin) for p in pair_synergy(unis, bis[::-1])]
+        assert got == expected
+        assert [row[:2] for row in got[:3]] == [("a", "b"), ("a\x00", "b\x00"), ("a\x00", "c")]
 
 
 def rec(tokens, label="urgent_care", flags=()):
@@ -566,6 +581,21 @@ class TestScoreGramsOracle:
         short = [rec([t]) for t in ("crit00", "mild00", "crit01", "mild00")]
         world = self.world(max_len=16, min_count=1, extra=short)
         self.check(world)
+
+    def test_names_with_characters_below_space(self):
+        # one-token records score their token 1.0 once, two-token ones their bigram,
+        # so the names alone order the ties. Joined, "c\x00 d" < "c\x01 d" < "c d",
+        # where a per-token order puts "c d" first; "a\x00" comes first in the
+        # records but sorts after "a", which a numpy str array would read it as.
+        extra = [rec(tokens) for tokens in (["a\x00"], ["a\x01"], ["a"], ["c", "d"],
+                                            ["c\x01", "d"], ["c\x00", "d"])]
+        params, records, vocab = world = self.world(max_len=16, min_count=1, extra=extra)
+        self.check(world)
+        unigrams, bigrams = score_grams(params, records, vocab, "urgent_care", (1, 2))
+        tied = [s.feature for s in unigrams if s.score == 1.0 and s.occurrences == 1]
+        assert [f for f in tied if f.startswith("a")] == ["a", "a\x00", "a\x01"]
+        assert [s.feature for s in bigrams if s.feature.endswith(" d")] == [
+            "c\x00 d", "c\x01 d", "c d"]
 
     def test_unknown_tokens_rank_apart(self):
         world = self.world(max_len=16, min_count=2)
