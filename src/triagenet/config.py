@@ -70,6 +70,33 @@ def check(data, types, section: str = "") -> dict:
     return checked
 
 
+def exact_check(types) -> typing.Callable[[object], bool]:
+    """A test, built once from ``types``, that ``check(value, types)`` would pass
+    ``value``'s items through unchanged: ``value`` is a dict whose keys are all in
+    ``types``, each value exactly of its annotated class, and a list or
+    ``tuple[X, ...]`` exactly of its own class with items exactly of X.
+
+    True means ``check`` returns a dict of the same objects. False means only that
+    ``check`` must give the verdict: it takes an int for a float, for one.
+    """
+    kinds = {}
+    for name, kind in types.items():
+        origin, _, same = _shape(kind)
+        # (class, item classes); a fixed-length tuple's length is check's to test
+        kinds[name] = (kind, None) if origin is None else (origin, same) if same else (None, None)
+
+    def exact(value) -> bool:
+        if type(value) is not dict or not value.keys() <= kinds.keys():
+            return False
+        for key, x in value.items():
+            kind, items = kinds[key]
+            if type(x) is not kind or items is not None and not set(map(type, x)) <= items:
+                return False
+        return True
+
+    return exact
+
+
 @functools.cache  # resolving annotations costs about 0.1 ms a class
 def field_types(cls) -> MappingProxyType:
     """Each dataclass field of ``cls`` mapped to its resolved annotation, read-only."""

@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import json.scanner
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import ConfigError, Schema, check, field_types
+from .config import ConfigError, Schema, check, exact_check, field_types
 
 LABELS = ("urgent_care", "general_practice", "telecare")
 URGENT, GENERAL_PRACTICE, TELECARE = LABELS
@@ -353,6 +354,16 @@ def demographics_of(record: CaseRecord) -> np.ndarray:
     )
 
 
+def demographics_array(records: Sequence[CaseRecord]) -> np.ndarray:
+    """``demographics_of`` of each record as one (N, 3) array, equal float for float."""
+    out = np.zeros((len(records), 3))
+    out[:, 0] = [rec.age for rec in records]  # an integer age converts exactly
+    out[:, 0] /= MAX_AGE
+    out[:, 1] = [rec.gender == "male" for rec in records]
+    out[:, 2] = [rec.gender == "female" for rec in records]
+    return out
+
+
 def encode(record: CaseRecord, vocab: Vocabulary, max_len: int) -> EncodedCase:
     """Map tokens to ids (truncate/pad to ``max_len``) and pack demographics."""
     if max_len < 1:
@@ -369,7 +380,24 @@ def encode(record: CaseRecord, vocab: Vocabulary, max_len: int) -> EncodedCase:
 def encode_corpus(
     records: Sequence[CaseRecord], vocab: Vocabulary, max_len: int
 ) -> list[EncodedCase]:
-    return [encode(r, vocab, max_len) for r in records]
+    """``encode`` of each record, in one pass: each case's ids and demographics are
+    rows of one (N, max_len) and one (N, 3) array, equal to ``encode``'s bit for bit.
+    For records of the annotated types it raises what ``encode`` raises first.
+    """
+    if max_len < 1:
+        raise SpecValidationError("max_len must be >= 1")
+    labels = []
+    for rec in records:  # encode's checks, in its order
+        if not rec.tokens:
+            raise SpecValidationError("cannot encode a record with no tokens")
+        labels.append(LABELS.index(rec.label))
+    cut = [rec.tokens[:max_len] for rec in records]
+    lengths = np.fromiter(map(len, cut), dtype=np.int64, count=len(cut))
+    ids = np.zeros((len(cut), max_len), dtype=np.int64)
+    id_of = vocab.token_to_id.get
+    flat = [id_of(tok, UNK_ID) for toks in cut for tok in toks]
+    ids[np.arange(max_len) < lengths[:, None]] = flat  # a mask fills in row-major order
+    return [EncodedCase(*case) for case in zip(ids, demographics_array(records), labels)]
 
 
 # -- splits ----------------------------------------------------------------
@@ -481,18 +509,36 @@ def _validate_record(rec: CaseRecord) -> None:
             raise SpecValidationError("planted_flags must index into tokens")
 
 
+# json's C scanner: a whole-line scan skips json.loads' Python steps around it
+_scan = json.scanner.make_scanner(json.JSONDecoder())
+# config.check's verdict on a record whose every value is of exactly its annotated class
+_exact_record = exact_check(field_types(CaseRecord))
+_write_line = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def save_corpus(corpus: Corpus, path) -> None:
     """Write one compact JSON object per record, each checked as ``load_corpus`` checks it."""
-    types = field_types(CaseRecord)
     with open(path, "w", encoding="utf-8") as fh:
         for rec in corpus.records:
-            obj = check(vars(rec), types, "record")
+            obj = vars(rec)
+            if not _exact_record(obj):
+                obj = check(obj, field_types(CaseRecord), "record")
             _validate_record(rec)
-            fh.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+            fh.write(_write_line(obj) + "\n")
 
 
 def _decode(line_no: int, line: str):
-    """One nonblank, stripped line of a corpus file as a JSON value; errors name the line."""
+    """One nonblank, stripped line of a corpus file as a JSON value; errors name the line.
+
+    A scan that fails or stops short of the line's end leaves the verdict, and the
+    message, to ``json.loads``.
+    """
+    try:
+        value, end = _scan(line, 0)
+        if end == len(line):
+            return value
+    except (StopIteration, ValueError):  # no value at 0, or a JSONDecodeError
+        pass
     try:
         return json.loads(line)
     except json.JSONDecodeError as e:
@@ -500,9 +546,15 @@ def _decode(line_no: int, line: str):
 
 
 def _parse_record(line_no: int, value) -> CaseRecord:
-    """One decoded line of a corpus file as a checked record; errors name the line."""
+    """One decoded line of a corpus file as a checked record; errors name the line.
+
+    ``config.check`` runs only on a value the exact test refuses; on a decoded value
+    it then raises, with the message the line gets.
+    """
     try:
-        rec = CaseRecord(**check(value, field_types(CaseRecord), "record"))
+        if not _exact_record(value):
+            value = check(value, field_types(CaseRecord), "record")
+        rec = CaseRecord(**value)
         _validate_record(rec)
     except TypeError as e:  # a required field is absent
         raise SpecValidationError(f"line {line_no}: missing field ({e})") from e
@@ -552,7 +604,10 @@ class CorpusFile:
         still decoded, but one that decodes to an object whose ``label`` names
         another class in LABELS is skipped unchecked; every other line gets the
         full check, so a malformed record still fails with its line's error.
+        A ``label`` outside LABELS is refused.
         """
+        if label is not None and label not in LABELS:
+            raise SpecValidationError(f"unknown class {label!r}")
         if not self._rows:
             raise SpecValidationError("corpus file holds no records")
         if indices is None:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .config import ConfigError
-from .corpus import LABELS, PAD_ID, CaseRecord, Vocabulary, demographics_of
+from .corpus import LABELS, PAD_ID, CaseRecord, Vocabulary, demographics_array
 from .model import AttentionRecord, ModelParams, predict_attention, predict_probs
 from .training import Metrics, derive_seed, metrics_from
 
@@ -118,7 +118,7 @@ def score_grams(
     codes, tokens = _token_codes(records)
     ids = _closed_up_ids(codes, codes >= 0, np.array([vocab.id_of(tok) for tok in tokens]),
                          cfg.max_len)
-    demographics = np.array([demographics_of(rec) for rec in records])
+    demographics = demographics_array(records)
     _, attention, lengths = predict_attention(params, ids, demographics)
     return [_rank(codes, tokens, attention[m], lengths, class_name, m) for m in gram_sizes]
 
@@ -334,7 +334,7 @@ def drop_experiment(
 
     codes, tokens = _token_codes(test_records)
     ids_of = np.array([vocab.id_of(tok) for tok in tokens])
-    demographics = np.array([demographics_of(rec) for rec in test_records])
+    demographics = demographics_array(test_records)
     labels = np.array([LABELS.index(rec.label) for rec in test_records])
 
     def metrics(drop: np.ndarray) -> Metrics:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from triagenet.config import ConfigError, check
+from triagenet.config import ConfigError, check, exact_check
 from triagenet.corpus import GeneratorSpec
 from triagenet.model import ModelConfig, init_params
 from triagenet.training import HyperParams
@@ -76,6 +76,31 @@ class TestCheck:
     def test_section_names_the_key(self):
         with pytest.raises(ConfigError, match="embedding.lr must be a number, got 'x'"):
             check({"lr": "x"}, {"lr": float}, "embedding")
+
+
+class TestExactCheck:
+    TYPES = {"n": int, "lr": float, "mode": str, "split": tuple[float, float, float],
+             "widths": tuple[int, ...], "flags": list[int], "extra": dict}
+
+    def test_true_means_check_passes_the_same_objects(self):
+        exact = exact_check(self.TYPES)
+        for value in ({}, {"n": 3}, {"lr": 0.5, "mode": "a", "flags": [1, 2]},
+                      {"widths": (1, 2)}, {"flags": []}, {"extra": {"a": [1]}}):
+            assert exact(value)
+            checked = check(value, self.TYPES)
+            assert checked == value and all(checked[k] is value[k] for k in value)
+
+    def test_false_leaves_the_verdict_to_check(self):
+        exact = exact_check(self.TYPES)
+        for value in ({"lr": 1}, {"widths": [1, 2]}, {"split": (0.5, 0.25, 0.25)},
+                      {"flags": (1,)}, {"flags": [1, np.int64(2)]}):
+            assert not exact(value)
+            check(value, self.TYPES)  # accepted all the same
+        for value in ([], None, {"n": True}, {"n": 1.0}, {"mode": None}, {"flags": [1, True]},
+                      {"flags": "ab"}, {"widths": [1, "2"]}, {"other": 1}, {1: 2}):
+            assert not exact(value)
+            with pytest.raises(ConfigError):
+                check(value, self.TYPES)
 
 
 class TestDirectConstruction:

@@ -8,9 +8,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from triagenet import corpus as corpus_module
+from triagenet.config import ConfigError, check, exact_check, field_types
 from triagenet.corpus import (
+    GENDERS,
     GENERAL_PRACTICE,
     LABELS,
+    MAX_AGE,
     PAD_ID,
     PAD_TOKEN,
     TELECARE,
@@ -25,7 +29,10 @@ from triagenet.corpus import (
     Vocabulary,
     build_lexicon,
     build_vocab,
+    demographics_array,
+    demographics_of,
     encode,
+    encode_corpus,
     file_sha256,
     generate_corpus,
     load_corpus,
@@ -204,6 +211,54 @@ class TestEncode:
         assert enc.ids[0] == UNK_ID
         assert PAD_ID not in enc.ids[:2]
 
+    def test_corpus_equals_per_record_encode(self):
+        vocab = build_vocab([CaseRecord(["a", "b", "c"], TELECARE, 1, "male")])
+        records = [
+            CaseRecord(["a", "b", "c", "a", "b", "c"], URGENT, 0, "female"),  # truncated
+            CaseRecord(["zzz", "a", "yyy"], GENERAL_PRACTICE, 110, "male"),  # unknown tokens
+            CaseRecord(["b"], TELECARE, 37, "female"),  # one token
+            CaseRecord(["q"], TELECARE, 1, "male"),  # one unknown token
+            CaseRecord(["c", "b", "a", "c"], URGENT, 99, "male"),  # exactly max_len
+        ]
+        for max_len in (1, 2, 4, 9):
+            cases = encode_corpus(records, vocab, max_len)
+            assert len(cases) == len(records)
+            for rec, case in zip(records, cases):
+                one = encode(rec, vocab, max_len)
+                assert case.ids.dtype == one.ids.dtype and case.ids.shape == one.ids.shape
+                assert case.ids.tobytes() == one.ids.tobytes()
+                assert case.demographics.tobytes() == one.demographics.tobytes()
+                assert case.label == one.label
+        assert encode_corpus([], vocab, 4) == []
+
+    def test_corpus_keeps_encode_errors(self):
+        vocab = build_vocab([CaseRecord(["a"], TELECARE, 1, "male")])
+        good = CaseRecord(["a"], TELECARE, 1, "male")
+        empty = CaseRecord([], TELECARE, 1, "male")
+        unlabelled = CaseRecord(["a"], "er", 1, "male")
+
+        def raised(call):
+            with pytest.raises(Exception) as e:
+                call()
+            return type(e.value), str(e.value)
+
+        # each failing list's first refused record decides
+        for records, first, max_len in (([good], good, 0), ([good, empty], empty, 4),
+                                        ([good, unlabelled], unlabelled, 4),
+                                        ([unlabelled, empty], unlabelled, 4),
+                                        ([empty, unlabelled], empty, 4)):
+            expected = raised(lambda: encode(first, vocab, max_len))
+            assert raised(lambda: [encode(r, vocab, max_len) for r in records]) == expected
+            assert raised(lambda: encode_corpus(records, vocab, max_len)) == expected
+
+    def test_demographics_array_equals_demographics_of(self):
+        records = [CaseRecord(["a"], TELECARE, age, gender)
+                   for age in range(MAX_AGE + 1) for gender in GENDERS]
+        expected = np.array([demographics_of(r) for r in records])
+        assert demographics_array(records).tobytes() == expected.tobytes()
+        assert demographics_array(records).shape == (len(records), 3)
+        assert demographics_array([]).shape == (0, 3)
+
 
 class TestSplit:
     def test_exact_sizes_at_1000(self):
@@ -327,6 +382,207 @@ class TestSerialization:
             load_corpus(path)
 
 
+RECORD_TYPES = field_types(CaseRecord)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(allow_nan=False)
+    | st.text(max_size=3),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=3), kids,
+                                                              max_size=3),
+    max_leaves=6,
+)
+
+
+def oracle_decode(line_no, line):
+    """A stripped corpus line as ``json.loads`` reads it, with the reader's message."""
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as e:
+        raise SpecValidationError(f"line {line_no}: not valid JSON ({e})") from e
+
+
+def oracle_parse(line_no, value):
+    """A decoded line as ``config.check`` and ``_validate_record`` read it, with the reader's
+    message."""
+    try:
+        rec = CaseRecord(**check(value, RECORD_TYPES, "record"))
+        corpus_module._validate_record(rec)
+    except TypeError as e:
+        raise SpecValidationError(f"line {line_no}: missing field ({e})") from e
+    except ConfigError as e:
+        raise SpecValidationError(f"line {line_no}: {e}") from e
+    return rec
+
+
+def outcome(call):
+    """What ``call`` returns, or the type and message of what it raises."""
+    try:
+        return call()
+    except Exception as e:  # noqa: BLE001 - the comparison covers any error
+        return type(e), str(e)
+
+
+GOOD = {"age": 30, "gender": "male", "label": TELECARE, "planted_flags": [0],
+        "tokens": ["fieber", "husten"]}
+GOOD_LINE = json.dumps(GOOD, sort_keys=True, separators=(",", ":"))
+
+
+DROP = object()
+
+
+def _with(**changes):
+    """GOOD as a line, with ``changes``; a key set to DROP is left out."""
+    record = {**GOOD, **changes}
+    return json.dumps({k: v for k, v in record.items() if v is not DROP})
+
+
+# one line per rule of the reader
+MALFORMED = {
+    "json-open-brace": "{",
+    "json-cut-in-key": '{"ag',
+    "json-cut-after-key": '{"age"',
+    "json-cut-after-colon": '{"age":',
+    "json-missing-value": '{"age": , "gender": "male"}',
+    "json-cut-in-tokens": GOOD_LINE[:-4],
+    "json-cut-last-brace": GOOD_LINE[:-1],
+    "json-single-quotes": "{'age': 30}",
+    "json-bare-word": "not json",
+    "json-trailing-comma": '{"age": 30,}',
+    "json-bad-escape": '{"tokens": ["a\\q"]}',
+    "json-raw-tab-in-string": '{"tokens": ["a\tb"]}',
+    "json-lone-bracket": "]",
+    "trailing-object": GOOD_LINE + " {}",
+    "trailing-record": GOOD_LINE + ", " + GOOD_LINE,
+    "trailing-bracket": GOOD_LINE + "]",
+    "trailing-word": GOOD_LINE + "x",
+    "trailing-number": "1 2",
+    "non-object-list": "[1, 2]",
+    "non-object-joined": GOOD_LINE + "], [" + GOOD_LINE,
+    "non-object-string": '"telecare"',
+    "non-object-number": "42",
+    "non-object-null": "null",
+    "non-object-true": "true",
+    "age-bool": _with(age=True),
+    "age-float": _with(age=30.0),
+    "age-string": _with(age="30"),
+    "age-null": _with(age=None),
+    "age-nan": GOOD_LINE.replace('"age":30', '"age":NaN'),
+    "tokens-string": _with(tokens="fieber"),
+    "tokens-object": _with(tokens={"a": 1}),
+    "tokens-null": _with(tokens=None),
+    "token-int": _with(tokens=["fieber", 1]),
+    "token-null": _with(tokens=["fieber", None]),
+    "token-list": _with(tokens=[["fieber"]]),
+    "token-space": _with(tokens=["fieber", "a b"]),
+    "token-tab": _with(tokens=["x\t"]),
+    "token-nbsp": _with(tokens=["x\u00a0y"]),
+    "token-pad": _with(tokens=["fieber", PAD_TOKEN]),
+    "token-unk": _with(tokens=[UNK_TOKEN]),
+    "token-empty": _with(tokens=["fieber", ""]),
+    "tokens-empty": _with(tokens=[], planted_flags=[]),
+    "unknown-key": _with(note="x"),
+    "unknown-key-and-wrong-type": _with(note="x", age="30"),
+    "missing-tokens": _with(tokens=DROP, planted_flags=[]),
+    "missing-label": _with(label=DROP),
+    "missing-age": _with(age=DROP),
+    "missing-gender": _with(gender=DROP),
+    "missing-two": _with(age=DROP, gender=DROP),
+    "missing-and-wrong-type": _with(label=DROP, age="30"),
+    "label-unknown": _with(label="er"),
+    "label-int": _with(label=1),
+    "gender-unknown": _with(gender="other"),
+    "gender-null": _with(gender=None),
+    "age-negative": _with(age=-1),
+    "age-over": _with(age=MAX_AGE + 1),
+    "age-huge": _with(age=10**30),
+    "flag-out-of-range": _with(planted_flags=[2]),
+    "flag-negative": _with(planted_flags=[-1]),
+    "flag-bool": _with(planted_flags=[True]),
+    "flag-float": _with(planted_flags=[0.0]),
+    "flag-string": _with(planted_flags=["0"]),
+    "flags-int": _with(planted_flags=0),
+    "flags-string": _with(planted_flags="0"),
+}
+VALID = {
+    "valid": GOOD_LINE,
+    "valid-spaced": json.dumps(GOOD),
+    "valid-without-flags": _with(planted_flags=DROP),
+    "valid-escapes": _with(tokens=["fiéber", "☃"]).replace("\\u00e9", "\\u00E9"),
+    "valid-age-bounds": _with(age=MAX_AGE),
+}
+
+
+class TestRecordCheck:
+    """The reader's scanner decode and compiled check against ``json.loads``,
+    ``config.check`` and ``_validate_record`` called directly."""
+
+    @pytest.mark.parametrize("line", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_malformed_line_message_as_generic_path(self, tmp_path, line):
+        path = tmp_path / "c.jsonl"
+        path.write_text(GOOD_LINE + "\n" + line + "\n" + GOOD_LINE + "\n", encoding="utf-8")
+        expected = outcome(lambda: oracle_parse(2, oracle_decode(2, line)))
+        assert expected[0] is SpecValidationError  # the table holds refused lines only
+        assert outcome(lambda: CorpusFile(path).records()) == expected
+        assert outcome(lambda: CorpusFile(path).records([1])) == expected
+
+    @pytest.mark.parametrize("line", VALID.values(), ids=VALID.keys())
+    def test_valid_line_reads_as_generic_path(self, tmp_path, line):
+        path = tmp_path / "c.jsonl"
+        path.write_text(line + "\n", encoding="utf-8")
+        assert CorpusFile(path).records() == [oracle_parse(1, oracle_decode(1, line))]
+
+    @given(value=st.one_of(
+        st.fixed_dictionaries({}, optional={
+            "tokens": st.lists(st.sampled_from(["a", "b", PAD_TOKEN, "", "a b"]) | JSON_VALUES,
+                               max_size=4) | JSON_VALUES,
+            "label": st.sampled_from(LABELS + ("er",)) | JSON_VALUES,
+            "age": st.integers(-2, MAX_AGE + 2) | JSON_VALUES,
+            "gender": st.sampled_from(GENDERS + ("x",)) | JSON_VALUES,
+            "planted_flags": st.lists(st.integers(-1, 4) | JSON_VALUES, max_size=3) | JSON_VALUES,
+            "note": JSON_VALUES}),
+        JSON_VALUES))
+    @settings(max_examples=400, deadline=None)
+    def test_compiled_check_accepts_what_check_accepts(self, value):
+        value = json.loads(json.dumps(value))  # as a line decodes
+        try:
+            check(value, RECORD_TYPES, "record")
+            accepted = True
+        except ConfigError:
+            accepted = False
+        assert exact_check(RECORD_TYPES)(value) is accepted
+        assert corpus_module._exact_record(value) is accepted
+        assert (outcome(lambda: corpus_module._parse_record(3, value))
+                == outcome(lambda: oracle_parse(3, value)))
+
+    @pytest.mark.parametrize("changes", [
+        {"age": True}, {"age": 1.5}, {"tokens": "fever"}, {"tokens": ["a", 2]},
+        {"tokens": []}, {"tokens": ["a b"]}, {"tokens": [PAD_TOKEN]}, {"label": "er"},
+        {"gender": None}, {"age": -1}, {"planted_flags": [5]}, {"planted_flags": [False]},
+    ], ids=repr)
+    def test_bad_record_not_saved_with_generic_message(self, tmp_path, changes):
+        record = CaseRecord(**{**GOOD, **changes})
+
+        def generic():
+            check(vars(record), RECORD_TYPES, "record")
+            corpus_module._validate_record(record)
+
+        expected = outcome(generic)
+        assert expected[0] is SpecValidationError
+        assert outcome(lambda: save_corpus(Corpus([record]), tmp_path / "c.jsonl")) == expected
+
+    def test_saved_bytes_as_generic_path(self, tmp_path):
+        class Token(str):
+            pass
+
+        records = [CaseRecord(**GOOD), CaseRecord(("a", "b"), URGENT, 3, "female", (1,)),
+                   CaseRecord([Token("a")], TELECARE, 0, "male"),
+                   CaseRecord(["aé", "☃"], GENERAL_PRACTICE, MAX_AGE, "female")]
+        path = tmp_path / "c.jsonl"
+        save_corpus(Corpus(records), path)
+        assert path.read_text(encoding="utf-8") == "".join(
+            json.dumps(check(vars(r), RECORD_TYPES, "record"), sort_keys=True,
+                       separators=(",", ":")) + "\n" for r in records)
+
+
 def _corrupt_json(line):
     return line[:-1]
 
@@ -435,6 +691,16 @@ class TestSelectiveRead:
         path.write_bytes(record.encode() + b"\r\n\r" + b'{"tokens": ["\xe9"]}\n')
         with pytest.raises(SpecValidationError, match=r"^line 3: not UTF-8 text"):
             CorpusFile(path)
+
+    def test_unknown_class_refused(self, tmp_path):
+        # every record is of a class other than "er", so none would be read
+        path = tmp_path / "c.jsonl"
+        save_corpus(generate_corpus(GeneratorSpec(), 5, seed=1), path)
+        for label in ("er", "Telecare", ""):
+            with pytest.raises(ConfigError, match=f"^unknown class {label!r}$"):
+                CorpusFile(path).records(None, label)
+            with pytest.raises(ConfigError, match=f"^unknown class {label!r}$"):
+                CorpusFile(path).records([0, 1], label)
 
     def test_index_out_of_range_refused(self, tmp_path):
         path = tmp_path / "c.jsonl"
