@@ -35,7 +35,6 @@ from .embedding import EmbeddingTable, load_table, save_table, train_skipgram
 from .explain import (
     PairSynergy,
     SymptomScore,
-    drop_dataset,
     drop_experiment,
     pair_synergy,
     render_heatmap,
@@ -75,7 +74,6 @@ __all__ = [
     "build_lexicon",
     "build_vocab",
     "derive_seed",
-    "drop_dataset",
     "drop_experiment",
     "encode",
     "encode_corpus",

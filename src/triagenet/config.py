@@ -12,8 +12,8 @@ from __future__ import annotations
 import dataclasses
 import functools
 import numbers
+import operator
 import typing
-from types import MappingProxyType
 
 _EXPECTED = {int: "an integer", float: "a number", str: "a string", dict: "an object"}
 # the concrete type first: isinstance stops there before the slower ABC check
@@ -40,7 +40,7 @@ def _check_value(name: str, value, kind):
             raise ConfigError(f"{name} must be {_EXPECTED[kind]}, got {value!r}")
         return value
     if same and type(value) in (list, tuple) and set(map(type, value)) <= same:
-        # exact classes throughout, the common case: one pass in C
+        # exact classes throughout, such as a JSON list for a tuple: one pass in C
         return value if type(value) is origin else origin(value)
     if not isinstance(value, (list, tuple)):
         raise ConfigError(f"{name} must be a list, got {value!r}")
@@ -48,60 +48,55 @@ def _check_value(name: str, value, kind):
         items = items[:1] * len(value)
     elif len(value) != len(items):
         raise ConfigError(f"{name} must be a list of {len(items)} values, got {value!r}")
-    return origin(_check_value(f"{name}[{i}]", v, k) for i, (v, k) in enumerate(zip(value, items)))
+    checked = origin(_check_value(f"{name}[{i}]", v, k) for i, (v, k) in enumerate(zip(value, items)))
+    # a sequence that needs no change passes as itself, as check passes an exact one
+    return value if type(value) is origin and all(map(operator.is_, checked, value)) else checked
+
+
+class Fields(dict):
+    """Names mapped to their annotations, each one's shape worked out once: ``exact[name]``
+    is the class a value must have to pass ``check`` as itself and, for a list or
+    ``tuple[X, ...]``, its items' class (else None); a fixed-length tuple has none."""
+
+    def __init__(self, types):
+        super().__init__(types)
+        self.exact = {}
+        for name, kind in self.items():
+            origin, _, same = _shape(kind)
+            self.exact[name] = (kind, None) if origin is None else (origin, same) if same else (None, None)
 
 
 def check(data, types, section: str = "") -> dict:
-    """``data`` with every value checked against ``types``; sequences become the annotated type.
+    """``data`` with every value checked against ``types`` (a ``Fields``, or a mapping to
+    build one from); sequences become the annotated type, and a value that needs no
+    change passes as itself, as does ``data`` when all do.
 
     ``section`` names the config section in messages; "" is the top level.
     Raises ConfigError for a non-object, an unknown key, or a wrong type.
     """
+    if not isinstance(types, Fields):
+        types = Fields(types)
     if not isinstance(data, dict):
         raise ConfigError(f"{section or 'config'} must be a JSON object")
     if not data.keys() <= types.keys():
         what = f"{section} settings" if section else "config sections"
         raise ConfigError(f"unknown {what}: {sorted(data.keys() - types.keys())}")
-    prefix = f"{section}." if section else ""
-    checked = {}
+    exact = types.exact
+    checked = data  # copied at the first value that does not pass as itself
     for key, value in data.items():
-        kind = types[key]  # a value of exactly the annotated class passes without a call
-        checked[key] = value if type(value) is kind else _check_value(prefix + key, value, kind)
+        cls, items = exact[key]
+        if type(value) is not cls or items is not None and not set(map(type, value)) <= items:
+            if checked is data:
+                checked = dict(data)
+            checked[key] = _check_value(f"{section}.{key}" if section else key, value, types[key])
     return checked
 
 
-def exact_check(types) -> typing.Callable[[object], bool]:
-    """A test, built once from ``types``, that ``check(value, types)`` would pass
-    ``value``'s items through unchanged: ``value`` is a dict whose keys are all in
-    ``types``, each value exactly of its annotated class, and a list or
-    ``tuple[X, ...]`` exactly of its own class with items exactly of X.
-
-    True means ``check`` returns a dict of the same objects. False means only that
-    ``check`` must give the verdict: it takes an int for a float, for one.
-    """
-    kinds = {}
-    for name, kind in types.items():
-        origin, _, same = _shape(kind)
-        # (class, item classes); a fixed-length tuple's length is check's to test
-        kinds[name] = (kind, None) if origin is None else (origin, same) if same else (None, None)
-
-    def exact(value) -> bool:
-        if type(value) is not dict or not value.keys() <= kinds.keys():
-            return False
-        for key, x in value.items():
-            kind, items = kinds[key]
-            if type(x) is not kind or items is not None and not set(map(type, x)) <= items:
-                return False
-        return True
-
-    return exact
-
-
 @functools.cache  # resolving annotations costs about 0.1 ms a class
-def field_types(cls) -> MappingProxyType:
-    """Each dataclass field of ``cls`` mapped to its resolved annotation, read-only."""
+def field_types(cls) -> Fields:
+    """Each dataclass field of ``cls`` mapped to its resolved annotation; callers share it."""
     hints = typing.get_type_hints(cls)
-    return MappingProxyType({f.name: hints[f.name] for f in dataclasses.fields(cls)})
+    return Fields({f.name: hints[f.name] for f in dataclasses.fields(cls)})
 
 
 class Schema:
@@ -121,6 +116,12 @@ class Schema:
         return obj
 
     def validate(self) -> None:
-        """Type-check every field, so a directly built object is checked too."""
+        """Type-check every field, so a directly built object is checked too. A field
+        that ``check`` would convert, such as a list for a tuple, is refused: the
+        object would keep it unhashable and unequal to its ``from_dict`` twin."""
         types = field_types(type(self))
-        check({name: getattr(self, name) for name in types}, types, self.section)
+        values = {name: getattr(self, name) for name in types}
+        for name, value in check(values, types, self.section).items():
+            if value is not values[name]:  # converted, as a list to a tuple
+                kind = typing.get_origin(types[name]).__name__
+                raise ConfigError(f"{self.section}.{name} must be a {kind}, got {values[name]!r}")

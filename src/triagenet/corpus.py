@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import ConfigError, Schema, check, exact_check, field_types
+from .config import ConfigError, Schema, check, field_types
 
 LABELS = ("urgent_care", "general_practice", "telecare")
 URGENT, GENERAL_PRACTICE, TELECARE = LABELS
@@ -343,6 +343,12 @@ class EncodedCase:
     label: int
 
 
+def stack_cases(cases: Sequence[EncodedCase]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cases as arrays: (B, max_len) ids, (B, 3) demographics and (B,) labels."""
+    return (np.array([c.ids for c in cases]), np.array([c.demographics for c in cases]),
+            np.array([c.label for c in cases]))
+
+
 def demographics_of(record: CaseRecord) -> np.ndarray:
     """The model's demographics input: age over MAX_AGE, then male and female indicators."""
     return np.array(
@@ -511,8 +517,7 @@ def _validate_record(rec: CaseRecord) -> None:
 
 # json's C scanner: a whole-line scan skips json.loads' Python steps around it
 _scan = json.scanner.make_scanner(json.JSONDecoder())
-# config.check's verdict on a record whose every value is of exactly its annotated class
-_exact_record = exact_check(field_types(CaseRecord))
+_RECORD_TYPES = field_types(CaseRecord)
 _write_line = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
@@ -520,9 +525,7 @@ def save_corpus(corpus: Corpus, path) -> None:
     """Write one compact JSON object per record, each checked as ``load_corpus`` checks it."""
     with open(path, "w", encoding="utf-8") as fh:
         for rec in corpus.records:
-            obj = vars(rec)
-            if not _exact_record(obj):
-                obj = check(obj, field_types(CaseRecord), "record")
+            obj = check(vars(rec), _RECORD_TYPES, "record")
             _validate_record(rec)
             fh.write(_write_line(obj) + "\n")
 
@@ -546,15 +549,9 @@ def _decode(line_no: int, line: str):
 
 
 def _parse_record(line_no: int, value) -> CaseRecord:
-    """One decoded line of a corpus file as a checked record; errors name the line.
-
-    ``config.check`` runs only on a value the exact test refuses; on a decoded value
-    it then raises, with the message the line gets.
-    """
+    """One decoded line of a corpus file as a checked record; errors name the line."""
     try:
-        if not _exact_record(value):
-            value = check(value, field_types(CaseRecord), "record")
-        rec = CaseRecord(**value)
+        rec = CaseRecord(**check(value, _RECORD_TYPES, "record"))
         _validate_record(rec)
     except TypeError as e:  # a required field is absent
         raise SpecValidationError(f"line {line_no}: missing field ({e})") from e

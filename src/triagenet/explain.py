@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import html
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -239,7 +239,11 @@ def _closed_up_ids(codes: np.ndarray, keep: np.ndarray, ids_of: np.ndarray,
 def _drop_mask(
     codes: np.ndarray, tokens: list[str], drops: int, ranking: dict[str, float] | None, seed: int
 ) -> np.ndarray:
-    """Which of the coded tokens ``drop_dataset`` deletes, as a boolean matrix shaped like ``codes``."""
+    """The min(drops, len - 1) coded tokens each record loses, as a boolean matrix shaped
+    like ``codes``. With a ``ranking`` (token to score) the highest-ranked go, the
+    earlier of two tied ones first, and unranked tokens sort below every ranked one.
+    Without one, they are drawn from a stream derived from ``seed``, one draw per
+    record that loses a token."""
     if drops < 1:
         raise ConfigError("drops must be >= 1")
     lengths = (codes >= 0).sum(axis=1)
@@ -257,35 +261,6 @@ def _drop_mask(
     order = np.argsort(keys, axis=1, kind="stable")
     np.put_along_axis(mask, order, np.arange(codes.shape[1]) < n_drop[:, None], axis=1)
     return mask
-
-
-def drop_dataset(
-    records: list[CaseRecord],
-    drops: int,
-    ranking: dict[str, float] | None = None,
-    seed: int = 0,
-) -> list[CaseRecord]:
-    """Delete min(drops, len - 1) tokens from every record.
-
-    With a ``ranking`` (token to score, such as attention score or class
-    frequency) the highest-ranked tokens go, the earlier of two tied ones
-    first, and tokens it does not rank sort below every ranked one.
-    Without one, the tokens are drawn at random from a stream derived from
-    ``seed``, one draw per record that loses a token. No case ends up
-    empty, and the corpus size never changes. Planted-flag indices are
-    remapped to the surviving positions. This is the record view of the
-    deletions ``drop_experiment`` makes.
-    """
-    codes, tokens = _token_codes(records)
-    mask = _drop_mask(codes, tokens, drops, ranking, seed)
-    out = []
-    for rec, dropped in zip(records, mask.tolist()):
-        keep = [i for i in range(len(rec.tokens)) if not dropped[i]]
-        new_index = {old: new for new, old in enumerate(keep)}
-        out.append(rec if len(keep) == len(rec.tokens) else replace(
-            rec, tokens=[rec.tokens[i] for i in keep],
-            planted_flags=[new_index[i] for i in rec.planted_flags if i in new_index]))
-    return out
 
 
 @dataclass(frozen=True)
@@ -310,8 +285,8 @@ def drop_experiment(
     """Evaluate one model on the test set under every drop condition.
 
     Produces a baseline row plus {random, frequency, attention} rows for
-    each drop count d in 1..max_drops, each deleting what ``drop_dataset``
-    deletes at seed ``derive_seed(seed, f"drop-{d}")``. Random passes no
+    each drop count d in 1..max_drops, each deleting what ``_drop_mask``
+    picks at seed ``derive_seed(seed, f"drop-{d}")``. Random passes no
     ranking; both ranking tables come from the ``class_name`` cases of the
     training split, never from test data: frequency counts token
     occurrences there, attention uses unigram scores from the same split.

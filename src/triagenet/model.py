@@ -38,7 +38,7 @@ import numpy as np
 
 from .artifact import ChecksumError, read_artifact, write_artifact
 from .config import ConfigError, Schema
-from .corpus import LABELS, PAD_ID, DataContract, EncodedCase, Vocabulary
+from .corpus import LABELS, PAD_ID, DataContract, EncodedCase, Vocabulary, stack_cases
 from .embedding import EmbeddingTable
 
 FORMAT_NAME = "triagenet-model"
@@ -610,8 +610,7 @@ def predict_attention(
 
 def predict_batch(params: ModelParams, cases: list[EncodedCase]) -> list[Prediction]:
     """Inference over ``cases``, in the caller's order: one ``Prediction`` per case."""
-    return _predictions(params, np.array([c.ids for c in cases]),
-                        np.array([c.demographics for c in cases]))
+    return _predictions(params, *stack_cases(cases)[:2])
 
 
 def predict(params: ModelParams, case: EncodedCase) -> Prediction:

@@ -10,7 +10,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .config import ConfigError, Schema
-from .corpus import LABELS, PAD_ID, EncodedCase
+from .corpus import LABELS, PAD_ID, EncodedCase, stack_cases
 from .model import ModelConfig, ModelParams, init_params, loss_and_grads, mean_nll, predict_probs
 
 # Adam's fixed knobs: decoupled weight decay, moment decay rates, denominator guard
@@ -96,12 +96,6 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state
         p -= a
 
 
-def _stack(cases: list[EncodedCase]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cases as arrays: (B, max_len) ids, (B, 3) demographics and (B,) labels."""
-    return (np.array([c.ids for c in cases]), np.array([c.demographics for c in cases]),
-            np.array([c.label for c in cases]))
-
-
 @dataclass
 class EpochStats:
     train_loss: float
@@ -137,8 +131,8 @@ def train(
     dropout_rng = np.random.default_rng(derive_seed(seed, "dropout"))
     state = AdamState(params.tensors)
     history = TrainHistory()
-    ids, demographics, labels = _stack(train_set)
-    val_ids, val_demographics, val_labels = _stack(val_set)
+    ids, demographics, labels = stack_cases(train_set)
+    val_ids, val_demographics, val_labels = stack_cases(val_set)
 
     for epoch in range(hyper.epochs):
         order = shuffle_rng.permutation(len(train_set))
@@ -256,13 +250,13 @@ def evaluate(
     """Inference metrics over a dataset, optionally confidence-filtered."""
     if not cases:
         raise ConfigError("evaluation set must be nonempty")
-    ids, demographics, labels = _stack(cases)
+    ids, demographics, labels = stack_cases(cases)
     probs = predict_probs(params, ids, demographics)
     predicted = probs.argmax(axis=1)
     if threshold is None:
         return metrics_from(labels, predicted)
-    kept, discarded = confidence_filter(probs, threshold)
-    return metrics_from(labels[kept], predicted[kept], retained_fraction=1.0 - discarded)
+    kept, _ = confidence_filter(probs, threshold)
+    return metrics_from(labels[kept], predicted[kept], retained_fraction=len(kept) / len(probs))
 
 
 def render_metrics_table(rows: list[tuple[str, Metrics]]) -> str:

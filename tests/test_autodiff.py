@@ -685,15 +685,18 @@ def module_uses(package):
     A function counts as used when another module imports it by name
     (``from .model import forward_graph``), reaches it through an alias of
     its module (``from . import model as m`` and then ``m.forward_graph``),
-    its own module names it, or the package exports it in ``__all__``. A
-    method, whose receiver's type is not known before run time, counts when
-    some module reads an attribute of its name off anything but a module.
-    Keys are ``module.function`` and ``module.Class.method``.
+    or its own module names it. The package's ``__init__`` only re-exports,
+    so neither its imports nor ``__all__`` count as a use. A method, whose
+    receiver's type is not known before run time, counts when some module
+    reads an attribute of its name off anything but a module. Keys are
+    ``module.function`` and ``module.Class.method``.
     """
     root = Path(package.__file__).parent
     imported, aliased, named, attributes = set(), set(), set(), set()
     for path in sorted(root.glob("*.py")):
         own = path.stem
+        if own == "__init__":
+            continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
         modules, siblings = set(), {}
         for node in ast.walk(tree):
@@ -703,9 +706,6 @@ def module_uses(package):
                 siblings.update({a.asname or a.name: a.name for a in node.names})
             elif isinstance(node, ast.ImportFrom) and node.level == 1:
                 imported.update((node.module, a.name) for a in node.names)
-            elif isinstance(node, ast.Assign) and own == "__init__" and any(
-                    isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-                named.update(("__all__", elt.value) for elt in node.value.elts)
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 named.add((own, node.id))
@@ -725,8 +725,7 @@ def module_uses(package):
             if name.startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
                 continue
             if inspect.isfunction(obj):
-                uses[f"{info.name}.{name}"] = ((info.name, name) in imported | aliased | named
-                                               or ("__all__", name) in named)
+                uses[f"{info.name}.{name}"] = (info.name, name) in imported | aliased | named
             elif inspect.isclass(obj):
                 for attr, raw in vars(obj).items():
                     if not attr.startswith("_") and isinstance(
@@ -736,10 +735,13 @@ def module_uses(package):
 
 
 class TestNoTestOnlyCode:
-    # the finite-difference oracle is the one part of src/ only tests call
-    ORACLES = {"model.grad_check"}
-    # the benchmark's request loop reads vocab.json (ROADMAP item 1 retires both)
-    BENCHMARK_ONLY = {"corpus.Vocabulary.load"}
+    # the oracles of src/ that only tests call: finite-difference gradients and
+    # the labelling rule the generator plants
+    ORACLES = {"model.grad_check", "corpus.oracle_label"}
+    # the benchmark loads the corpus, and its request loop reads vocab.json (ROADMAP
+    # item 1 retires it) and encodes and predicts one case at a time
+    BENCHMARK_ONLY = {"corpus.Vocabulary.load", "corpus.encode", "corpus.load_corpus",
+                      "model.predict"}
 
     def test_every_public_function_is_used_in_src(self):
         """Each public function and method of every src/ module is used by src/ code."""

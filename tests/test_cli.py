@@ -1126,7 +1126,11 @@ class TestReadme:
         assert "macro_f1" in printed and "seen in" in printed
 
     def test_configuration_block_holds_the_defaults(self, tmp_path):
+        block = readme_block("Configuration and reproducibility", "json")
         config = tmp_path / "config.json"
-        config.write_text(readme_block("Configuration and reproducibility", "json"))
+        config.write_text(block)
         resolved = resolve_config(build_parser().parse_args(["train", "--config", str(config)]))
-        assert resolved == {**DEFAULT_CONFIG, "seed": 42, "cases": 2000}
+        tour = {**DEFAULT_CONFIG, "seed": 42, "cases": 2000}
+        assert resolved == tour
+        for key, section in json.loads(block).items():  # each one spelled out in full
+            assert section == tour[key], key

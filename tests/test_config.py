@@ -1,9 +1,11 @@
 """Tests for the config schema: one from_dict and one type check for every section."""
 
+import typing
+
 import numpy as np
 import pytest
 
-from triagenet.config import ConfigError, check, exact_check
+from triagenet.config import ConfigError, check
 from triagenet.corpus import GeneratorSpec
 from triagenet.model import ModelConfig, init_params
 from triagenet.training import HyperParams
@@ -79,26 +81,28 @@ class TestCheck:
 
 
 class TestExactCheck:
+    """``check``'s exact-value route: what passes as the same object, and what does not."""
+
     TYPES = {"n": int, "lr": float, "mode": str, "split": tuple[float, float, float],
              "widths": tuple[int, ...], "flags": list[int], "extra": dict}
 
-    def test_true_means_check_passes_the_same_objects(self):
-        exact = exact_check(self.TYPES)
+    def test_exact_values_pass_as_the_same_objects(self):
         for value in ({}, {"n": 3}, {"lr": 0.5, "mode": "a", "flags": [1, 2]},
                       {"widths": (1, 2)}, {"flags": []}, {"extra": {"a": [1]}}):
-            assert exact(value)
-            checked = check(value, self.TYPES)
-            assert checked == value and all(checked[k] is value[k] for k in value)
+            assert check(value, self.TYPES) is value
 
-    def test_false_leaves_the_verdict_to_check(self):
-        exact = exact_check(self.TYPES)
-        for value in ({"lr": 1}, {"widths": [1, 2]}, {"split": (0.5, 0.25, 0.25)},
-                      {"flags": (1,)}, {"flags": [1, np.int64(2)]}):
-            assert not exact(value)
-            check(value, self.TYPES)  # accepted all the same
+    def test_other_values_pass_convert_or_fail(self):
+        for value in ({"lr": 1}, {"split": (0.5, 0.25, 0.25)}, {"flags": [1, np.int64(2)]}):
+            checked = check(value, self.TYPES)  # no change needed: the same objects
+            assert all(checked[k] is value[k] for k in value)
+        for value in ({"widths": [1, 2]}, {"flags": (1,)}):
+            (key, item), = value.items()
+            converted = check(value, self.TYPES)[key]
+            assert list(converted) == list(item)
+            assert type(converted) is typing.get_origin(self.TYPES[key])
         for value in ([], None, {"n": True}, {"n": 1.0}, {"mode": None}, {"flags": [1, True]},
-                      {"flags": "ab"}, {"widths": [1, "2"]}, {"other": 1}, {1: 2}):
-            assert not exact(value)
+                      {"flags": "ab"}, {"widths": [1, "2"]}, {"split": (0.5, 0.5)},
+                      {"split": (0.5, "a", 0.5)}, {"other": 1}, {1: 2}):
             with pytest.raises(ConfigError):
                 check(value, self.TYPES)
 
@@ -111,3 +115,13 @@ class TestDirectConstruction:
     def test_wrong_typed_hyperparams_refused(self):
         with pytest.raises(ConfigError, match="epochs must be an integer"):
             HyperParams(epochs=1.5).validate()
+
+    def test_list_in_tuple_field_refused(self):
+        # a list would leave the object unhashable and unequal to its tuple twin
+        with pytest.raises(ConfigError, match=r"^model\.widths must be a tuple, got \[1, 2\]$"):
+            ModelConfig(vocab_size=5, widths=[1, 2]).validate()
+        with pytest.raises(ConfigError, match=r"^generator\.proportions must be a tuple"):
+            GeneratorSpec(proportions=[0.44, 0.17, 0.39]).validate()
+        # values that need no change are accepted as they are
+        ModelConfig(vocab_size=5, widths=(np.int64(1), 2), dropout=0).validate()
+        GeneratorSpec(urgent_length=(2, 8, 16), p_noise=0).validate()

@@ -23,7 +23,6 @@ from triagenet.explain import (
     DropRow,
     PairSynergy,
     SymptomScore,
-    drop_dataset,
     drop_experiment,
     pair_synergy,
     render_heatmap,
@@ -257,58 +256,59 @@ def rec(tokens, label="urgent_care", flags=()):
                       planted_flags=list(flags))
 
 
+def drop_mask(records, drops, ranking=None, seed=0):
+    """``_drop_mask`` over the records' untruncated codes, as ``drop_experiment`` calls it."""
+    codes, tokens = explain._token_codes(records)
+    return explain._drop_mask(codes, tokens, drops, ranking, seed)
+
+
+def kept_tokens(records, drops, ranking=None, seed=0):
+    """Each record's tokens that ``_drop_mask`` keeps."""
+    mask = drop_mask(records, drops, ranking, seed)
+    return [[tok for tok, gone in zip(r.tokens, row) if not gone]
+            for r, row in zip(records, mask.tolist())]
+
+
 class TestDropDataset:
+    """The deletions each drop condition makes, as the tokens each record keeps."""
+
     def test_ranked_drop_removes_top_present(self):
         ranking = {"a": 3.0, "b": 2.0, "c": 1.0}
-        out = drop_dataset([rec(["c", "a", "b"])], 1, ranking)
-        assert out[0].tokens == ["c", "b"]
+        assert kept_tokens([rec(["c", "a", "b"])], 1, ranking) == [["c", "b"]]
 
     def test_absent_top_falls_through_to_next_ranked(self):
         ranking = {"a": 3.0, "b": 2.0, "c": 1.0}
-        out = drop_dataset([rec(["c", "x"])], 1, ranking)
-        assert out[0].tokens == ["x"]
+        assert kept_tokens([rec(["c", "x"])], 1, ranking) == [["x"]]
 
     def test_repeated_top_token_loses_both_instances(self):
         ranking = {"a": 3.0, "b": 1.0}
-        out = drop_dataset([rec(["a", "b", "a"])], 2, ranking)
-        assert out[0].tokens == ["b"]
+        assert kept_tokens([rec(["a", "b", "a"])], 2, ranking) == [["b"]]
 
     def test_conservation_and_never_empty(self):
         records = [rec(["a"]), rec(["a", "b"]), rec(["a", "b", "c", "d"])]
+        codes, _ = explain._token_codes(records)
         for ranking in (None, {"a": 1.0}):
             for k in (1, 2, 5):
-                out = drop_dataset(records, k, ranking, seed=4)
-                assert len(out) == len(records)
-                for before, after in zip(records, out):
-                    assert len(after.tokens) == max(1, len(before.tokens) - k)
-                    assert after.label == before.label
-                    assert after.age == before.age
+                mask = drop_mask(records, k, ranking, seed=4)
+                assert mask.shape == codes.shape and not mask[codes < 0].any()
+                assert [len(toks) for toks in kept_tokens(records, k, ranking, seed=4)] == [
+                    max(1, len(r.tokens) - k) for r in records]
 
     def test_random_is_seed_deterministic(self):
         records = [rec(list("abcdef")), rec(list("ghij"))]
-        a = drop_dataset(records, 2, seed=9)
-        b = drop_dataset(records, 2, seed=9)
-        c = drop_dataset(records, 2, seed=10)
-        assert [r.tokens for r in a] == [r.tokens for r in b]
-        assert any(x.tokens != y.tokens for x, y in zip(a, c))
-
-    def test_flag_indices_remapped(self):
-        out = drop_dataset([rec(["a", "b", "c"], flags=[0, 2])], 1, {"b": 9.0})
-        assert out[0].tokens == ["a", "c"]
-        assert out[0].planted_flags == [0, 1]
-
-    def test_dropped_flag_disappears(self):
-        out = drop_dataset([rec(["a", "b", "c"], flags=[1])], 1, {"b": 9.0})
-        assert out[0].planted_flags == []
+        a = kept_tokens(records, 2, seed=9)
+        assert kept_tokens(records, 2, seed=9) == a
+        assert kept_tokens(records, 2, seed=10) != a
 
     def test_validation(self):
         for ranking in (None, {"a": 1.0}):
             with pytest.raises(ConfigError, match="drops must be >= 1"):
-                drop_dataset([rec(["a", "b"])], 0, ranking)
+                drop_mask([rec(["a", "b"])], 0, ranking)
 
 
-def per_record_drop_dataset(records, drops, ranking=None, seed=0):
-    """drop_dataset as a loop that sorts or draws each record on its own: the oracle."""
+def per_record_drops(records, drops, ranking=None, seed=0):
+    """The positions each record loses, from a loop that sorts or draws each record
+    on its own: the oracle of ``_drop_mask``."""
     if drops < 1:
         raise ConfigError("drops must be >= 1")
     rng = np.random.default_rng(derive_seed(seed, "drop-random"))
@@ -317,20 +317,20 @@ def per_record_drop_dataset(records, drops, ranking=None, seed=0):
         n = len(r.tokens)
         n_drop = min(drops, n - 1)
         if n_drop <= 0:
-            out.append(r)
-            continue
-        if ranking is None:
-            drop = set(rng.choice(n, size=n_drop, replace=False).tolist())
+            out.append(set())
+        elif ranking is None:
+            out.append(set(rng.choice(n, size=n_drop, replace=False).tolist()))
         else:
             order = sorted(range(n), key=lambda i: (-ranking.get(r.tokens[i], float("-inf")), i))
-            drop = set(order[:n_drop])
-        keep = [i for i in range(n) if i not in drop]
-        new_index = {old: new for new, old in enumerate(keep)}
-        out.append(CaseRecord(
-            tokens=[r.tokens[i] for i in keep], label=r.label, age=r.age, gender=r.gender,
-            planted_flags=[new_index[i] for i in r.planted_flags if i in new_index],
-        ))
+            out.append(set(order[:n_drop]))
     return out
+
+
+def per_record_drop_dataset(records, drops, ranking=None, seed=0):
+    """Each record without the tokens ``per_record_drops`` names (its planted flags,
+    which encoding does not read, as they were)."""
+    return [dataclasses.replace(r, tokens=[t for i, t in enumerate(r.tokens) if i not in drop])
+            for r, drop in zip(records, per_record_drops(records, drops, ranking, seed))]
 
 
 def per_record_drop_experiment(params, train_records, test_records, vocab, max_drops,
@@ -386,12 +386,13 @@ class TestDropDatasetOracle:
     @pytest.mark.parametrize("drops", [1, 2, 3, 9])
     def test_same_records_as_per_record_loop(self, ranking, drops):
         for seed in (0, 7, 12):
-            assert (drop_dataset(self.RECORDS, drops, ranking, seed=seed)
-                    == per_record_drop_dataset(self.RECORDS, drops, ranking, seed=seed))
+            mask = drop_mask(self.RECORDS, drops, ranking, seed=seed)
+            assert ([set(np.flatnonzero(row).tolist()) for row in mask]
+                    == per_record_drops(self.RECORDS, drops, ranking, seed=seed))
 
     def test_empty_corpus(self):
-        assert drop_dataset([], 2) == []
-        assert drop_dataset([], 2, {"a": 1.0}) == []
+        assert drop_mask([], 2).shape == (0, 0)
+        assert drop_mask([], 2, {"a": 1.0}).shape == (0, 0)
 
 
 def drop_world(max_len, min_count, extra=(), widths=(1, 2)):

@@ -233,7 +233,7 @@ def tally_evaluate(params, cases, threshold=None):
             if threshold is None or float(p.probs.max()) >= threshold]
     if not kept:
         raise EmptyRetainedError("nothing kept")
-    retained = 1.0 if threshold is None else 1.0 - (1.0 - len(kept) / len(preds))
+    retained = 1.0 if threshold is None else len(kept) / len(preds)
     return tally_metrics([cases[i].label for i in kept], [preds[i].predicted for i in kept],
                          retained)
 
@@ -269,6 +269,14 @@ class TestEvaluateOracle:
         assert 0.6 in table[[c.ids[0] % len(table) for c in te]].max(axis=1)
         for threshold in (None, 0.6, np.nextafter(0.6, 0.0), np.nextafter(0.6, 1.0), 0.5):
             assert evaluate(params, te, threshold) == tally_evaluate(params, te, threshold)
+
+
+    def test_retained_fraction_is_kept_over_total(self, tiny_task, monkeypatch):
+        config, _, _, te = tiny_task
+        probs = np.array([[0.9, 0.05, 0.05], [0.4, 0.3, 0.3], [0.5, 0.25, 0.25]])
+        monkeypatch.setattr(training, "predict_probs", lambda params, ids, demographics: probs)
+        metrics = evaluate(init_params(config, seed=1), te[:3], 0.6)
+        assert metrics.retained_fraction == 1 / 3  # 1 - (1 - 1/3) is 0.33333333333333326
 
 
 class TestTrain:
