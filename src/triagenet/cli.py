@@ -423,6 +423,7 @@ def cmd_grid_search(args, run: Run) -> dict:
 def cmd_score_symptoms(args, run: Run) -> dict:
     corpus, vocab, params = _load_trained(run)
     records = corpus.records(getattr(params.data, args.split), args.class_name)
+    _report_truncation(records, params.config.max_len, f"{args.split} {args.class_name}")
     scores = score_features(params, records, vocab, args.class_name, gram_size=args.gram)
     out = run.output("scores", "out", f"scores_{args.class_name}_{args.gram}gram.json")
     write_json([s.to_dict() for s in scores], out)
@@ -433,6 +434,7 @@ def cmd_score_symptoms(args, run: Run) -> dict:
 def cmd_pairs(args, run: Run) -> dict:
     corpus, vocab, params = _load_trained(run)
     records = corpus.records(getattr(params.data, args.split), args.class_name)
+    _report_truncation(records, params.config.max_len, f"{args.split} {args.class_name}")
     unigrams, bigrams = score_grams(params, records, vocab, args.class_name, (1, 2))
     pairs = pair_synergy(unigrams, bigrams)
     out = run.output("pairs", "out", f"pairs_{args.class_name}.json")
@@ -443,15 +445,13 @@ def cmd_pairs(args, run: Run) -> dict:
 
 def cmd_drop_experiment(args, run: Run) -> dict:
     corpus, vocab, params = _load_trained(run)
-    rows = drop_experiment(
-        params,
-        corpus.records(params.data.train, args.class_name),  # the rankings read only these
-        corpus.records(params.data.test),
-        vocab,
-        max_drops=args.drops,
-        class_name=args.class_name,
-        seed=derive_seed(run.config["seed"], "drop"),
-    )
+    # the rankings read only the class's training records
+    train_records = corpus.records(params.data.train, args.class_name)
+    test_records = corpus.records(params.data.test)
+    _report_truncation(train_records, params.config.max_len, f"train {args.class_name}")
+    _report_truncation(test_records, params.config.max_len, "test")
+    rows = drop_experiment(params, train_records, test_records, vocab, max_drops=args.drops,
+                           class_name=args.class_name, seed=derive_seed(run.config["seed"], "drop"))
     out = run.output("results", "out", "drop_experiment.json")
     write_json([dataclasses.asdict(r) for r in rows], out)
     print(render_metrics_table([(r.label, r.metrics) for r in rows]))
@@ -475,6 +475,7 @@ def cmd_explain(args, run: Run) -> dict:
     if params.config.arch != "acnn":
         raise ConfigError("explain needs a model with attention pooling")
     records = corpus.records(ids)
+    _report_truncation(records, params.config.max_len, "explained")
     preds = predict_batch(params, encode_corpus(records, vocab, params.config.max_len))
     sections = []
     for i, rec, pred in zip(ids, records, preds):

@@ -397,13 +397,24 @@ def encode_corpus(
         if not rec.tokens:
             raise SpecValidationError("cannot encode a record with no tokens")
         labels.append(LABELS.index(rec.label))
-    cut = [rec.tokens[:max_len] for rec in records]
+    ids = id_matrix(records, vocab, max_len)
+    return [EncodedCase(*case) for case in zip(ids, demographics_array(records), labels)]
+
+
+def id_matrix(records: Sequence[CaseRecord], vocab: Vocabulary,
+              width: int | None = None) -> np.ndarray:
+    """The records' tokens as an (N, width) int64 matrix of vocabulary ids, a row
+    per record: unknown tokens read UNK_ID, and each row is cut at ``width`` and
+    padded with PAD_ID. With no width every token is kept, and the rows are as
+    wide as the longest record."""
+    cut = [rec.tokens[:width] for rec in records]
     lengths = np.fromiter(map(len, cut), dtype=np.int64, count=len(cut))
-    ids = np.zeros((len(cut), max_len), dtype=np.int64)
+    width = int(lengths.max(initial=0)) if width is None else width
+    ids = np.full((len(cut), width), PAD_ID, dtype=np.int64)
     id_of = vocab.token_to_id.get
     flat = [id_of(tok, UNK_ID) for toks in cut for tok in toks]
-    ids[np.arange(max_len) < lengths[:, None]] = flat  # a mask fills in row-major order
-    return [EncodedCase(*case) for case in zip(ids, demographics_array(records), labels)]
+    ids[np.arange(width) < lengths[:, None]] = flat  # a mask fills in row-major order
+    return ids
 
 
 # -- splits ----------------------------------------------------------------

@@ -15,7 +15,7 @@ import numpy as np
 
 from .artifact import ChecksumError, read_artifact, write_artifact
 from .config import ConfigError
-from .corpus import PAD_ID, Corpus, DataContract, Vocabulary
+from .corpus import PAD_ID, Corpus, DataContract, Vocabulary, id_matrix
 
 FORMAT_NAME = "triagenet-embedding"
 FORMAT_VERSION = 4
@@ -55,11 +55,11 @@ def _spans(lengths: np.ndarray, reach: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return lo, hi
 
 
-def _window_pairs(sequences: list[np.ndarray], reach: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _window_pairs(flat: np.ndarray, lengths: np.ndarray,
+                  reach: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(center, context) ids of every token with each token of its sequence
-    within its own ``reach``: sequence by sequence, i then j ascending."""
-    flat = np.concatenate(sequences)
-    lengths = np.array([len(s) for s in sequences])
+    within its own ``reach``, for sequences of ``lengths`` concatenated in
+    ``flat``: sequence by sequence, i then j ascending."""
     lo, hi = (bound[:, None] for bound in _spans(lengths, reach))
     # no pair lies further apart than the longest sequence allows, however far a reach
     width = min(int(reach.max()), int(lengths.max()) - 1)
@@ -124,15 +124,11 @@ def train_skipgram(
     if len(vocab) < negatives + 1:
         raise ConfigError(f"vocabulary of {len(vocab)} cannot supply {negatives} negatives")
     table = init_table(len(vocab), dim, seed)
-    sequences = [
-        np.array([vocab.id_of(t) for t in r.tokens], dtype=np.int64)
-        for r in corpus.records
-        if r.tokens
-    ]
-    if iters == 0 or not sequences:
+    ids = id_matrix(corpus.records, vocab)
+    real = ids != PAD_ID
+    flat, lengths = ids[real], real.sum(axis=1)
+    if iters == 0 or not flat.size:
         return table
-    flat = np.concatenate(sequences)
-    lengths = np.array([len(s) for s in sequences])
     reaches = list(_reaches(seed, window, len(flat), iters))
     total_steps = sum(int((hi - lo - 1).sum()) for lo, hi in (_spans(lengths, r) for r in reaches))
     if not total_steps:
@@ -155,7 +151,7 @@ def train_skipgram(
     rng = np.random.default_rng(seed)
     done = 0
     for reach in reaches:
-        centers, contexts = _window_pairs(sequences, reach)
+        centers, contexts = _window_pairs(flat, lengths, reach)
         order = rng.permutation(len(centers))
         negs = pool[np.searchsorted(cum, rng.random((len(order), negatives)))]
         for start in range(0, len(order), BLOCK):

@@ -10,18 +10,21 @@ Three pieces built on a trained attention model:
   or at random. If the scored features carry real signal, the
   attention-guided deletion should hurt the most.
 * heatmaps: render per-token attention weights as HTML or ANSI text.
+
+Scoring and dropping read vocabulary ids from ``corpus.id_matrix``, as
+the model does, so every token outside the vocabulary is one <unk> row;
+heatmaps show a record's own tokens.
 """
 
 from __future__ import annotations
 
 import html
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import ConfigError
-from .corpus import LABELS, PAD_ID, CaseRecord, Vocabulary, demographics_array
+from .corpus import LABELS, PAD_ID, CaseRecord, Vocabulary, demographics_array, id_matrix
 from .model import AttentionRecord, ModelParams, predict_attention, predict_probs
 from .training import Metrics, derive_seed, metrics_from
 
@@ -88,8 +91,9 @@ def score_features(
     and in the per-case maximum; windows that straddle padding carry
     attention weight but no feature identity. A feature repeated inside
     one case contributes its best-attended occurrence. Features are
-    keyed by their token strings, and a feature absent from the class
-    is omitted rather than scored zero.
+    named by the vocabulary's tokens, so every token outside it reads
+    <unk>, and a feature absent from the class is omitted rather than
+    scored zero.
 
     Sorted by score descending, then occurrences descending, then
     feature name.
@@ -115,28 +119,26 @@ def score_grams(
         raise ConfigError("feature scoring needs attention weights")
 
     records = [rec for rec in records if rec.label == class_name]
-    codes, tokens = _token_codes(records)
-    ids = _closed_up_ids(codes, codes >= 0, np.array([vocab.id_of(tok) for tok in tokens]),
-                         cfg.max_len)
-    demographics = demographics_array(records)
-    _, attention, lengths = predict_attention(params, ids, demographics)
-    return [_rank(codes, tokens, attention[m], lengths, class_name, m) for m in gram_sizes]
+    ids = id_matrix(records, vocab, cfg.max_len)
+    _, attention, lengths = predict_attention(params, ids, demographics_array(records))
+    return [_rank(ids, vocab.id_to_token, attention[m], lengths, class_name, m)
+            for m in gram_sizes]
 
 
-def _gram_keys(windows: np.ndarray, n_codes: int) -> np.ndarray:
-    """One integer per row of token codes, equal for equal rows: the codes in
-    mixed radix ``n_codes``, renumbered first whenever a digit could overflow."""
+def _gram_keys(windows: np.ndarray, n_ids: int) -> np.ndarray:
+    """One integer per row of ids, equal for equal rows: the ids in mixed radix
+    ``n_ids``, renumbered first whenever a digit could overflow."""
     keys = windows[:, 0]
     for digit in windows.T[1:]:
-        if keys.size and int(keys.max()) >= np.iinfo(np.int64).max // n_codes:
+        if keys.size and int(keys.max()) >= np.iinfo(np.int64).max // n_ids:
             keys = np.unique(keys, return_inverse=True)[1]
-        keys = keys * n_codes + digit
+        keys = keys * n_ids + digit
     return keys
 
 
-def _rank(codes: np.ndarray, tokens: list[str], alpha: np.ndarray, lengths: np.ndarray,
+def _rank(ids: np.ndarray, tokens: list[str], alpha: np.ndarray, lengths: np.ndarray,
           class_name: str, gram_size: int) -> list[SymptomScore]:
-    """One gram size's scores from the class's coded records and their attention.
+    """One gram size's scores from the class's ids, named by ``tokens``, and attention.
 
     The sums run over each feature's cases in record order, one ``bincount``
     each, so they add the same floats in the same order as a per-case loop.
@@ -145,7 +147,7 @@ def _rank(codes: np.ndarray, tokens: list[str], alpha: np.ndarray, lengths: np.n
     case, start = valid.nonzero()
     weight = alpha[case, start]
     case_max = alpha.max(axis=1, where=valid, initial=0.0)[case]  # softmax output, so > 0
-    windows = codes[case[:, None], start[:, None] + np.arange(gram_size)]
+    windows = ids[case[:, None], start[:, None] + np.arange(gram_size)]
     firsts, feature = np.unique(_gram_keys(windows, len(tokens)), return_index=True,
                                 return_inverse=True)[1:]
     # each (case, feature)'s best-attended occurrence: case, then feature, then weight descending
@@ -214,52 +216,39 @@ def pair_synergy(
 # -- drop experiments ---------------------------------------------------------
 
 
-def _token_codes(records: list[CaseRecord]) -> tuple[np.ndarray, list[str]]:
-    """Every record's tokens, untruncated, as an (N, longest) matrix of codes
-    into the returned list of distinct tokens; -1 pads each row past its end."""
-    index: dict[str, int] = {}
-    flat = [index.setdefault(tok, len(index)) for rec in records for tok in rec.tokens]
-    lengths = np.array([len(rec.tokens) for rec in records], dtype=np.int64)
-    codes = np.full((len(records), lengths.max(initial=0)), -1)
-    codes[np.arange(codes.shape[1]) < lengths[:, None]] = flat
-    return codes, list(index)
-
-
-def _closed_up_ids(codes: np.ndarray, keep: np.ndarray, ids_of: np.ndarray,
-                   max_len: int) -> np.ndarray:
-    """The model's (N, max_len) ids: each row's kept codes closed up, cut to
-    ``max_len``, mapped through ``ids_of`` and padded."""
+def _closed_up_ids(ids: np.ndarray, keep: np.ndarray, max_len: int) -> np.ndarray:
+    """The model's (N, max_len) ids: each row's kept ids closed up, cut to
+    ``max_len`` and padded."""
     position = np.cumsum(keep, axis=1) - 1
     keep = keep & (position < max_len)
-    ids = np.full((len(codes), max_len), PAD_ID)
-    ids[keep.nonzero()[0], position[keep]] = ids_of[codes[keep]]
-    return ids
+    out = np.full((len(ids), max_len), PAD_ID)
+    out[keep.nonzero()[0], position[keep]] = ids[keep]
+    return out
 
 
-def _drop_mask(
-    codes: np.ndarray, tokens: list[str], drops: int, ranking: dict[str, float] | None, seed: int
-) -> np.ndarray:
-    """The min(drops, len - 1) coded tokens each record loses, as a boolean matrix shaped
-    like ``codes``. With a ``ranking`` (token to score) the highest-ranked go, the
-    earlier of two tied ones first, and unranked tokens sort below every ranked one.
-    Without one, they are drawn from a stream derived from ``seed``, one draw per
-    record that loses a token."""
+def _drop_mask(ids: np.ndarray, drops: int, ranking: np.ndarray | None, seed: int) -> np.ndarray:
+    """The min(drops, len - 1) tokens each row of ``ids`` loses, as a boolean matrix
+    shaped like ``ids``. With a ``ranking`` (a score per vocabulary id, -inf for an
+    unranked one) the highest-ranked go, the earlier of two tied ones first, and
+    unranked tokens sort below every ranked one; <pad> is never ranked. Without one,
+    they are drawn from a stream derived from ``seed``, one draw per record that loses
+    a token."""
     if drops < 1:
         raise ConfigError("drops must be >= 1")
-    lengths = (codes >= 0).sum(axis=1)
+    lengths = (ids != PAD_ID).sum(axis=1)
     n_drop = np.minimum(drops, lengths - 1)
-    mask = np.zeros(codes.shape, dtype=bool)
+    mask = np.zeros(ids.shape, dtype=bool)
     if ranking is None:
         rng = np.random.default_rng(derive_seed(seed, "drop-random"))
         for i in np.flatnonzero(n_drop > 0).tolist():
             mask[i, rng.choice(int(lengths[i]), size=int(n_drop[i]), replace=False)] = True
         return mask
-    # sort keys: score descending, unranked tokens and then padding (code -1,
-    # the appended last entry) below every ranked token; the stable sort
-    # breaks ties by position
-    keys = np.array([-ranking.get(tok, -np.inf) for tok in tokens] + [np.inf])[codes]
-    order = np.argsort(keys, axis=1, kind="stable")
-    np.put_along_axis(mask, order, np.arange(codes.shape[1]) < n_drop[:, None], axis=1)
+    # sort keys: score descending, unranked tokens and then padding below every
+    # ranked token; the stable sort breaks ties by position
+    keys = -ranking
+    keys[PAD_ID] = np.inf
+    order = np.argsort(keys[ids], axis=1, kind="stable")
+    np.put_along_axis(mask, order, np.arange(ids.shape[1]) < n_drop[:, None], axis=1)
     return mask
 
 
@@ -287,39 +276,40 @@ def drop_experiment(
     Produces a baseline row plus {random, frequency, attention} rows for
     each drop count d in 1..max_drops, each deleting what ``_drop_mask``
     picks at seed ``derive_seed(seed, f"drop-{d}")``. Random passes no
-    ranking; both ranking tables come from the ``class_name`` cases of the
-    training split, never from test data: frequency counts token
-    occurrences there, attention uses unigram scores from the same split.
+    ranking; both rankings score vocabulary ids from the ``class_name``
+    cases of the training split, never from test data: frequency counts
+    the ids there, attention takes the unigram scores of the same cases.
     The rows report metrics only; deciding what the ordering means is the
     caller's job.
 
     The test split is coded once, untruncated, so a deletion pulls in
     tokens past max_len; each condition is a deletion mask over those
-    codes, and its closed-up rows, cut to max_len, go through one
+    ids, and its closed-up rows, cut to max_len, go through one
     ``predict_probs`` pass.
     """
     if max_drops < 1:
         raise ConfigError("max_drops must be >= 1")
-    freq_rank = Counter(tok for rec in train_records if rec.label == class_name
-                        for tok in rec.tokens)
-    att_rank = {
-        s.feature: s.score
-        for s in score_features(params, train_records, vocab, class_name, gram_size=1)
-    }
+    class_records = [rec for rec in train_records if rec.label == class_name]
+    class_ids = id_matrix(class_records, vocab)
+    counts = np.bincount(class_ids[class_ids != PAD_ID], minlength=len(vocab))
+    freq_rank = np.where(counts > 0, counts, -np.inf)
+    att_rank = np.full(len(vocab), -np.inf)
+    for s in score_features(params, class_records, vocab, class_name, gram_size=1):
+        att_rank[vocab.token_to_id[s.feature]] = s.score
 
-    codes, tokens = _token_codes(test_records)
-    ids_of = np.array([vocab.id_of(tok) for tok in tokens])
+    ids = id_matrix(test_records, vocab)
+    real = ids != PAD_ID
     demographics = demographics_array(test_records)
     labels = np.array([LABELS.index(rec.label) for rec in test_records])
 
     def metrics(drop: np.ndarray) -> Metrics:
-        ids = _closed_up_ids(codes, (codes >= 0) & ~drop, ids_of, params.config.max_len)
-        return metrics_from(labels, predict_probs(params, ids, demographics).argmax(axis=1))
+        kept = _closed_up_ids(ids, real & ~drop, params.config.max_len)
+        return metrics_from(labels, predict_probs(params, kept, demographics).argmax(axis=1))
 
-    rows = [DropRow("Baseline", "baseline", 0, metrics(np.zeros(codes.shape, dtype=bool)))]
+    rows = [DropRow("Baseline", "baseline", 0, metrics(np.zeros(ids.shape, dtype=bool)))]
     for d in range(1, max_drops + 1):
         for kind, ranking in (("random", None), ("frequency", freq_rank), ("attention", att_rank)):
-            drop = _drop_mask(codes, tokens, d, ranking, derive_seed(seed, f"drop-{d}"))
+            drop = _drop_mask(ids, d, ranking, derive_seed(seed, f"drop-{d}"))
             word = kind.capitalize()
             label = f"{word} Drop" if d == 1 else f"{d} {word} Drops"
             rows.append(DropRow(label, kind, d, metrics(drop)))

@@ -227,19 +227,18 @@ def metrics_from(
     )
 
 
-def confidence_filter(probs: np.ndarray, threshold: float) -> tuple[list[int], float]:
+def confidence_filter(probs: np.ndarray, threshold: float) -> list[int]:
     """Indices of the rows of ``probs`` whose max probability clears the threshold.
 
-    Returns (kept indices, discarded fraction). Raises when everything
-    is discarded; a threshold below 1/3 cannot discard a 3-class
-    softmax output, so the valid range is [1/3, 1).
+    Raises when everything is discarded; a threshold below 1/3 cannot
+    discard a 3-class softmax output, so the valid range is [1/3, 1).
     """
     if not 1.0 / 3.0 <= threshold < 1.0:
         raise ConfigError(f"threshold must be in [1/3, 1), got {threshold}")
     kept = np.flatnonzero(probs.max(axis=1) >= threshold).tolist()
     if not kept:
         raise EmptyRetainedError(f"threshold {threshold} discarded all predictions")
-    return kept, 1.0 - len(kept) / len(probs)
+    return kept
 
 
 def evaluate(
@@ -255,7 +254,7 @@ def evaluate(
     predicted = probs.argmax(axis=1)
     if threshold is None:
         return metrics_from(labels, predicted)
-    kept, _ = confidence_filter(probs, threshold)
+    kept = confidence_filter(probs, threshold)
     return metrics_from(labels[kept], predicted[kept], retained_fraction=len(kept) / len(probs))
 
 

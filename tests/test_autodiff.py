@@ -679,17 +679,18 @@ class TestGradCheck:
 
 
 def module_uses(package):
-    """Every public function and method a module of ``package`` defines, mapped to
-    whether code in the package uses it.
+    """Every public function and method and every private module-level function
+    and class a module of ``package`` defines, mapped to whether code in the
+    package uses it.
 
-    A function counts as used when another module imports it by name
-    (``from .model import forward_graph``), reaches it through an alias of
-    its module (``from . import model as m`` and then ``m.forward_graph``),
-    or its own module names it. The package's ``__init__`` only re-exports,
-    so neither its imports nor ``__all__`` count as a use. A method, whose
-    receiver's type is not known before run time, counts when some module
-    reads an attribute of its name off anything but a module. Keys are
-    ``module.function`` and ``module.Class.method``.
+    A function or class counts as used when another module imports it by
+    name (``from .model import forward_graph``), reaches it through an alias
+    of its module (``from . import model as m`` and then ``m.forward_graph``),
+    or its own module names it outside its own definition. The package's
+    ``__init__`` only re-exports, so neither its imports nor ``__all__`` count
+    as a use. A method, whose receiver's type is not known before run time,
+    counts when some module reads an attribute of its name off anything but a
+    module. Keys are ``module.function`` and ``module.Class.method``.
     """
     root = Path(package.__file__).parent
     imported, aliased, named, attributes = set(), set(), set(), set()
@@ -706,15 +707,18 @@ def module_uses(package):
                 siblings.update({a.asname or a.name: a.name for a in node.names})
             elif isinstance(node, ast.ImportFrom) and node.level == 1:
                 imported.update((node.module, a.name) for a in node.names)
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                named.add((own, node.id))
-            elif isinstance(node, ast.Attribute):
-                receiver = node.value.id if isinstance(node.value, ast.Name) else None
-                if receiver in siblings:
-                    aliased.add((siblings[receiver], node.attr))
-                elif receiver not in modules:
-                    attributes.add(node.attr)
+        for statement in tree.body:
+            defines = getattr(statement, "name", None)  # a def or class names itself freely
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    if node.id != defines:
+                        named.add((own, node.id))
+                elif isinstance(node, ast.Attribute):
+                    receiver = node.value.id if isinstance(node.value, ast.Name) else None
+                    if receiver in siblings:
+                        aliased.add((siblings[receiver], node.attr))
+                    elif receiver not in modules:
+                        attributes.add(node.attr)
 
     uses = {}
     for info in pkgutil.iter_modules(package.__path__):
@@ -722,9 +726,11 @@ def module_uses(package):
             continue
         mod = importlib.import_module(f"{package.__name__}.{info.name}")
         for name, obj in vars(mod).items():
-            if name.startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
+            if name.startswith("__") or getattr(obj, "__module__", None) != mod.__name__:
                 continue
-            if inspect.isfunction(obj):
+            # unwrapped, so a functools.cache function counts as a function
+            function = inspect.isfunction(inspect.unwrap(obj))
+            if function or (name.startswith("_") and inspect.isclass(obj)):
                 uses[f"{info.name}.{name}"] = (info.name, name) in imported | aliased | named
             elif inspect.isclass(obj):
                 for attr, raw in vars(obj).items():
@@ -744,10 +750,11 @@ class TestNoTestOnlyCode:
                       "model.predict"}
 
     def test_every_public_function_is_used_in_src(self):
-        """Each public function and method of every src/ module is used by src/ code."""
+        """Each public function and method, and each private module-level function
+        and class, of every src/ module is used by src/ code."""
         uses = module_uses(triagenet)
         assert {"model.forward_graph", "training.adam_step", "corpus.Vocabulary.id_of",
-                *self.ORACLES} <= set(uses)
+                "corpus._CaseBuilder", "explain._rank", *self.ORACLES} <= set(uses)
         unused = {name for name, used in uses.items() if not used}
         assert sorted(unused) == sorted(self.ORACLES | self.BENCHMARK_ONLY)
 

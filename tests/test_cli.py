@@ -464,6 +464,24 @@ class TestScoringCommands:
         assert notes[0].startswith("note: ") and "train and val documents" in notes[0]
         assert notes[1] == notes[0]
 
+    def test_explain_commands_note_truncation(self, tmp_path, capsys):
+        out, config = make_workspace(tmp_path, "long")
+        config.write_text(json.dumps({
+            **CONFIG, "model": {**CONFIG["model"], "max_len": 16},
+            "training": {**CONFIG["training"], "epochs": 1},
+        }))
+        assert run("gen-data", "--config", config, "--out-dir", out, "--mode", "fulltext") == 0
+        assert run("train", "--config", config, "--out-dir", out) == 0
+        capsys.readouterr()
+        for command, cut in ((("score-symptoms",), ["train urgent_care"]),
+                             (("pairs", "--split", "test"), ["test urgent_care"]),
+                             (("drop-experiment",), ["train urgent_care", "test"]),
+                             (("explain", "--cases", "0,1,2,3,4,5,6,7,8,9"), ["explained"])):
+            assert run(*command, "--config", config, "--out-dir", out) == 0
+            notes = capsys.readouterr().err.splitlines()
+            assert [re.match(r"note: \d+ of \d+ (.+) documents are longer than max_len 16; ",
+                             note).group(1) for note in notes] == cut, command
+
 
 def indented_json(obj) -> bytes:
     """What ``write_json`` writes: the standard library's indented encoding."""

@@ -62,6 +62,12 @@ def nested_pairs(sequences, reach):
     return np.array(centers, dtype=np.int64), np.array(contexts, dtype=np.int64)
 
 
+def window_pairs(sequences, reach):
+    """``_window_pairs`` over the sequences concatenated."""
+    return embedding._window_pairs(np.concatenate(sequences), np.array(list(map(len, sequences))),
+                                   reach)
+
+
 def drawn_reaches(seed, window, n_tokens, iters):
     """word2vec's reduced window: each iteration draws every token's reach
     uniformly from 1..window, from a generator seeded [seed, 1]."""
@@ -196,7 +202,7 @@ class TestFusedStep:
     def test_window_pairs_keep_the_nested_loop_order(self, window):
         rng = np.random.default_rng(window)
         sequences = [rng.integers(2, 50, size=n) for n in (1, 2, 3, 7, 12, 1, 4)]
-        got = embedding._window_pairs(sequences, np.full(30, window))
+        got = window_pairs(sequences, np.full(30, window))
         expected = nested_pairs(sequences, window)
         for a, b in zip(got, expected):
             np.testing.assert_array_equal(a, b)
@@ -206,7 +212,7 @@ class TestFusedStep:
         rng = np.random.default_rng(top)
         sequences = [rng.integers(2, 50, size=n) for n in (1, 2, 3, 7, 13, 1, 4)]
         reach = rng.integers(1, top + 1, size=31)
-        got = embedding._window_pairs(sequences, reach)
+        got = window_pairs(sequences, reach)
         expected = nested_pairs(sequences, reach)
         for a, b in zip(got, expected):
             np.testing.assert_array_equal(a, b)
@@ -214,9 +220,10 @@ class TestFusedStep:
     def test_window_pairs_memory_is_bounded_by_the_longest_sequence(self):
         rng = np.random.default_rng(0)
         sequences = [rng.integers(2, 50, size=7) for _ in range(300)]
+        flat, lengths = np.concatenate(sequences), np.full(300, 7)
         tracemalloc.start()
         try:
-            got = embedding._window_pairs(sequences, np.full(2100, 20_000))
+            got = embedding._window_pairs(flat, lengths, np.full(2100, 20_000))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

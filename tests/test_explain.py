@@ -9,7 +9,10 @@ import pytest
 
 from triagenet import explain, model
 from triagenet.corpus import (
+    PAD_ID,
     UNK_ID,
+    UNK_TOKEN,
+    URGENT,
     CaseRecord,
     GeneratorSpec,
     Vocabulary,
@@ -17,6 +20,7 @@ from triagenet.corpus import (
     encode,
     encode_corpus,
     generate_corpus,
+    id_matrix,
 )
 from triagenet.embedding import ConfigError
 from triagenet.explain import (
@@ -256,10 +260,32 @@ def rec(tokens, label="urgent_care", flags=()):
                       planted_flags=list(flags))
 
 
-def drop_mask(records, drops, ranking=None, seed=0):
-    """``_drop_mask`` over the records' untruncated codes, as ``drop_experiment`` calls it."""
-    codes, tokens = explain._token_codes(records)
-    return explain._drop_mask(codes, tokens, drops, ranking, seed)
+def model_tokens(tokens, vocab):
+    """The tokens as the model reads them: each outside the vocabulary as <unk>."""
+    return [vocab.id_to_token[vocab.id_of(tok)] for tok in tokens]
+
+
+def knowing(records, ranking=None):
+    """A vocabulary that knows every token of the records and of the ranking."""
+    return Vocabulary(sorted({t for r in records for t in r.tokens} | set(ranking or ())))
+
+
+def per_id(ranking, vocab):
+    """A token-to-score ranking as ``_drop_mask`` takes it: a score per vocabulary id,
+    -inf for an unranked one."""
+    if ranking is None:
+        return None
+    scores = np.full(len(vocab), -np.inf)
+    for tok, score in ranking.items():
+        scores[vocab.token_to_id[tok]] = score
+    return scores
+
+
+def drop_mask(records, drops, ranking=None, seed=0, vocab=None):
+    """``_drop_mask`` over the records' untruncated ids, as ``drop_experiment`` calls it;
+    by default every token is known."""
+    vocab = vocab or knowing(records, ranking)
+    return explain._drop_mask(id_matrix(records, vocab), drops, per_id(ranking, vocab), seed)
 
 
 def kept_tokens(records, drops, ranking=None, seed=0):
@@ -286,11 +312,11 @@ class TestDropDataset:
 
     def test_conservation_and_never_empty(self):
         records = [rec(["a"]), rec(["a", "b"]), rec(["a", "b", "c", "d"])]
-        codes, _ = explain._token_codes(records)
+        ids = id_matrix(records, knowing(records))
         for ranking in (None, {"a": 1.0}):
             for k in (1, 2, 5):
                 mask = drop_mask(records, k, ranking, seed=4)
-                assert mask.shape == codes.shape and not mask[codes < 0].any()
+                assert mask.shape == ids.shape and not mask[ids == PAD_ID].any()
                 assert [len(toks) for toks in kept_tokens(records, k, ranking, seed=4)] == [
                     max(1, len(r.tokens) - k) for r in records]
 
@@ -306,9 +332,9 @@ class TestDropDataset:
                 drop_mask([rec(["a", "b"])], 0, ranking)
 
 
-def per_record_drops(records, drops, ranking=None, seed=0):
+def per_record_drops(records, vocab, drops, ranking=None, seed=0):
     """The positions each record loses, from a loop that sorts or draws each record
-    on its own: the oracle of ``_drop_mask``."""
+    on its own, reading each token as the model does: the oracle of ``_drop_mask``."""
     if drops < 1:
         raise ConfigError("drops must be >= 1")
     rng = np.random.default_rng(derive_seed(seed, "drop-random"))
@@ -321,16 +347,17 @@ def per_record_drops(records, drops, ranking=None, seed=0):
         elif ranking is None:
             out.append(set(rng.choice(n, size=n_drop, replace=False).tolist()))
         else:
-            order = sorted(range(n), key=lambda i: (-ranking.get(r.tokens[i], float("-inf")), i))
+            tokens = model_tokens(r.tokens, vocab)
+            order = sorted(range(n), key=lambda i: (-ranking.get(tokens[i], float("-inf")), i))
             out.append(set(order[:n_drop]))
     return out
 
 
-def per_record_drop_dataset(records, drops, ranking=None, seed=0):
+def per_record_drop_dataset(records, vocab, drops, ranking=None, seed=0):
     """Each record without the tokens ``per_record_drops`` names (its planted flags,
     which encoding does not read, as they were)."""
     return [dataclasses.replace(r, tokens=[t for i, t in enumerate(r.tokens) if i not in drop])
-            for r, drop in zip(records, per_record_drops(records, drops, ranking, seed))]
+            for r, drop in zip(records, per_record_drops(records, vocab, drops, ranking, seed))]
 
 
 def per_record_drop_experiment(params, train_records, test_records, vocab, max_drops,
@@ -341,7 +368,7 @@ def per_record_drop_experiment(params, train_records, test_records, vocab, max_d
     freq_rank = {}
     for r in train_records:
         if r.label == class_name:
-            for tok in r.tokens:
+            for tok in model_tokens(r.tokens, vocab):
                 freq_rank[tok] = freq_rank.get(tok, 0.0) + 1.0
     att_rank = {s.feature: s.score
                 for s in score_features(params, train_records, vocab, class_name, gram_size=1)}
@@ -357,7 +384,7 @@ def per_record_drop_experiment(params, train_records, test_records, vocab, max_d
     for d in range(1, max_drops + 1):
         for kind, ranking in (("random", None), ("frequency", freq_rank),
                               ("attention", att_rank)):
-            dropped = per_record_drop_dataset(test_records, d, ranking,
+            dropped = per_record_drop_dataset(test_records, vocab, d, ranking,
                                               seed=derive_seed(seed, f"drop-{d}"))
             word = kind.capitalize()
             label = f"{word} Drop" if d == 1 else f"{d} {word} Drops"
@@ -385,10 +412,21 @@ class TestDropDatasetOracle:
     ], ids=["random", "unranked", "ranked", "tied", "negative"])
     @pytest.mark.parametrize("drops", [1, 2, 3, 9])
     def test_same_records_as_per_record_loop(self, ranking, drops):
+        vocab = knowing(self.RECORDS, ranking)
         for seed in (0, 7, 12):
             mask = drop_mask(self.RECORDS, drops, ranking, seed=seed)
             assert ([set(np.flatnonzero(row).tolist()) for row in mask]
-                    == per_record_drops(self.RECORDS, drops, ranking, seed=seed))
+                    == per_record_drops(self.RECORDS, vocab, drops, ranking, seed=seed))
+
+    @pytest.mark.parametrize("drops", [1, 2, 3, 9])
+    def test_unknown_tokens_share_one_rank(self, drops):
+        # d, e, x and y are all <unk>: one rank between a's and c's
+        vocab = Vocabulary(["a", "b", "c"])
+        ranking = {"a": 3.0, UNK_TOKEN: 2.0, "c": 1.0}
+        for seed in (0, 7, 12):
+            mask = drop_mask(self.RECORDS, drops, ranking, seed=seed, vocab=vocab)
+            assert ([set(np.flatnonzero(row).tolist()) for row in mask]
+                    == per_record_drops(self.RECORDS, vocab, drops, ranking, seed=seed))
 
     def test_empty_corpus(self):
         assert drop_mask([], 2).shape == (0, 0)
@@ -396,9 +434,11 @@ class TestDropDatasetOracle:
 
 
 def drop_world(max_len, min_count, extra=(), widths=(1, 2)):
+    """A model trained two epochs on 130 records; the ``extra`` records join the 100
+    test records, and their tokens the vocabulary."""
     corpus = generate_corpus(GeneratorSpec(), 230, seed=11)
     train_records, test_records = corpus.records[:130], corpus.records[130:] + list(extra)
-    vocab = build_vocab(train_records, min_count=min_count)
+    vocab = build_vocab(train_records + list(extra), min_count=min_count)
     config = ModelConfig(vocab_size=len(vocab), max_len=max_len, embedding_dim=8, widths=widths,
                          filters=6, attention_size=5, mlp_layers=(12,), dropout=0.0)
     params = init_params(config, seed=3)
@@ -439,7 +479,7 @@ class TestDropExperimentOracle:
         assert sum(len(r.tokens) > 6 + 2 for r in world[2]) > 10
         self.check(world, 2, monkeypatch)
 
-    def test_unknown_tokens_rank_apart(self, monkeypatch):
+    def test_unknown_tokens_rank_as_unk(self, monkeypatch):
         world = drop_world(max_len=16, min_count=2)
         params, train_records, test_records, vocab = world
         counts = Counter(t for r in train_records for t in r.tokens)
@@ -448,6 +488,8 @@ class TestDropExperimentOracle:
         unranked_known = sorted(t for t in counts if t not in urgent and counts[t] >= 2)
         assert ranked_unknown and len(unranked_known) >= 2
         assert {vocab.id_of(t) for t in ranked_unknown} == {UNK_ID}
+        names = [s.feature for s in score_features(params, train_records, vocab, URGENT, 1)]
+        assert names.count(UNK_TOKEN) == 1 and not set(ranked_unknown) & set(names)
         # a ranked <unk> between known tokens that no table ranks: the drop takes the <unk>
         crafted = [rec([unranked_known[0], t, unranked_known[1]], "telecare")
                    for t in ranked_unknown[:5]]
@@ -504,9 +546,10 @@ def per_window_score_grams(params, records, vocab, class_name, gram_sizes):
             if weights.size == 0:
                 continue
             case_max = float(weights.max())
+            tokens = model_tokens(r.tokens, vocab)
             best = {}
             for t, w in enumerate(weights):
-                feat = " ".join(r.tokens[t : t + m])
+                feat = " ".join(tokens[t : t + m])
                 if feat not in best or w > best[feat]:
                     best[feat] = float(w)
             for feat, w in best.items():
@@ -590,7 +633,10 @@ class TestScoreGramsOracle:
         # records but sorts after "a", which a numpy str array would read it as.
         extra = [rec(tokens) for tokens in (["a\x00"], ["a\x01"], ["a"], ["c", "d"],
                                             ["c\x01", "d"], ["c\x00", "d"])]
-        params, records, vocab = world = self.world(max_len=16, min_count=1, extra=extra)
+        params, train_records, test_records, vocab = drop_world(16, 1, extra, widths=(1, 2, 3))
+        assert UNK_ID not in id_matrix(extra, vocab)  # the vocabulary knows them
+        records = train_records + test_records
+        world = params, records, vocab
         self.check(world)
         unigrams, bigrams = score_grams(params, records, vocab, "urgent_care", (1, 2))
         tied = [s.feature for s in unigrams if s.score == 1.0 and s.occurrences == 1]
@@ -598,15 +644,15 @@ class TestScoreGramsOracle:
         assert [s.feature for s in bigrams if s.feature.endswith(" d")] == [
             "c\x00 d", "c\x01 d", "c d"]
 
-    def test_unknown_tokens_rank_apart(self):
+    def test_unknown_tokens_rank_as_unk(self):
         world = self.world(max_len=16, min_count=2)
         params, records, vocab = world
         unknown = {t for r in records if r.label == "urgent_care" for t in r.tokens
                    if vocab.id_of(t) == UNK_ID}
         assert len(unknown) >= 2
         self.check(world)
-        assert unknown <= {s.feature for s in score_features(params, records, vocab,
-                                                              "urgent_care", 1)}
+        names = [s.feature for s in score_features(params, records, vocab, "urgent_care", 1)]
+        assert names.count(UNK_TOKEN) == 1 and not unknown & set(names)
 
     @pytest.mark.parametrize("n_codes", [3, 2**21, 2**40])
     def test_gram_keys_match_equal_windows_only(self, n_codes):
@@ -625,6 +671,59 @@ class TestScoreGramsOracle:
             assert score_grams(params, others, vocab, "telecare", gram_sizes) == [
                 [] for _ in gram_sizes] == per_window_score_grams(
                     params, others, vocab, "telecare", gram_sizes)
+
+
+class TestModelTokens:
+    """Score tables, pairs and drop rankings name only the tokens the model saw:
+    every token outside the vocabulary is one <unk> row."""
+
+    @staticmethod
+    def worlds():
+        params, train_records, test_records, vocab = drop_world(max_len=16, min_count=2)
+        yield "min_count 2", params, train_records, vocab
+        params, train_records, test_records, vocab = drop_world(max_len=16, min_count=1)
+        yield "unseen tokens", params, test_records, vocab
+
+    def test_unknown_tokens_are_one_unk_row(self, monkeypatch):
+        rankings = []
+
+        def capturing_drop_mask(ids, drops, ranking, seed):
+            rankings.append(ranking)
+            return drop_mask_(ids, drops, ranking, seed)
+
+        drop_mask_ = explain._drop_mask
+        monkeypatch.setattr(explain, "_drop_mask", capturing_drop_mask)
+        for what, params, records, vocab in self.worlds():
+            unknown = {t for r in records if r.label == URGENT for t in r.tokens
+                       if t not in vocab.token_to_id}
+            assert len(unknown) >= 2, what
+            known = set(vocab.id_to_token)
+            unigrams, bigrams = score_grams(params, records, vocab, URGENT, (1, 2))
+            for s in unigrams + bigrams:
+                assert set(s.feature.split(" ")) <= known, (what, s.feature)
+            assert [s.feature for s in unigrams].count(UNK_TOKEN) == 1, what
+            assert any(UNK_TOKEN in s.feature.split(" ") for s in bigrams), what
+            for p in pair_synergy(unigrams, bigrams):
+                assert {p.first, p.second} <= known, what
+
+            # the rankings score vocabulary ids; <unk> counts every unknown token
+            rankings.clear()
+            drop_experiment(params, records, records[:20], vocab, max_drops=1)
+            random, frequency, attention = rankings
+            counts = Counter(vocab.id_of(t) for r in records if r.label == URGENT
+                             for t in r.tokens)
+            expected = np.full(len(vocab), -np.inf)
+            expected[list(counts)] = list(counts.values())
+            assert random is None
+            np.testing.assert_array_equal(frequency, expected)
+            assert frequency[UNK_ID] == sum(1 for r in records if r.label == URGENT
+                                            for t in r.tokens if t in unknown)
+            expected = np.full(len(vocab), -np.inf)
+            expected[[vocab.token_to_id[s.feature] for s in unigrams]] = [
+                s.score for s in unigrams]
+            np.testing.assert_array_equal(attention, expected)
+            assert frequency[PAD_ID] == attention[PAD_ID] == -np.inf
+            assert attention[UNK_ID] > -np.inf
 
 
 @pytest.fixture(scope="module")

@@ -177,16 +177,14 @@ class TestMetrics:
 class TestConfidenceFilter:
     def test_minimum_threshold_keeps_everything(self):
         probs = np.array([[0.34, 0.33, 0.33], [0.4, 0.3, 0.3]])
-        kept, discarded = confidence_filter(probs, 1.0 / 3.0)
-        assert kept == [0, 1]
-        assert discarded == 0.0
+        assert confidence_filter(probs, 1.0 / 3.0) == [0, 1]
 
     def test_thresholds_nest(self):
         rng = np.random.default_rng(9)
         raw = rng.random((50, 3))
         probs = raw / raw.sum(axis=1, keepdims=True)
-        kept_low, _ = confidence_filter(probs, 0.4)
-        kept_high, _ = confidence_filter(probs, 0.6)
+        kept_low = confidence_filter(probs, 0.4)
+        kept_high = confidence_filter(probs, 0.6)
         assert set(kept_high) <= set(kept_low)
 
     def test_all_discarded_raises(self):
